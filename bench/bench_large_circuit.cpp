@@ -1,15 +1,14 @@
-// Large-circuit scaling bench: fill-reducing ordering plus level-scheduled
-// parallel refactorization (DESIGN.md §13) against the natural Markowitz
-// reference on synthetic RC interconnect matrices — the 2-D mesh (power
-// grid / substrate network) and the 1-D ladder (long RC line), the two
-// canonical sparsity shapes parasitic-dominated RF layouts produce. The
+// Large-circuit scaling bench: fill-reducing ordering (DESIGN.md §13)
+// against the natural Markowitz reference on synthetic RC interconnect
+// matrices — the 2-D mesh (power grid / substrate network) and the 1-D
+// ladder (long RC line), the two canonical sparsity shapes
+// parasitic-dominated RF layouts produce. The
 // same topologies are available as netlists via tools/gen_mesh.py; the
 // bench builds the MNA-shaped matrices directly so it measures exactly the
 // factor/refactor/solve pipeline and nothing else.
 //
 // Reported per case: analysis (ordering + factor) wall time, fill-in ratio
-// and factor nnz, level count of the recorded replay program, serial and
-// pool-parallel refactor time, solve time, and the headline speedups of
+// and factor nnz, refactor time, solve time, and the headline speedups of
 // AMD vs natural for the full factor and for the Newton-loop steady state
 // (refactor + solve). Quick mode (RFIC_BENCH_QUICK=1, the CI perf-smoke
 // setting) trims the node counts; the full run goes to a ~50k-node mesh
@@ -75,12 +74,10 @@ sparse::RCSR ladder(std::size_t n, std::uint64_t seed) {
 struct CaseResult {
   std::size_t n = 0;
   std::size_t factorNnz = 0;
-  std::size_t levels = 0;
   Real fill = 0;
-  Real factorMs = 0;       ///< full analysis (ordering included)
-  Real refactorMs = 0;     ///< serial replay, per refactor
-  Real refactorParMs = 0;  ///< pool-parallel replay, per refactor
-  Real solveMs = 0;        ///< per solve
+  Real factorMs = 0;    ///< full analysis (ordering included)
+  Real refactorMs = 0;  ///< replay, per refactor
+  Real solveMs = 0;     ///< per solve
 };
 
 CaseResult runCase(const char* label, const sparse::RCSR& a,
@@ -90,14 +87,12 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
 
   sparse::RSymbolicLU::Options o;
   o.ordering = ord;
-  o.parallelMinFlops = 0;  // measure the parallel path even on small cases
 
   Stopwatch sw;
   sparse::RSymbolicLU lu(a, o);
   res.factorMs = sw.seconds() * 1e3;
   res.factorNnz = lu.factorNnz();
   res.fill = lu.fillRatio();
-  res.levels = lu.levelCount();
 
   // Perturbed values over the same pattern — the Newton-loop steady state.
   std::mt19937_64 rng(4242);
@@ -109,12 +104,6 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   for (std::size_t r = 0; r < reps; ++r) (void)lu.refactor(vals);
   res.refactorMs = sw.seconds() * 1e3 / static_cast<Real>(reps);
 
-  lu.setPool(&perf::ThreadPool::global());
-  (void)lu.refactor(vals);  // warm the pool before timing
-  sw.reset();
-  for (std::size_t r = 0; r < reps; ++r) (void)lu.refactor(vals);
-  res.refactorParMs = sw.seconds() * 1e3 / static_cast<Real>(reps);
-
   numeric::RVec b(res.n), x, y, z;
   std::uniform_real_distribution<Real> ub(-1, 1);
   for (auto& v : b) v = ub(rng);
@@ -122,9 +111,9 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   for (std::size_t r = 0; r < reps; ++r) lu.solve(b, x, y, z);
   res.solveMs = sw.seconds() * 1e3 / static_cast<Real>(reps);
 
-  std::printf("%-14s %8zu %9zu %6.2f %7zu %10.2f %10.3f %10.3f %8.3f\n",
-              label, res.n, res.factorNnz, res.fill, res.levels, res.factorMs,
-              res.refactorMs, res.refactorParMs, res.solveMs);
+  std::printf("%-14s %8zu %9zu %6.2f %10.2f %10.3f %8.3f\n", label, res.n,
+              res.factorNnz, res.fill, res.factorMs, res.refactorMs,
+              res.solveMs);
   return res;
 }
 
@@ -135,10 +124,9 @@ int main() {
   JsonReporter json("large_circuit");
   json.count("threads", perf::ThreadPool::global().concurrency());
 
-  header("large-circuit scaling: ordering + level-parallel refactor");
-  std::printf("%-14s %8s %9s %6s %7s %10s %10s %10s %8s\n", "case", "n",
-              "fnnz", "fill", "levels", "factor_ms", "refac_ms", "refacP_ms",
-              "solve_ms");
+  header("large-circuit scaling: fill-reducing ordering");
+  std::printf("%-14s %8s %9s %6s %10s %10s %8s\n", "case", "n", "fnnz",
+              "fill", "factor_ms", "refac_ms", "solve_ms");
   rule();
 
   // Mesh sizes: natural's analysis scan is O(n²), so the head-to-head stops
@@ -161,18 +149,12 @@ int main() {
 
   rule();
   const Real natLoop = nat.refactorMs + nat.solveMs;
-  const Real amdLoop =
-      std::min(amd.refactorMs, amd.refactorParMs) + amd.solveMs;
+  const Real amdLoop = amd.refactorMs + amd.solveMs;
   const Real speedupLoop = natLoop / amdLoop;
   const Real speedupFactor = nat.factorMs / amd.factorMs;
-  const Real speedupPar = amdBig.refactorMs / amdBig.refactorParMs;
   std::printf("mesh %zu nodes: factor speedup %.2fx, refactor+solve speedup "
               "%.2fx (natural %.3f ms vs amd %.3f ms)\n",
               nat.n, speedupFactor, speedupLoop, natLoop, amdLoop);
-  std::printf("mesh %zu nodes: parallel refactor speedup %.2fx over serial "
-              "replay (%zu lanes)\n",
-              amdBig.n, speedupPar,
-              perf::ThreadPool::global().concurrency());
 
   // Wall-clock keys end in _s so tools/bench_compare.py ratio-checks them.
   json.count("mesh.n", nat.n);
@@ -181,20 +163,15 @@ int main() {
   json.metric("mesh.natural.refactor_s", nat.refactorMs * 1e-3);
   json.metric("mesh.natural.solve_s", nat.solveMs * 1e-3);
   json.metric("mesh.amd.fill", amd.fill);
-  json.count("mesh.amd.levels", amd.levels);
   json.metric("mesh.amd.factor_s", amd.factorMs * 1e-3);
   json.metric("mesh.amd.refactor_s", amd.refactorMs * 1e-3);
-  json.metric("mesh.amd.refactor_parallel_s", amd.refactorParMs * 1e-3);
   json.metric("mesh.amd.solve_s", amd.solveMs * 1e-3);
   json.metric("mesh.speedup_factor", speedupFactor);
   json.metric("mesh.speedup_refactor_solve", speedupLoop);
   json.count("mesh_big.n", amdBig.n);
   json.metric("mesh_big.amd.fill", amdBig.fill);
-  json.count("mesh_big.amd.levels", amdBig.levels);
   json.metric("mesh_big.amd.factor_s", amdBig.factorMs * 1e-3);
   json.metric("mesh_big.amd.refactor_s", amdBig.refactorMs * 1e-3);
-  json.metric("mesh_big.amd.refactor_parallel_s", amdBig.refactorParMs * 1e-3);
-  json.metric("mesh_big.speedup_parallel", speedupPar);
   json.count("ladder.n", ladAmd.n);
   json.metric("ladder.amd.fill", ladAmd.fill);
   json.metric("ladder.amd.refactor_s", ladAmd.refactorMs * 1e-3);

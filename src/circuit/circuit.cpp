@@ -1,18 +1,13 @@
 #include "circuit/circuit.hpp"
 
-#include <algorithm>
-
 namespace rfic::circuit {
 
 int Circuit::node(const std::string& name) {
   if (name == "0" || name == "gnd" || name == "GND") return -1;
-  const auto it = std::find_if(nodeIndex_.begin(), nodeIndex_.end(),
-                               [&](const auto& p) { return p.first == name; });
-  if (it != nodeIndex_.end()) return it->second;
-  const int idx = static_cast<int>(unknownNames_.size());
-  unknownNames_.push_back("V(" + name + ")");
-  nodeIndex_.emplace_back(name, idx);
-  return idx;
+  const auto [it, inserted] =
+      nodeIndex_.try_emplace(name, static_cast<int>(unknownNames_.size()));
+  if (inserted) unknownNames_.push_back("V(" + name + ")");
+  return it->second;
 }
 
 int Circuit::allocBranch(const std::string& label) {
@@ -29,8 +24,7 @@ int Circuit::findNode(const std::string& name) const {
 
 int Circuit::lookupNode(const std::string& name) const {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
-  const auto it = std::find_if(nodeIndex_.begin(), nodeIndex_.end(),
-                               [&](const auto& p) { return p.first == name; });
+  const auto it = nodeIndex_.find(name);
   return it != nodeIndex_.end() ? it->second : kNoSuchNode;
 }
 

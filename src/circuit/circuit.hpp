@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "numeric/dense.hpp"
@@ -218,7 +219,7 @@ class Circuit {
 
  private:
   std::vector<std::string> unknownNames_;
-  std::vector<std::pair<std::string, int>> nodeIndex_;
+  std::unordered_map<std::string, int> nodeIndex_;  ///< node name -> unknown
   std::vector<std::unique_ptr<Device>> devices_;
 };
 

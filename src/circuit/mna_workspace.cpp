@@ -400,8 +400,6 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
   if (gDiag != 0.0)  // lint: allow-float-eq (exact sentinel for "no shunt")
     for (std::size_t i = 0; i < n_; ++i) jVals_[diagSlot_[i]] += gDiag;
 
-  lu_.setPool(sweepPool_ != nullptr ? sweepPool_ : &perf::ThreadPool::global());
-
   const perf::Timer timer;
   // !lu_.analyzed() covers a previous factorization attempt that threw on a
   // singular matrix: the workspace pattern is still current, but the LU

@@ -80,8 +80,8 @@ class MnaWorkspace {
 
   /// Thread pool used by evalSamples (nullptr = serial). The chunking is
   /// over a fixed lane count, so results do not depend on the pool size.
-  /// factorJacobian's level-parallel refactorization shares the same pool
-  /// (falling back to the process-global pool when none is installed).
+  /// factorJacobian does not use it: its refactorization is one serial
+  /// replay of the recorded program.
   void setSweepPool(perf::ThreadPool* pool) { sweepPool_ = pool; }
 
   /// Pivot pre-ordering for factorJacobian (sparse/ordering.hpp). Defaults

@@ -35,8 +35,8 @@
 // are bitwise identical either way, so this is a verification/debug aid.
 // --ordering selects the sparse-LU pivot pre-ordering: "natural" (the
 // default) pins today's full Markowitz search, "amd" enables the
-// fill-reducing approximate-minimum-degree pre-order plus level-parallel
-// refactorization for large circuits (DESIGN.md §13).
+// fill-reducing approximate-minimum-degree pre-order for large circuits
+// (DESIGN.md §13).
 //
 // Since the engine refactor this file is a thin client: it parses flags
 // into an engine::JobSpec, runs it through engine::Engine, and replays the

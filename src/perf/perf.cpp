@@ -50,8 +50,6 @@ std::string format(const Snapshot& s) {
                 "factorizations   %10llu  (%10.3f ms)\n"
                 "  fill nnz       %10llu\n"
                 "refactorizations %10llu  (%10.3f ms)\n"
-                "  parallel                   (%10.3f ms)\n"
-                "  levels         %10llu\n"
                 "solves           %10llu  (%10.3f ms)\n"
                 "ffts             %10llu  (%10.3f ms)\n"
                 "plan cache       %10llu hits / %llu misses\n"
@@ -68,8 +66,7 @@ std::string format(const Snapshot& s) {
                 ms(s.factorNs),
                 static_cast<unsigned long long>(s.factorFillNnz),
                 static_cast<unsigned long long>(s.refactorizations),
-                ms(s.refactorNs), ms(s.refactorParallelNs),
-                static_cast<unsigned long long>(s.refactorLevels),
+                ms(s.refactorNs),
                 static_cast<unsigned long long>(s.solves), ms(s.solveNs),
                 static_cast<unsigned long long>(s.fftCount), ms(s.fftNs),
                 static_cast<unsigned long long>(s.planCacheHits),

@@ -50,9 +50,9 @@ struct Snapshot {
   std::uint64_t factorFillNnz = 0;     ///< largest factor (fill-in included)
                                        ///< any SymbolicLU analysis produced;
                                        ///< merges by max, like memPeakBytes
-  std::uint64_t refactorLevels = 0;    ///< deepest level schedule recorded
-                                       ///< (parallel-replay critical path);
-                                       ///< merges by max
+  std::uint64_t refactorLevels = 0;    ///< retired: always 0 (the level-
+                                       ///< scheduled replay was removed);
+                                       ///< kept for trace readers
   std::uint64_t evalNs = 0;
   std::uint64_t evalBatchNs = 0;       ///< wall time of the batched subset
                                        ///< (subset of evalNs)
@@ -60,9 +60,9 @@ struct Snapshot {
                                        ///< (subset of factorNs' analyses)
   std::uint64_t factorNs = 0;
   std::uint64_t refactorNs = 0;
-  std::uint64_t refactorParallelNs = 0;  ///< wall time inside the level-
-                                         ///< scheduled parallel replay
-                                         ///< (subset of refactorNs)
+  std::uint64_t refactorParallelNs = 0;  ///< retired: always 0 (the
+                                         ///< refactor replay is serial);
+                                         ///< kept for trace readers
   std::uint64_t solveNs = 0;
   std::uint64_t fftNs = 0;             ///< wall time inside batched transforms
   std::uint64_t matvecNs = 0;          ///< wall time inside apply() calls
@@ -88,13 +88,11 @@ struct Snapshot {
     if (o.memPeakBytes > memPeakBytes) memPeakBytes = o.memPeakBytes;
     evalBatched += o.evalBatched;
     if (o.factorFillNnz > factorFillNnz) factorFillNnz = o.factorFillNnz;
-    if (o.refactorLevels > refactorLevels) refactorLevels = o.refactorLevels;
     evalNs += o.evalNs;
     evalBatchNs += o.evalBatchNs;
     orderingNs += o.orderingNs;
     factorNs += o.factorNs;
     refactorNs += o.refactorNs;
-    refactorParallelNs += o.refactorParallelNs;
     solveNs += o.solveNs;
     fftNs += o.fftNs;
     matvecNs += o.matvecNs;
@@ -130,18 +128,9 @@ class Counters {
   void addOrdering(std::uint64_t ns) {
     orderingNs_.fetch_add(ns, std::memory_order_relaxed);
   }
-  /// Wall time of one level-scheduled parallel replay (a subset of the
-  /// enclosing refactorNs).
-  void addRefactorParallel(std::uint64_t ns) {
-    refactorParallelNs_.fetch_add(ns, std::memory_order_relaxed);
-  }
   /// Record one analysis's factor size, fill-in included (CAS-max gauge,
   /// like noteMemPeak: the counter keeps the largest factor seen).
   void noteFactorFill(std::uint64_t nnz) { casMax(factorFill_, nnz); }
-  /// Record one analysis's level-schedule depth (CAS-max gauge).
-  void noteRefactorLevels(std::uint64_t levels) {
-    casMax(refactorLevels_, levels);
-  }
   void addSolve(std::uint64_t ns) { bump(solves_, solveNs_, ns); }
   void addRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
   void addFallback() { fallbacks_.fetch_add(1, std::memory_order_relaxed); }
@@ -193,14 +182,11 @@ class Counters {
     noteMemPeak(s.memPeakBytes);
     evalBatched_.fetch_add(s.evalBatched, std::memory_order_relaxed);
     casMax(factorFill_, s.factorFillNnz);
-    casMax(refactorLevels_, s.refactorLevels);
     evalNs_.fetch_add(s.evalNs, std::memory_order_relaxed);
     evalBatchNs_.fetch_add(s.evalBatchNs, std::memory_order_relaxed);
     orderingNs_.fetch_add(s.orderingNs, std::memory_order_relaxed);
     factorNs_.fetch_add(s.factorNs, std::memory_order_relaxed);
     refactorNs_.fetch_add(s.refactorNs, std::memory_order_relaxed);
-    refactorParallelNs_.fetch_add(s.refactorParallelNs,
-                                  std::memory_order_relaxed);
     solveNs_.fetch_add(s.solveNs, std::memory_order_relaxed);
     fftNs_.fetch_add(s.fftNs, std::memory_order_relaxed);
     matvecNs_.fetch_add(s.matvecNs, std::memory_order_relaxed);
@@ -227,13 +213,11 @@ class Counters {
     s.memPeakBytes = memPeak_.load(std::memory_order_relaxed);
     s.evalBatched = evalBatched_.load(std::memory_order_relaxed);
     s.factorFillNnz = factorFill_.load(std::memory_order_relaxed);
-    s.refactorLevels = refactorLevels_.load(std::memory_order_relaxed);
     s.evalNs = evalNs_.load(std::memory_order_relaxed);
     s.evalBatchNs = evalBatchNs_.load(std::memory_order_relaxed);
     s.orderingNs = orderingNs_.load(std::memory_order_relaxed);
     s.factorNs = factorNs_.load(std::memory_order_relaxed);
     s.refactorNs = refactorNs_.load(std::memory_order_relaxed);
-    s.refactorParallelNs = refactorParallelNs_.load(std::memory_order_relaxed);
     s.solveNs = solveNs_.load(std::memory_order_relaxed);
     s.fftNs = fftNs_.load(std::memory_order_relaxed);
     s.matvecNs = matvecNs_.load(std::memory_order_relaxed);
@@ -246,10 +230,10 @@ class Counters {
     for (auto* a : {&evals_, &evalBatched_, &factor_, &refactor_, &solves_,
                     &retries_, &fallbacks_, &ffts_, &planHits_, &planMisses_,
                     &matvecs_, &extractBuilds_, &ctxHits_, &ctxMisses_,
-                    &memPeak_, &factorFill_, &refactorLevels_, &evalNs_,
-                    &evalBatchNs_, &orderingNs_, &factorNs_, &refactorNs_,
-                    &refactorParallelNs_, &solveNs_, &fftNs_, &matvecNs_,
-                    &extractBuildNs_, &extractCompressNs_})
+                    &memPeak_, &factorFill_, &evalNs_, &evalBatchNs_,
+                    &orderingNs_, &factorNs_, &refactorNs_, &solveNs_,
+                    &fftNs_, &matvecNs_, &extractBuildNs_,
+                    &extractCompressNs_})
       a->store(0, std::memory_order_relaxed);
   }
 
@@ -273,10 +257,10 @@ class Counters {
   std::atomic<std::uint64_t> ffts_{0}, planHits_{0}, planMisses_{0};
   std::atomic<std::uint64_t> matvecs_{0}, extractBuilds_{0};
   std::atomic<std::uint64_t> ctxHits_{0}, ctxMisses_{0};
-  std::atomic<std::uint64_t> memPeak_{0}, factorFill_{0}, refactorLevels_{0};
+  std::atomic<std::uint64_t> memPeak_{0}, factorFill_{0};
   std::atomic<std::uint64_t> evalNs_{0}, evalBatchNs_{0}, orderingNs_{0},
-      factorNs_{0}, refactorNs_{0}, refactorParallelNs_{0}, solveNs_{0},
-      fftNs_{0}, matvecNs_{0}, extractBuildNs_{0}, extractCompressNs_{0};
+      factorNs_{0}, refactorNs_{0}, solveNs_{0}, fftNs_{0}, matvecNs_{0},
+      extractBuildNs_{0}, extractCompressNs_{0};
 };
 
 /// The true process-wide accumulator. Scoped contributions (see

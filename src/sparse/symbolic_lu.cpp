@@ -1,15 +1,11 @@
 #include "sparse/symbolic_lu.hpp"
 
-#include <atomic>
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "diag/resilience.hpp"
 #include "perf/perf.hpp"
-#include "perf/thread_pool.hpp"
 
 namespace rfic::sparse {
 
@@ -17,17 +13,70 @@ namespace {
 
 constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-// Lock-free running max of a non-negative Real shared by the parallel
-// replay lanes. Non-negative IEEE doubles order the same as their bit
-// patterns, so a CAS-max on the bits is a CAS-max on the values (the same
-// trick perf::Counters::noteMemPeak uses for its gauge).
-void casMaxNonneg(std::uint64_t& bits, Real v) {
-  const std::uint64_t nb = std::bit_cast<std::uint64_t>(v);
-  std::atomic_ref<std::uint64_t> ref(bits);
-  std::uint64_t cur = ref.load(std::memory_order_relaxed);
-  while (nb > cur &&
-         !ref.compare_exchange_weak(cur, nb, std::memory_order_relaxed)) {
+/// One entry of the active submatrix as seen from its row (`idx` = column)
+/// or from its column (`idx` = row), with the workspace slot of its value.
+struct Entry {
+  std::uint32_t idx;
+  std::uint32_t slot;
+};
+
+/// Factor size and update-program length if every pivot lands on the
+/// diagonal: the Cholesky factor of the symmetrized pattern eliminated in
+/// `order`, counted with one row-subtree walk per row over the elimination
+/// tree as it grows (O(factor size)). Column r has c_r entries below the
+/// diagonal, so the factor holds n + 2·Σc_r entries and step r replays
+/// c_r² updates. The analysis only uses it to reserve its two large arrays
+/// up front: in a cold process their growth copies and first-touch page
+/// faults cost as much as the elimination itself.
+struct DiagonalPivotCounts {
+  std::size_t factorNnz = 0;
+  std::size_t flops = 0;
+};
+
+DiagonalPivotCounts diagonalPivotCounts(
+    std::size_t n, const std::vector<std::size_t>& rowPtr,
+    const std::vector<std::uint32_t>& colIdx,
+    const std::vector<std::uint32_t>& order) {
+  std::vector<std::uint32_t> pinv(n);
+  for (std::size_t k = 0; k < n; ++k)
+    pinv[order[k]] = static_cast<std::uint32_t>(k);
+  // Strictly lower triangle of the permuted symmetrized pattern, by row
+  // (an entry present in both triangles appears twice; the walk below
+  // stops at once on the repeat).
+  std::vector<std::size_t> lowPtr(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t p = rowPtr[r]; p < rowPtr[r + 1]; ++p)
+      if (colIdx[p] != r) ++lowPtr[std::max(pinv[r], pinv[colIdx[p]]) + 1];
+  for (std::size_t k = 0; k < n; ++k) lowPtr[k + 1] += lowPtr[k];
+  std::vector<std::uint32_t> low(lowPtr[n]);
+  std::vector<std::size_t> next(lowPtr.begin(), lowPtr.end() - 1);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t p = rowPtr[r]; p < rowPtr[r + 1]; ++p)
+      if (colIdx[p] != r) {
+        const std::uint32_t a = pinv[r], b = pinv[colIdx[p]];
+        low[next[std::max(a, b)]++] = std::min(a, b);
+      }
+
+  // Row k of the factor is the union of the tree paths from each j in
+  // low[k] up to k; a root met on the way gets k as its parent.
+  std::vector<std::uint32_t> parent(n, kNoSlot), mark(n, kNoSlot);
+  std::vector<std::size_t> below(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto kk = static_cast<std::uint32_t>(k);
+    mark[k] = kk;
+    for (std::size_t q = lowPtr[k]; q < lowPtr[k + 1]; ++q)
+      for (std::uint32_t r = low[q]; mark[r] != kk; r = parent[r]) {
+        mark[r] = kk;
+        ++below[r];
+        if (parent[r] == kNoSlot) parent[r] = kk;
+      }
   }
+  DiagonalPivotCounts out{n, 0};
+  for (const std::size_t c : below) {
+    out.factorNnz += 2 * c;
+    out.flops += c * c;
+  }
+  return out;
 }
 
 }  // namespace
@@ -57,35 +106,50 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
 
 // Full elimination recording the slot-level update program for later
 // replay. Pivot choice depends on the ordering: Natural runs the classic
-// full Markowitz/threshold search (mirrors SparseLU, bit-for-bit the same
-// pivots as before the ordering stage existed); Amd eliminates columns in
-// the precomputed fill-reducing sequence and only chooses the pivot *row*
-// numerically — threshold first, then the shortest active row (the
-// Markowitz count with the column fixed), ties to the larger magnitude.
+// full Markowitz/threshold search (mirrors SparseLU); Amd eliminates
+// columns in the precomputed fill-reducing sequence and only chooses the
+// pivot *row* numerically — threshold first, then the shortest active row
+// (the Markowitz count with the column fixed), ties to the larger
+// magnitude.
+//
+// The active submatrix lives in flat per-row (col, slot) and per-column
+// (row, slot) lists. Slots [0, nnz_) are the input CSR positions in
+// order; fill-in appends. Eliminated rows stay in the column lists until a
+// scan compacts them out (rowActive/colActive mark what is live, colLen
+// counts it); a row is compacted each time it is scattered for an update,
+// so an active row's list holds exactly its live entries.
 template <class T>
 void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   analyzed_ = false;
 
-  // Dynamic structure: per-row map col -> workspace slot. Slots [0, nnz_)
-  // are the input CSR positions in order; fill-in appends.
-  std::vector<std::unordered_map<std::size_t, std::uint32_t>> work(n_);
-  std::vector<std::unordered_set<std::size_t>> colRows(n_);
-  // Slot of each (i, i): turns the natural diagonal scan's per-candidate
-  // hash lookup into an array read (same pivot choices — the cache is
-  // consulted only while row i and column i are both still active, where
-  // it agrees with work[i].find(i) exactly).
+  std::vector<std::vector<Entry>> rows(n_), cols(n_);
+  std::vector<std::size_t> colLen(n_, 0);
+  // Slot of each (i, i) while row i and column i are both active.
   std::vector<std::uint32_t> diagSlot(n_, kNoSlot);
+  // Column -> slot of the row being scattered (kNoSlot elsewhere).
+  std::vector<std::uint32_t> pos(n_, kNoSlot);
   w_.assign(nnz_, T{});
   for (std::size_t r = 0; r < n_; ++r) {
+    rows[r].reserve(aRowPtr_[r + 1] - aRowPtr_[r]);
     for (std::size_t p = aRowPtr_[r]; p < aRowPtr_[r + 1]; ++p) {
-      const std::size_t c = aColIdx_[p];
-      const auto [it, inserted] =
-          work[r].try_emplace(c, static_cast<std::uint32_t>(p));
-      RFIC_REQUIRE(inserted, "SymbolicLU: duplicate position in CSR");
-      colRows[c].insert(r);
-      if (c == r) diagSlot[r] = static_cast<std::uint32_t>(p);
+      const std::uint32_t c = aColIdx_[p];
+      const auto slot = static_cast<std::uint32_t>(p);
+      RFIC_REQUIRE(pos[c] == kNoSlot, "SymbolicLU: duplicate position in CSR");
+      pos[c] = slot;
+      rows[r].push_back({c, slot});
+      cols[c].push_back({static_cast<std::uint32_t>(r), slot});
+      ++colLen[c];
+      if (c == r) diagSlot[r] = slot;
       w_[p] = vals[p];
     }
+    for (const Entry& e : rows[r]) pos[e.idx] = kNoSlot;
+  }
+
+  if (!colOrder_.empty()) {
+    const DiagonalPivotCounts est =
+        diagonalPivotCounts(n_, aRowPtr_, aColIdx_, colOrder_);
+    w_.reserve(est.factorNnz);  // every slot ends as one factor entry
+    updTarget_.reserve(est.flops);
   }
 
   std::vector<char> rowActive(n_, 1), colActive(n_, 1);
@@ -95,7 +159,6 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   pivSlot_.resize(n_);
   lPtr_.assign(n_ + 1, 0);
   uPtr_.assign(n_ + 1, 0);
-  stepUpdBase_.assign(n_, 0);
   lRow_.clear();
   uCol_.clear();
   lVal_.clear();
@@ -104,16 +167,24 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   uSlot_.clear();
   updTarget_.clear();
 
-  auto columnMax = [&](std::size_t c) {
+  // Live entries of column c, in insertion order (input rows ascending,
+  // then fill in creation order); drops eliminated rows on the way.
+  const auto liveCol = [&](std::size_t c) -> const std::vector<Entry>& {
+    auto& col = cols[c];
+    if (col.size() != colLen[c])
+      std::erase_if(col, [&](const Entry& e) { return !rowActive[e.idx]; });
+    return col;
+  };
+  const auto columnMax = [&](std::size_t c) {
     Real m = 0;
-    for (std::size_t r : colRows[c])
-      m = std::max(m, std::abs(w_[work[r].at(c)]));
+    for (const Entry& e : liveCol(c)) m = std::max(m, std::abs(w_[e.slot]));
     return m;
   };
 
   for (std::size_t k = 0; k < n_; ++k) {
     // --- Pivot selection.
     std::size_t bestR = n_, bestC = n_;
+    std::uint32_t bestSlot = kNoSlot;
 
     if (!colOrder_.empty()) {
       // Pre-ordered column: only the row is a numeric decision.
@@ -124,17 +195,21 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         if (opts_.preferDiagonal && rowActive[pc] &&
             diagSlot[pc] != kNoSlot) {
           const Real mag = std::abs(w_[diagSlot[pc]]);
-          if (mag > 0 && mag >= opts_.pivotThreshold * cmax) bestR = pc;
+          if (mag > 0 && mag >= opts_.pivotThreshold * cmax) {
+            bestR = pc;
+            bestSlot = diagSlot[pc];
+          }
         }
         if (bestR == n_) {
           std::size_t bestLen = std::numeric_limits<std::size_t>::max();
           Real bestMag = 0;
-          for (std::size_t r : colRows[pc]) {
-            const Real mag = std::abs(w_[work[r].at(pc)]);
+          for (const Entry& e : liveCol(pc)) {
+            const Real mag = std::abs(w_[e.slot]);
             if (mag < opts_.pivotThreshold * cmax) continue;
-            const std::size_t len = work[r].size();
+            const std::size_t len = rows[e.idx].size();
             if (len < bestLen || (len == bestLen && mag > bestMag)) {
-              bestR = r;
+              bestR = e.idx;
+              bestSlot = e.slot;
               bestLen = len;
               bestMag = mag;
             }
@@ -154,13 +229,13 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
           if (!colActive[j] || !rowActive[j]) continue;
           const std::uint32_t ds = diagSlot[j];
           if (ds == kNoSlot || w_[ds] == T{}) continue;
-          const std::size_t mark =
-              (work[j].size() - 1) * (colRows[j].size() - 1);
+          const std::size_t mark = (rows[j].size() - 1) * (colLen[j] - 1);
           if (mark > bestMark) continue;
           const Real mag = std::abs(w_[ds]);
           if (mark == bestMark && mag <= bestMag) continue;
           if (mag < opts_.pivotThreshold * columnMax(j)) continue;
           bestR = bestC = j;
+          bestSlot = ds;
           bestMark = mark;
           bestMag = mag;
         }
@@ -170,15 +245,15 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
           if (!colActive[j]) continue;
           const Real cmax = columnMax(j);
           if (cmax == 0) continue;
-          for (std::size_t r : colRows[j]) {
-            const T v = w_[work[r].at(j)];
-            const Real mag = std::abs(v);
+          for (const Entry& e : liveCol(j)) {
+            const Real mag = std::abs(w_[e.slot]);
             if (mag < opts_.pivotThreshold * cmax) continue;
             const std::size_t mark =
-                (work[r].size() - 1) * (colRows[j].size() - 1);
+                (rows[e.idx].size() - 1) * (colLen[j] - 1);
             if (mark < bestMark || (mark == bestMark && mag > bestMag)) {
-              bestR = r;
+              bestR = e.idx;
               bestC = j;
+              bestSlot = e.slot;
               bestMark = mark;
               bestMag = mag;
             }
@@ -189,132 +264,63 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     }
 
     const std::size_t pr = bestR, pc = bestC;
-    const std::uint32_t pslot = work[pr].at(pc);
-    const T p = w_[pslot];
+    const T p = w_[bestSlot];
     pivRow_[k] = static_cast<std::uint32_t>(pr);
     pivCol_[k] = static_cast<std::uint32_t>(pc);
-    pivSlot_[k] = pslot;
+    pivSlot_[k] = bestSlot;
     pivVal_[k] = p;
+    rowActive[pr] = 0;
+    colActive[pc] = 0;
 
-    // Record the U row (pivot entry excluded) and detach the pivot row.
-    for (const auto& [c, slot] : work[pr]) {
-      colRows[c].erase(pr);
-      if (c == pc) continue;
-      uCol_.push_back(static_cast<std::uint32_t>(c));
-      uSlot_.push_back(slot);
-      uVal_.push_back(w_[slot]);
+    // Record the U row (pivot entry excluded) in stored order and detach
+    // the pivot row from the column counts.
+    for (const Entry& e : rows[pr]) {
+      if (e.idx == pc) continue;
+      --colLen[e.idx];
+      uCol_.push_back(e.idx);
+      uSlot_.push_back(e.slot);
+      uVal_.push_back(w_[e.slot]);
     }
     uPtr_[k + 1] = uVal_.size();
-    stepUpdBase_[k] = updTarget_.size();
 
     // Eliminate below the pivot, recording L entries and the flattened
     // (target -= m·source) program. The numeric update runs here too so
     // later pivot choices see the true partial values.
     const std::size_t u0 = uPtr_[k], u1 = uPtr_[k + 1];
-    std::vector<std::size_t> below(colRows[pc].begin(), colRows[pc].end());
-    for (std::size_t i : below) {
-      const std::uint32_t numSlot = work[i].at(pc);
-      const T m = w_[numSlot] / p;
-      lRow_.push_back(static_cast<std::uint32_t>(i));
-      lSlot_.push_back(numSlot);
+    for (const Entry& e : cols[pc]) {
+      const std::size_t i = e.idx;
+      if (!rowActive[i]) continue;
+      const T m = w_[e.slot] / p;
+      lRow_.push_back(e.idx);
+      lSlot_.push_back(e.slot);
       lVal_.push_back(m);
-      work[i].erase(pc);
+      // Scatter row i, dropping its entry in the pivot column.
+      auto& row = rows[i];
+      std::erase_if(row, [&](const Entry& f) { return f.idx == pc; });
+      for (const Entry& f : row) pos[f.idx] = f.slot;
       for (std::size_t q = u0; q < u1; ++q) {
-        const std::size_t c = uCol_[q];
-        auto [it, inserted] =
-            work[i].try_emplace(c, static_cast<std::uint32_t>(w_.size()));
-        if (inserted) {
-          if (c == i) diagSlot[i] = it->second;  // diagonal fill-in
+        const std::uint32_t c = uCol_[q];
+        std::uint32_t& s = pos[c];
+        if (s == kNoSlot) {
+          s = static_cast<std::uint32_t>(w_.size());
+          if (c == i) diagSlot[i] = s;  // diagonal fill-in
           w_.push_back(T{});
-          colRows[c].insert(i);
+          row.push_back({c, s});
+          cols[c].push_back({static_cast<std::uint32_t>(i), s});
+          ++colLen[c];
         }
-        w_[it->second] -= m * w_[uSlot_[q]];
-        updTarget_.push_back(it->second);
+        w_[s] -= m * w_[uSlot_[q]];
+        updTarget_.push_back(s);
       }
+      for (const Entry& f : row) pos[f.idx] = kNoSlot;
     }
     lPtr_[k + 1] = lVal_.size();
-    colRows[pc].clear();
-    work[pr].clear();
-    rowActive[pr] = 0;
-    colActive[pc] = 0;
+    cols[pc] = std::vector<Entry>();
+    rows[pr] = std::vector<Entry>();
   }
 
-  buildLevels();
   analyzed_ = true;
   perf::global().noteFactorFill(factorNnz());
-  perf::global().noteRefactorLevels(levelCount());
-}
-
-// Partition the recorded program into elimination-dependency levels.
-// Greedy in step order: a step's level is one past the deepest level that
-// wrote a slot it reads (RAW), or read/wrote a slot it updates (WAR/WAW).
-// Two consequences, both load-bearing for the parallel replay:
-//  * steps sharing a level touch pairwise-disjoint {written} ∩ {touched}
-//    slots, so any execution order — hence any thread count and any
-//    chunking — produces bitwise-identical results;
-//  * for every slot, the serial step order and the level order agree, so
-//    the parallel replay is bitwise identical to the serial one.
-template <class T>
-void SymbolicLU<T>::buildLevels() {
-  const std::size_t nslots = w_.size();
-  std::vector<std::uint32_t> readLvl(nslots, 0), writeLvl(nslots, 0);
-  std::vector<std::uint32_t> stepLvl(n_, 0);
-  std::uint32_t maxLvl = 0;
-  for (std::size_t k = 0; k < n_; ++k) {
-    std::uint32_t lvl = 0;
-    const auto dependRead = [&](std::uint32_t s) {
-      if (writeLvl[s] > lvl) lvl = writeLvl[s];
-    };
-    dependRead(pivSlot_[k]);
-    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q)
-      dependRead(uSlot_[q]);
-    for (std::size_t li = lPtr_[k]; li < lPtr_[k + 1]; ++li)
-      dependRead(lSlot_[li]);
-    const std::size_t ulen = uPtr_[k + 1] - uPtr_[k];
-    const std::size_t t0 = stepUpdBase_[k];
-    const std::size_t t1 = t0 + ulen * (lPtr_[k + 1] - lPtr_[k]);
-    for (std::size_t t = t0; t < t1; ++t) {
-      const std::uint32_t s = updTarget_[t];
-      if (writeLvl[s] > lvl) lvl = writeLvl[s];
-      if (readLvl[s] > lvl) lvl = readLvl[s];
-    }
-    ++lvl;
-    stepLvl[k] = lvl;
-    if (lvl > maxLvl) maxLvl = lvl;
-    const auto noteRead = [&](std::uint32_t s) {
-      if (lvl > readLvl[s]) readLvl[s] = lvl;
-    };
-    noteRead(pivSlot_[k]);
-    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q) noteRead(uSlot_[q]);
-    for (std::size_t li = lPtr_[k]; li < lPtr_[k + 1]; ++li)
-      noteRead(lSlot_[li]);
-    for (std::size_t t = t0; t < t1; ++t) {
-      const std::uint32_t s = updTarget_[t];
-      if (lvl > writeLvl[s]) writeLvl[s] = lvl;
-    }
-  }
-
-  // Counting sort by level, step order preserved within each level.
-  levelPtr_.assign(static_cast<std::size_t>(maxLvl) + 1, 0);
-  for (std::size_t k = 0; k < n_; ++k) ++levelPtr_[stepLvl[k]];
-  for (std::size_t b = 1; b <= maxLvl; ++b) levelPtr_[b] += levelPtr_[b - 1];
-  // levelPtr_[b] is now the *end* of level b (1-based); the exclusive
-  // prefix in slot b−1 is its start, so the final layout is the usual
-  // [levelPtr_[b], levelPtr_[b+1]) with levelPtr_[0] == 0.
-  stepOrder_.resize(n_);
-  std::vector<std::size_t> cursor(levelPtr_.begin(), levelPtr_.end() - 1);
-  for (std::size_t k = 0; k < n_; ++k)
-    stepOrder_[cursor[stepLvl[k] - 1]++] = static_cast<std::uint32_t>(k);
-
-  // Charge the schedule's footprint against the job's byte budget the same
-  // grow-once way MnaWorkspace charges its value arrays.
-  const std::uint64_t bytes = stepOrder_.size() * sizeof(std::uint32_t) +
-                              levelPtr_.size() * sizeof(std::size_t) +
-                              stepUpdBase_.size() * sizeof(std::size_t);
-  if (bytes > levelBytesCharged_) {
-    diag::memCharge(bytes - levelBytesCharged_);
-    levelBytesCharged_ = bytes;
-  }
 }
 
 // Pure numeric pass: zero the workspace, scatter the new values, replay the
@@ -364,86 +370,6 @@ bool SymbolicLU<T>::replay(const T* vals, std::size_t nvals) {
   return true;
 }
 
-// Level-scheduled parallel form of replay(): one parallelFor per level,
-// guard checks at level boundaries. Accept/reject agrees with the serial
-// replay — max|U| is monotone over the program, so any prefix exceeding
-// the growth cap leaves the final max above it too, and a floor-failing
-// pivot has the same value in both replays (its slot's writers all ran in
-// earlier levels). On the accept path the results are bitwise identical to
-// the serial replay for any pool size (see buildLevels). A failing step
-// skips its divisions entirely, so the guard is FE-trap safe.
-template <class T>
-bool SymbolicLU<T>::replayParallel(const T* vals, std::size_t nvals) {
-  RFIC_REQUIRE(nvals == nnz_, "SymbolicLU::refactor value count mismatch");
-  w_.assign(w_.size(), T{});  // rt: allow(rt-alloc) same-size overwrite of
-  // the analysis-sized slot workspace — never reallocates
-  Real maxIn = 0;
-  for (std::size_t p = 0; p < nnz_; ++p) {
-    w_[p] = vals[p];
-    maxIn = std::max(maxIn, std::abs(vals[p]));
-  }
-  if (!(maxIn > 0) || !std::isfinite(maxIn)) return false;
-  const Real floor = opts_.pivotFloor * maxIn;
-  const Real cap = opts_.growthLimit * maxIn;
-
-  std::atomic_ref<std::uint64_t>(maxUBits_).store(0, std::memory_order_relaxed);
-  std::atomic_ref<std::uint32_t>(replayBad_).store(0, std::memory_order_relaxed);
-
-  const std::size_t lanes = pool_->concurrency();
-  const std::size_t levels = levelCount();
-  for (std::size_t b = 0; b < levels; ++b) {
-    const std::size_t s0 = levelPtr_[b], s1 = levelPtr_[b + 1];
-    const std::size_t grain =
-        std::max<std::size_t>(1, (s1 - s0) / (4 * lanes));
-    const auto runStep = [&](std::size_t idx) {
-      const std::size_t k = stepOrder_[s0 + idx];
-      const T p = w_[pivSlot_[k]];
-      const Real pm = std::abs(p);
-      if (!(pm > floor)) {  // tiny, zero, or NaN pivot
-        std::atomic_ref<std::uint32_t>(replayBad_)
-            .store(1, std::memory_order_relaxed);
-        return;  // skip the divisions; the level-end check aborts
-      }
-      pivVal_[k] = p;
-      Real localMax = pm;
-      const std::size_t u0 = uPtr_[k], u1 = uPtr_[k + 1];
-      for (std::size_t q = u0; q < u1; ++q) {
-        const T u = w_[uSlot_[q]];
-        uVal_[q] = u;
-        localMax = std::max(localMax, std::abs(u));
-      }
-      casMaxNonneg(maxUBits_, localMax);
-      const std::size_t ulen = u1 - u0;
-      std::size_t up = stepUpdBase_[k];
-      for (std::size_t li = lPtr_[k]; li < lPtr_[k + 1]; ++li) {
-        const T m = w_[lSlot_[li]] / p;
-        lVal_[li] = m;
-        if (m == T{}) {
-          up += ulen;
-          continue;
-        }
-        for (std::size_t q = u0; q < u1; ++q)
-          w_[updTarget_[up++]] -= m * w_[uSlot_[q]];
-      }
-    };
-    pool_->parallelFor(s1 - s0, runStep, grain);
-    if (std::atomic_ref<std::uint32_t>(replayBad_)
-            .load(std::memory_order_relaxed) != 0)
-      return false;
-    const Real maxU =
-        std::bit_cast<Real>(std::atomic_ref<std::uint64_t>(maxUBits_)
-                                .load(std::memory_order_relaxed));
-    if (!(maxU <= cap)) return false;  // growth or non-finite
-  }
-  return true;
-}
-
-template <class T>
-bool SymbolicLU<T>::wantParallel() const {
-  return pool_ != nullptr && levelCount() > 1 &&
-         programFlops() >= opts_.parallelMinFlops && pool_->concurrency() > 1;
-}
-
 template <class T>
 RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
     const std::vector<T>& values) {
@@ -452,17 +378,8 @@ RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
   // fresh-analysis fallback below runs (and callers see Repivoted).
   const bool forceRepivot =
       diag::FaultInjector::global().fire(diag::FaultPoint::FactorRepivot);
-  bool ok = false;
-  if (!forceRepivot) {
-    if (wantParallel()) {
-      const perf::Timer timer;
-      ok = replayParallel(values.data(), values.size());
-      perf::global().addRefactorParallel(timer.ns());
-    } else {
-      ok = replay(values.data(), values.size());
-    }
-  }
-  if (ok) return diag::SolverStatus::Converged;
+  if (!forceRepivot && replay(values.data(), values.size()))
+    return diag::SolverStatus::Converged;
   // Pivot growth (or a sign/topology change in the values) invalidated the
   // recorded pivot order — redo the full analysis with fresh pivots.
   analyzeFromValues(values.data());  // rt: allow(rt-alloc) cold Repivoted

@@ -15,22 +15,15 @@
 // pattern and the pivot order, the replay is bit-for-bit the same arithmetic
 // a fresh factorization with the same pivots would perform.
 //
-// Two scaling features layer on top (see DESIGN.md §13):
-//
-//  * Options::ordering selects the pivot order. Natural runs the classic
-//    full Markowitz/threshold search (the golden reference); Amd computes
-//    an approximate-minimum-degree column pre-order on the symmetrized
-//    pattern up front (sparse/ordering.hpp) and restricts the numeric
-//    search to threshold row pivoting inside each pre-ordered column —
-//    O(nnz)-ish analysis instead of O(n²), which is what makes ≥50k-node
-//    meshes tractable.
-//
-//  * factor() partitions the recorded program into elimination-dependency
-//    levels. Steps in one level touch pairwise-disjoint workspace slots, so
-//    refactor(values) may execute a level's steps concurrently on a
-//    perf::ThreadPool (setPool) with bitwise-identical results for every
-//    thread count — falling back to the serial program below
-//    Options::parallelMinFlops or without a pool.
+// Options::ordering selects the pivot order (see DESIGN.md §13). Natural
+// runs the classic full Markowitz/threshold search (the golden reference);
+// Amd computes an approximate-minimum-degree column pre-order on the
+// symmetrized pattern up front (sparse/ordering.hpp) and restricts the
+// numeric search to threshold row pivoting inside each pre-ordered column —
+// O(nnz)-ish analysis instead of O(n²), which is what makes ≥50k-node
+// meshes tractable. Either way the analysis runs on flat per-row and
+// per-column (index, slot) lists with a dense scatter array — no hashing —
+// and the replay is one serial pass over the recorded program.
 //
 // Replay is guarded: a pivot falling below `pivotFloor · max|A|`, element
 // growth beyond `growthLimit · max|A|`, or any non-finite value aborts the
@@ -50,10 +43,6 @@
 #include "sparse/ordering.hpp"
 #include "sparse/sparse_matrix.hpp"
 
-namespace rfic::perf {
-class ThreadPool;
-}
-
 namespace rfic::sparse {
 
 template <class T>
@@ -67,18 +56,13 @@ class SymbolicLU {
     /// Pivot pre-ordering (Auto resolves to the process default / per-job
     /// override at factor() time; see sparse/ordering.hpp).
     Ordering ordering = Ordering::Auto;
-    /// Level-parallel replay engages only when the recorded program has at
-    /// least this many flops (and setPool() installed a pool with >1 lane);
-    /// below it the serial replay wins on dispatch overhead. Results are
-    /// bitwise identical either way.
-    std::size_t parallelMinFlops = 32768;
   };
 
   SymbolicLU() = default;
   explicit SymbolicLU(const CSR<T>& a, const Options& opts = {});
 
   /// Full analysis: pivot ordering + fill discovery + numeric values, and
-  /// records the replay program (and its level schedule). Throws
+  /// records the replay program. Throws
   /// NumericalError on singularity.
   void factor(const CSR<T>& a, const Options& opts = {});
 
@@ -91,12 +75,6 @@ class SymbolicLU {
   RFIC_REALTIME diag::SolverStatus refactor(const std::vector<T>& values);
   /// Convenience: same-pattern matrix (only its values are read).
   diag::SolverStatus refactor(const CSR<T>& a);
-
-  /// Worker pool for the level-scheduled parallel replay (nullptr = always
-  /// serial). Non-owning; the pool must outlive refactor() calls. The
-  /// replayed values are bitwise identical for any pool size because steps
-  /// within a level touch pairwise-disjoint slots.
-  void setPool(perf::ThreadPool* pool) { pool_ = pool; }
 
   bool analyzed() const { return analyzed_; }
   std::size_t size() const { return n_; }
@@ -111,11 +89,6 @@ class SymbolicLU {
   }
   /// Flops replayed per refactor (size of the recorded update program).
   std::size_t programFlops() const { return updTarget_.size(); }
-  /// Elimination-dependency levels in the recorded program (the parallel
-  /// replay runs one barrier per level).
-  std::size_t levelCount() const {
-    return levelPtr_.empty() ? 0 : levelPtr_.size() - 1;
-  }
   /// The ordering the last factor() resolved to (Natural or Amd).
   Ordering orderingUsed() const { return resolved_; }
 
@@ -129,10 +102,7 @@ class SymbolicLU {
 
  private:
   void analyzeFromValues(const T* vals);
-  void buildLevels();
   bool replay(const T* vals, std::size_t nvals);
-  bool replayParallel(const T* vals, std::size_t nvals);
-  bool wantParallel() const;
 
   Options opts_;
   Ordering resolved_ = Ordering::Natural;
@@ -152,7 +122,8 @@ class SymbolicLU {
 
   // Factorization in flat form. Step k owns L entries [lPtr_[k], lPtr_[k+1])
   // and U entries [uPtr_[k], uPtr_[k+1]); pivRow_/pivCol_ are original
-  // indices, lRow_/uCol_ likewise.
+  // indices, lRow_/uCol_ likewise. A step's U entries follow the pivot
+  // row's stored order (input CSR position, then fill in creation order).
   std::vector<std::uint32_t> pivRow_, pivCol_;
   std::vector<T> pivVal_;
   std::vector<std::size_t> lPtr_, uPtr_;
@@ -164,23 +135,6 @@ class SymbolicLU {
   // order: for step k, for each L entry, one target per U entry of step k.
   std::vector<std::uint32_t> pivSlot_, lSlot_, uSlot_;
   std::vector<std::uint32_t> updTarget_;
-
-  // Level schedule of the program: stepOrder_ lists steps grouped by level,
-  // level b spanning [levelPtr_[b], levelPtr_[b+1]); stepUpdBase_[k] is the
-  // static updTarget_ cursor base of step k (the serial cursor advances by
-  // |U row| per L entry even when the multiplier is zero, so bases are a
-  // pattern property).
-  std::vector<std::uint32_t> stepOrder_;
-  std::vector<std::size_t> levelPtr_;
-  std::vector<std::size_t> stepUpdBase_;
-
-  perf::ThreadPool* pool_ = nullptr;  ///< non-owning; null = serial replay
-  // Parallel-replay guard state, written through std::atomic_ref so the
-  // class stays copyable (HB keeps vectors of per-harmonic factorizations).
-  std::uint64_t maxUBits_ = 0;   ///< bit-cast of the running max|U| (≥ 0)
-  std::uint32_t replayBad_ = 0;  ///< a step saw a floor-failing pivot
-
-  std::uint64_t levelBytesCharged_ = 0;  ///< diag::memCharge high-water mark
 
   std::vector<T> w_;  ///< slot workspace (one entry per touched position)
 };

@@ -1,13 +1,13 @@
-// Fill-reducing ordering (sparse/ordering.hpp) and the level-scheduled
-// parallel refactorization of SymbolicLU.
+// Fill-reducing ordering (sparse/ordering.hpp) and the SymbolicLU analysis
+// that consumes it.
 //
 // The contracts under test, in DESIGN.md §13 terms:
 //  - amdOrder returns a valid permutation on arbitrary symmetrizable
 //    patterns, deterministically;
 //  - AMD-ordered factorizations solve the same systems as natural-ordered
 //    ones (ordering changes fill and speed, never the answer);
-//  - the parallel replay is bitwise identical to the serial replay for
-//    every thread count;
+//  - the flat-list analysis picks the same pivots as the one-shot SparseLU
+//    and as the recorded reference counts (fill, program flops);
 //  - the numeric-stability backstops (threshold repivot fallback, singular
 //    rejection) behave identically under a pre-ordering.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <cmath>
 #include <random>
 
-#include "perf/thread_pool.hpp"
 #include "sparse/ordering.hpp"
 #include "sparse/sparse_lu.hpp"
 #include "sparse/sparse_matrix.hpp"
@@ -144,7 +143,61 @@ TEST(SymbolicOrdering, AmdMatchesNaturalOnRandomSystems) {
     const RVec xn = nat.solve(b);
     const RVec xa = amd.solve(b);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(xa[i], xn[i], 1e-9);
+
+    // The one-shot factorizer runs the same pivot rules: under each
+    // ordering it must find the same fill and the same solution up to the
+    // summation order of the triangular solves.
+    const auto expectAgrees = [&](const RSymbolicLU& sym, Ordering ord) {
+      const RSparseLU one(a, {.ordering = ord});
+      EXPECT_EQ(one.factorNnz(), sym.factorNnz()) << "seed " << seed;
+      const RVec xs = sym.solve(b);
+      const RVec xo = one.solve(b);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(xs[i], xo[i], 1e-12 * (1.0 + std::abs(xo[i])));
+    };
+    expectAgrees(nat, Ordering::Natural);
+    expectAgrees(amd, Ordering::Amd);
   }
+}
+
+TEST(SymbolicOrdering, OffDiagonalPivotsMatchOneShot) {
+  // Rotating the rows by one moves the dominant diagonal off the diagonal,
+  // which forces the off-diagonal searches — Natural's full Markowitz
+  // scan, AMD's shortest-row choice — where SparseLU is the independent
+  // reference for the pivot rules.
+  for (const std::uint64_t seed : {300u, 301u, 302u}) {
+    const std::size_t n = 80;
+    const RTriplets base = randomSparse(n, 0.06, seed, 4.0);
+    RTriplets t(n, n);
+    for (const auto& e : base.entries())
+      t.add((e.row + 1) % n, e.col, e.value);
+    const RCSR a(t);
+    const RVec b = randomVec(n, seed + 5);
+    // preferDiagonal off runs Natural's full Markowitz scan at every step.
+    for (const auto& [ord, diag] : {std::pair{Ordering::Natural, true},
+                                    std::pair{Ordering::Natural, false},
+                                    std::pair{Ordering::Amd, true}}) {
+      const RSymbolicLU sym(a, {.preferDiagonal = diag, .ordering = ord});
+      const RSparseLU one(a, {.preferDiagonal = diag, .ordering = ord});
+      EXPECT_EQ(sym.factorNnz(), one.factorNnz()) << "seed " << seed;
+      const RVec x = sym.solve(b);
+      RVec r(n);
+      a.multiply(x, r);
+      for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(r[i], b[i], 1e-9);
+    }
+  }
+}
+
+TEST(SymbolicOrdering, MeshFillAndFlopsPinned) {
+  // Reference counts recorded from the hash-map analysis this one
+  // replaced: same pivots means the same fill and the same update program.
+  const RCSR a(gridLaplacian(24, 11));  // 576 nodes
+  const RSymbolicLU nat(a, {.ordering = Ordering::Natural});
+  EXPECT_EQ(nat.factorNnz(), 11824u);
+  EXPECT_EQ(nat.programFlops(), 91324u);
+  const RSymbolicLU amd(a, {.ordering = Ordering::Amd});
+  EXPECT_EQ(amd.factorNnz(), 11312u);
+  EXPECT_EQ(amd.programFlops(), 82678u);
 }
 
 TEST(SymbolicOrdering, AmdMatchesNaturalOnMesh) {
@@ -178,67 +231,15 @@ TEST(SparseLUOrdering, OneShotAmdMatchesNatural) {
   }
 }
 
-TEST(ParallelRefactor, BitwiseIdenticalAcrossThreadCounts) {
-  // The level schedule guarantees steps within a level touch disjoint
-  // slots, so the replayed factor values — and therefore the solve — must
-  // be EXACTLY equal for any pool size, including the serial program.
-  const std::size_t k = 24;  // 576 nodes, deep elimination tree
-  const RCSR a(gridLaplacian(k, 11));
-  const std::size_t n = k * k;
-
-  RSymbolicLU::Options o;
-  o.ordering = Ordering::Amd;
-  o.parallelMinFlops = 0;  // engage the parallel path regardless of size
-
-  RSymbolicLU serial(a, o), two(a, o), eight(a, o);
-  ASSERT_GT(serial.levelCount(), 1u);
-
-  perf::ThreadPool pool2(2), pool8(8);
-  two.setPool(&pool2);
-  eight.setPool(&pool8);
-
-  // Perturbed values over the same pattern → all three replay.
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<Real> u(0.8, 1.2);
-  RCSR aNew = a;
-  for (auto& v : aNew.values()) v *= u(rng);
-
-  ASSERT_EQ(serial.refactor(aNew.values()), diag::SolverStatus::Converged);
-  ASSERT_EQ(two.refactor(aNew.values()), diag::SolverStatus::Converged);
-  ASSERT_EQ(eight.refactor(aNew.values()), diag::SolverStatus::Converged);
-
-  const RVec b = randomVec(n, 123);
-  const RVec xs = serial.solve(b);
-  const RVec x2 = two.solve(b);
-  const RVec x8 = eight.solve(b);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(xs[i], x2[i]) << "serial vs 2 lanes diverge at " << i;
-    EXPECT_EQ(xs[i], x8[i]) << "serial vs 8 lanes diverge at " << i;
-  }
-
-  // Repeat with a second perturbation: steady-state replays stay bitwise.
-  for (auto& v : aNew.values()) v *= u(rng);
-  ASSERT_EQ(serial.refactor(aNew.values()), diag::SolverStatus::Converged);
-  ASSERT_EQ(eight.refactor(aNew.values()), diag::SolverStatus::Converged);
-  const RVec ys = serial.solve(b);
-  const RVec y8 = eight.solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ys[i], y8[i]);
-}
-
-TEST(ParallelRefactor, RepivotFallbackUnderPermutation) {
-  // Collapse a recorded pivot: the (parallel) replay must detect it at the
-  // level barrier, abort without dividing by the bad pivot, and fall back
-  // to a fresh full factorization — same contract as the serial path.
+TEST(SymbolicOrdering, RepivotFallbackUnderPermutation) {
+  // Collapse a recorded pivot: the replay must detect it, abort without
+  // dividing by the bad pivot, and fall back to a fresh full factorization
+  // that keeps the AMD column sequence.
   const std::size_t k = 10;
   RCSR a(gridLaplacian(k, 21));
   const std::size_t n = k * k;
 
-  RSymbolicLU::Options o;
-  o.ordering = Ordering::Amd;
-  o.parallelMinFlops = 0;
-  RSymbolicLU lu(a, o);
-  perf::ThreadPool pool(4);
-  lu.setPool(&pool);
+  RSymbolicLU lu(a, {.ordering = Ordering::Amd});
 
   RCSR bad = a;
   for (std::size_t p = bad.rowPtr()[0]; p < bad.rowPtr()[1]; ++p)

@@ -12,10 +12,14 @@ artifacts). Numeric keys are diffed; wall-clock keys (ending in `_s` or
 `_ns`) get a ratio column and are flagged when they regress by more than
 the threshold (default 25%).
 
-The report is INFORMATIONAL: the exit code is always 0 unless the inputs
-are unreadable. Bench machines differ — CI uses this as a trend signal
-next to the uploaded artifacts, not as a gate. Refresh a baseline by
-copying a representative BENCH_*.json over bench/baseline/ and committing.
+Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations,
+factorizations, Newton/GMRES iterations, transforms, fill) are
+machine-independent, so they GATE: the exit code is 1 when one differs
+from its baseline while both files ran in the same quick mode. Benches in
+SCHEDULING_DEPENDENT are exempt (their counts follow thread scheduling).
+Wall-clock keys stay informational — bench machines differ. Exit code 2
+means unreadable inputs. Refresh a baseline by copying a representative
+BENCH_*.json over bench/baseline/ and committing.
 """
 
 from __future__ import annotations
@@ -24,6 +28,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+
+WORK_COUNT_SUFFIXES = (".evals", ".factorizations", ".refactorizations",
+                       ".newton", ".gmres", ".fft_count", ".fill")
+SCHEDULING_DEPENDENT = {"BENCH_daemon_throughput.json"}
+
+
+def is_work_count(key: str) -> bool:
+    return key.endswith(WORK_COUNT_SUFFIXES)
 
 
 def load(path: Path) -> dict:
@@ -35,21 +48,32 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
+def compare_file(base_path: Path, fresh_path: Path,
+                 threshold: float) -> tuple[int, int]:
+    """Print the comparison; return (wall-clock regressions, count drifts)."""
     base = load(base_path)
     fresh = load(fresh_path)
     regressions = 0
+    drifts = 0
     print(f"\n== {base_path.name} ==")
-    if base.get("quick") != fresh.get("quick"):
+    same_mode = base.get("quick") == fresh.get("quick")
+    gated = same_mode and base_path.name not in SCHEDULING_DEPENDENT
+    if not same_mode:
         print(f"  note: quick-mode mismatch (baseline quick={base.get('quick')}, "
-              f"fresh quick={fresh.get('quick')}) — ratios are not comparable")
+              f"fresh quick={fresh.get('quick')}) — ratios are not comparable "
+              f"and work counts are not gated")
     rows = []
     for key, bval in base.items():
         if key in ("bench", "quick"):
             continue
         fval = fresh.get(key)
+        counted = gated and is_work_count(key)
         if fval is None:
-            rows.append((key, bval, "(missing)", ""))
+            mark = ""
+            if counted:
+                mark = "COUNT DRIFT (missing)"
+                drifts += 1
+            rows.append((key, bval, "(missing)", mark))
             continue
         if not (is_number(bval) and is_number(fval)):
             mark = "" if bval == fval else "changed"
@@ -67,6 +91,9 @@ def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
             rows.append((key, f"{bval:.6g}", f"{fval:.6g}", mark))
         else:
             mark = "" if bval == fval else "changed"
+            if counted and bval != fval:
+                mark = "COUNT DRIFT"
+                drifts += 1
             rows.append((key, bval, fval, mark))
     new_keys = sorted(set(fresh) - set(base) - {"bench", "quick"})
     for key in new_keys:
@@ -74,7 +101,7 @@ def compare_file(base_path: Path, fresh_path: Path, threshold: float) -> int:
     width = max((len(r[0]) for r in rows), default=10)
     for key, bval, fval, mark in rows:
         print(f"  {key:<{width}}  {str(bval):>14}  {str(fval):>14}  {mark}")
-    return regressions
+    return regressions, drifts
 
 
 def main() -> int:
@@ -92,9 +119,10 @@ def main() -> int:
     baselines = sorted(base_dir.glob("BENCH_*.json"))
     if not baselines:
         print(f"no baselines under {base_dir}", file=sys.stderr)
-        return 1
+        return 2
 
     total = 0
+    drifts = 0
     compared = 0
     for base_path in baselines:
         fresh_path = fresh_dir / base_path.name
@@ -103,16 +131,20 @@ def main() -> int:
                   f"in {fresh_dir} — run the bench first")
             continue
         try:
-            total += compare_file(base_path, fresh_path, args.threshold)
+            regressions, drifted = compare_file(base_path, fresh_path,
+                                                args.threshold)
+            total += regressions
+            drifts += drifted
             compared += 1
         except (OSError, json.JSONDecodeError) as e:
             print(f"cannot compare {base_path.name}: {e}", file=sys.stderr)
-            return 1
+            return 2
 
     print(f"\n{compared}/{len(baselines)} benches compared; "
           f"{total} wall-clock regression(s) over {args.threshold:g}% "
-          f"(informational, non-gating)")
-    return 0
+          f"(informational, non-gating); {drifts} work-count drift(s) "
+          f"(gating)")
+    return 1 if drifts else 0
 
 
 if __name__ == "__main__":
