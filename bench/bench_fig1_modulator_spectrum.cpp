@@ -101,25 +101,11 @@ int main() {
   to.tstop = 5.0 / tcfg.fBB;                // settle + 4 periods of capture
   to.method = analysis::IntegrationMethod::trapezoidal;
 
-  // A/B the assemble→factor→solve pipeline: the legacy path rebuilds the
-  // Jacobian triplets and factors symbolically at every Newton iteration,
-  // the cached path stamps into the workspace pattern and refactors
-  // numerically on the recorded pivot order.
-  analysis::TransientOptions toLegacy = to;
-  toLegacy.patternCache = false;
-  Stopwatch swLegacy;
-  const auto trLegacy = analysis::runTransient(sys2, dc2.x, toLegacy);
-  const Real legacyWall = swLegacy.seconds();
-  std::printf("transient (legacy pipeline): ok=%d, %zu steps, wall=%.2f s\n",
-              trLegacy.ok ? 1 : 0, trLegacy.steps, legacyWall);
-
   Stopwatch sw2;
   const auto tr = analysis::runTransient(sys2, dc2.x, to);
   const Real cachedWall = sw2.seconds();
-  std::printf("transient (cached pipeline): ok=%d, %zu steps, wall=%.2f s "
-              "(%.2fx)\n",
-              tr.ok ? 1 : 0, tr.steps, cachedWall,
-              legacyWall / std::max(cachedWall, Real(1e-9)));
+  std::printf("transient: ok=%d, %zu steps, wall=%.2f s\n", tr.ok ? 1 : 0,
+              tr.steps, cachedWall);
   std::printf("  pipeline counters: %llu evals, %llu factorizations, "
               "%llu refactorizations, %llu solves\n",
               (unsigned long long)tr.perf.evals,
@@ -127,9 +113,7 @@ int main() {
               (unsigned long long)tr.perf.refactorizations,
               (unsigned long long)tr.perf.solves);
   rep.count("tran.steps", tr.steps);
-  rep.metric("tran.legacy_wall_s", legacyWall);
   rep.metric("tran.cached_wall_s", cachedWall);
-  rep.metric("tran.speedup", legacyWall / std::max(cachedWall, Real(1e-9)));
   rep.counters("tran", tr.perf);
   if (!tr.ok) return 1;
 

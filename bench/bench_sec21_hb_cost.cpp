@@ -97,8 +97,7 @@ int main() {
     }
   }
   // Transient: cost set by the fastest tone and the longest period — nearly
-  // identical for one or two tones. Each case is also run on the legacy
-  // rebuild-everything pipeline for the A/B the perf layer is about.
+  // identical for one or two tones.
   for (const bool two : {false, true}) {
     Circuit c;
     buildVehicle(c, f1, f2, two);
@@ -108,29 +107,18 @@ int main() {
     to.dt = 1.0 / (64.0 * f2);
     to.tstop = 10.0 / f1;
     to.storeWaveforms = false;
-    analysis::TransientOptions toLegacy = to;
-    toLegacy.patternCache = false;
     Stopwatch sw;
-    const auto trLegacy = analysis::runTransient(sys, dc.x, toLegacy);
-    const Real legacyWall = sw.seconds();
-    sw.reset();
     const auto tr = analysis::runTransient(sys, dc.x, to);
     const Real cachedWall = sw.seconds();
     std::printf("transient %-12s %-12zu %-12zu %-10zu %-10.3f%s\n",
                 two ? "2 tones" : "1 tone", sys.dim(), tr.steps,
                 tr.newtonIterations, cachedWall, tr.ok ? "" : " (!)");
-    std::printf("  legacy pipeline %.3f s → cached %.3f s (%.2fx); "
-                "%llu factorizations vs %llu refactorizations\n",
-                legacyWall, cachedWall,
-                legacyWall / std::max(cachedWall, Real(1e-9)),
+    std::printf("  %llu factorizations, %llu refactorizations\n",
                 (unsigned long long)tr.perf.factorizations,
                 (unsigned long long)tr.perf.refactorizations);
     const std::string key = two ? "tran2tone" : "tran1tone";
     rep.count(key + ".steps", tr.steps);
-    rep.metric(key + ".legacy_wall_s", legacyWall);
     rep.metric(key + ".cached_wall_s", cachedWall);
-    rep.metric(key + ".speedup",
-               legacyWall / std::max(cachedWall, Real(1e-9)));
     rep.counters(key, tr.perf);
   }
 

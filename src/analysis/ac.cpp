@@ -6,35 +6,41 @@
 
 namespace rfic::analysis {
 
-namespace {
-
-sparse::CTriplets acMatrix(const MnaSystem& sys, const RVec& xop,
-                           Real freqHz) {
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
-  const std::size_t n = sys.dim();
-  sparse::CTriplets a(n, n);
-  for (const auto& en : e.G.entries()) a.add(en.row, en.col, Complex(en.value, 0.0));
+sparse::CTriplets acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
+  const std::size_t n = ws.dim();
+  const auto& rp = ws.pattern().rowPtr();
+  const auto& ci = ws.pattern().colIdx();
+  const auto& g = ws.gValues();
+  const auto& c = ws.cValues();
   const Real w = kTwoPi * freqHz;
-  for (const auto& en : e.C.entries()) a.add(en.row, en.col, Complex(0.0, w * en.value));
+  sparse::CTriplets a(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
+      a.add(r, ci[p], Complex(g[p], w * c[p]));
   return a;
 }
 
-}  // namespace
+void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop) {
+  RFIC_REQUIRE(xop.size() == ws.dim(),
+               "small-signal analysis: operating point size mismatch");
+  ws.eval(xop, 0.0, true);
+}
 
 CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
              const CVec& stimulus) {
-  RFIC_REQUIRE(stimulus.size() == sys.dim(), "acSolve: stimulus size mismatch");
-  sparse::CSparseLU lu(acMatrix(sys, xop, freqHz));
-  return lu.solve(stimulus);
+  return acSweep(sys, xop, {freqHz}, stimulus).x.front();
 }
 
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus) {
+  RFIC_REQUIRE(stimulus.size() == sys.dim(), "acSweep: stimulus size mismatch");
+  circuit::MnaWorkspace ws(sys);
+  linearizeAt(ws, xop);
   ACResult out;
   out.freq = freqs;
   out.x.reserve(freqs.size());
-  for (const Real f : freqs) out.x.push_back(acSolve(sys, xop, f, stimulus));
+  for (const Real f : freqs)
+    out.x.push_back(sparse::CSparseLU(acMatrix(ws, f)).solve(stimulus));
   return out;
 }
 
@@ -47,6 +53,8 @@ CVec acStimulusVSource(const MnaSystem& sys, const circuit::VSource& src,
 
 CVec acStimulusCurrent(const MnaSystem& sys, int nodePlus, int nodeMinus,
                        Complex amplitude) {
+  RFIC_REQUIRE(nodeInRange(sys, nodePlus) && nodeInRange(sys, nodeMinus),
+               "acStimulusCurrent: node out of range");
   CVec u(sys.dim());
   if (nodePlus >= 0) u[static_cast<std::size_t>(nodePlus)] -= amplitude;
   if (nodeMinus >= 0) u[static_cast<std::size_t>(nodeMinus)] += amplitude;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "circuit/mna.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/sources.hpp"
 
 namespace rfic::analysis {
@@ -18,12 +19,27 @@ struct ACResult {
   std::vector<CVec> x;  ///< one solution vector per frequency
 };
 
+/// Evaluate G and C at operating point xop (one matrix evaluation); the
+/// shared linearization of the AC, noise and S-parameter analyses. Throws
+/// InvalidArgument when xop does not match the workspace dimension.
+void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop);
+
+/// G + j·2πf·C over the pattern of a workspace evaluated by linearizeAt(),
+/// one entry per pattern position.
+sparse::CTriplets acMatrix(const circuit::MnaWorkspace& ws, Real freqHz);
+
+/// True for ground (any negative index) or an unknown index below sys.dim().
+inline bool nodeInRange(const MnaSystem& sys, int node) {
+  return node < 0 || static_cast<std::size_t>(node) < sys.dim();
+}
+
 /// Solve (G + j·2πf·C) x = u at a single frequency, with G, C linearized at
 /// operating point xop.
 CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
              const CVec& stimulus);
 
-/// Sweep a list of frequencies with one factorization per point.
+/// Sweep a list of frequencies: one linearization, one factorization per
+/// point.
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus);
 

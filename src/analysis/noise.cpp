@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "analysis/ac.hpp"
 #include "sparse/sparse_lu.hpp"
 
 namespace rfic::analysis {
@@ -9,10 +10,14 @@ namespace rfic::analysis {
 NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
                           const std::vector<Real>& freqs) {
   RFIC_REQUIRE(outNode >= 0, "noiseAnalysis: output node must not be ground");
+  RFIC_REQUIRE(nodeInRange(sys, outNode),
+               "noiseAnalysis: output node out of range");
   const std::size_t n = sys.dim();
 
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
+  circuit::MnaWorkspace ws(sys);
+  linearizeAt(ws, xop);
+  const auto& rp = ws.pattern().rowPtr();
+  const auto& ci = ws.pattern().colIdx();
   const auto sources = sys.noiseSources(xop);
 
   NoiseResult out;
@@ -24,10 +29,9 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
     // Assemble Aᴴ = (G + jωC)ᴴ directly: entry (i,j) ← conj(A(j,i)).
     const Real w = kTwoPi * f;
     sparse::CTriplets ah(n, n);
-    for (const auto& en : e.G.entries())
-      ah.add(en.col, en.row, Complex(en.value, 0.0));
-    for (const auto& en : e.C.entries())
-      ah.add(en.col, en.row, Complex(0.0, -w * en.value));
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
+        ah.add(ci[p], r, Complex(ws.gValues()[p], -w * ws.cValues()[p]));
     sparse::CSparseLU lu(ah);
 
     numeric::CVec rhs(n);

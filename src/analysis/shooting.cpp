@@ -39,13 +39,13 @@ bool sweepPeriod(circuit::MnaWorkspace& ws, Real t0, Real period,
 }
 
 // ẋ at state x, time t, assuming invertible C: C·ẋ = b − f.
-RVec stateDerivative(const circuit::MnaSystem& sys, const RVec& x, Real t) {
-  circuit::MnaEval e;
-  sys.eval(x, t, e, true);
-  const std::size_t n = sys.dim();
+RVec stateDerivative(circuit::MnaWorkspace& ws, const RVec& x, Real t) {
+  ws.eval(x, t, true);
+  const std::size_t n = ws.dim();
   RVec rhs(n);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = e.b[i] - e.f[i];
-  numeric::RMat c = e.C.toDense();
+  for (std::size_t i = 0; i < n; ++i) rhs[i] = ws.b()[i] - ws.f()[i];
+  numeric::RMat c(n, n);
+  circuit::scatterDense(ws.pattern(), ws.cValues(), c);
   return numeric::solveDense(std::move(c), rhs);
 }
 
@@ -175,7 +175,7 @@ PSSResult shootingOscillatorPSS(const circuit::MnaSystem& sys,
                 diag::FaultPoint::SingularJacobian))
           failNumerical("shootingOscillatorPSS: injected singular Jacobian");
         const RVec xdotT =
-            stateDerivative(sys, res.trajectory.back(), res.period);
+            stateDerivative(ws, res.trajectory.back(), res.period);
         RMat j(n + 1, n + 1);
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t k = 0; k < n; ++k) j(i, k) = res.monodromy(i, k);

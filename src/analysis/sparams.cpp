@@ -21,21 +21,18 @@ SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
                         Real z0) {
   RFIC_REQUIRE(!ports.empty(), "sParameters: at least one port");
   RFIC_REQUIRE(z0 > 0, "sParameters: positive reference impedance");
+  for (const auto& p : ports)
+    RFIC_REQUIRE(nodeInRange(sys, p.nodePlus) && nodeInRange(sys, p.nodeMinus),
+                 "sParameters: port node out of range");
   const std::size_t np = ports.size();
 
   // Z-matrix: inject 1 A into port j (others open), read port voltages.
   // One factorization serves all ports. Tiny shunt conductances at the
   // port nodes regularize networks that float when every port is open
   // (e.g. a bare series element) — the |S| error is ~Z0·gminPort ≈ 5e-11.
-  circuit::MnaEval e;
-  sys.eval(xop, 0.0, e, true);
-  const std::size_t n = sys.dim();
-  sparse::CTriplets a(n, n);
-  for (const auto& en : e.G.entries())
-    a.add(en.row, en.col, Complex(en.value, 0.0));
-  const Real w = kTwoPi * freqHz;
-  for (const auto& en : e.C.entries())
-    a.add(en.row, en.col, Complex(0.0, w * en.value));
+  circuit::MnaWorkspace ws(sys);
+  linearizeAt(ws, xop);
+  sparse::CTriplets a = acMatrix(ws, freqHz);
   const Real gminPort = 1e-12;
   for (const auto& p : ports) {
     if (p.nodePlus >= 0)

@@ -8,28 +8,13 @@
 #include <optional>
 #include <random>
 
-#include "sparse/sparse_lu.hpp"
-
 namespace rfic::analysis {
 
 namespace {
 
-// Apply a triplet matrix to every column of S: out = T·S (dense result).
-numeric::RMat tripletsTimesDense(const sparse::RTriplets& t,
-                                 const numeric::RMat& s) {
-  numeric::RMat out(t.rows(), s.cols());
-  for (const auto& e : t.entries()) {
-    if (diag::exactlyZero(e.value)) continue;
-    for (std::size_t j = 0; j < s.cols(); ++j)
-      out(e.row, j) += e.value * s(e.col, j);
-  }
-  return out;
-}
-
 // Time-discretization residual and Jacobian combination J = jacQ·C + jacG·G
 // for one Newton iterate — the one shared assembly for BE / trapezoidal /
-// Gear-2 regardless of whether the evaluation came from an MnaEval or an
-// MnaWorkspace.
+// Gear-2.
 void assembleResidual(IntegrationMethod method, Real h, bool haveGearHist,
                       const RVec& q1, const RVec& f1, const RVec& b1,
                       const RVec& q0, const RVec& f0, const RVec& b0,
@@ -82,109 +67,6 @@ bool residualFinite(RVec& r) {
 
 }  // namespace
 
-bool integrateStep(const MnaSystem& sys, IntegrationMethod method, Real t0,
-                   Real h, const RVec& x0, const RVec* xPrevStep, RVec& x1,
-                   numeric::RMat* sensitivity, std::size_t maxNewton,
-                   Real tol, std::size_t* newtonIters) {
-  const std::size_t n = sys.dim();
-  const Real t1 = t0 + h;
-
-  // History evaluation at (x0, t0).
-  circuit::MnaEval e0;
-  sys.eval(x0, t0, e0, sensitivity != nullptr);
-  circuit::MnaEval ePrev;
-  const bool haveGearHist =
-      method == IntegrationMethod::gear2 && xPrevStep != nullptr;
-  if (haveGearHist) {
-    RFIC_REQUIRE(sensitivity == nullptr,
-                 "integrateStep: Gear-2 does not propagate sensitivities");
-    sys.eval(*xPrevStep, t0 - h, ePrev, false);
-  }
-
-  x1 = x0;
-  RVec xIter = x0;
-  circuit::MnaEval e1;
-  RVec r;
-  bool converged = false;
-  // Set after a small-update iterate: the next residual evaluation (cheap —
-  // no factorization) confirms the step instead of accepting it blind.
-  bool confirmPending = false;
-  Real confirmRnorm = 0;
-  for (std::size_t it = 0; it < maxNewton; ++it) {
-    if (newtonIters) ++*newtonIters;
-    sys.eval(x1, t1, e1, true, it > 0 ? &xIter : nullptr);
-    Real jacQ = 0, jacG = 0;
-    assembleResidual(method, h, haveGearHist, e1.q, e1.f, e1.b, e0.q, e0.f,
-                     e0.b, ePrev.q, r, jacQ, jacG);
-    if (!residualFinite(r)) return false;
-    const Real rnorm = numeric::normInf(r);
-    // Residual is in charge units; scale tolerance by h to make it a
-    // current tolerance.
-    if (rnorm < tol * std::max(h, 1e-30)) {
-      converged = true;
-      break;
-    }
-    // Confirming evaluation after a converged-by-update iterate: accept if
-    // the final update did not make the residual worse (a NaN or a jump out
-    // of the Newton basin fails this and keeps iterating).
-    if (confirmPending && rnorm <= 2.0 * confirmRnorm) {
-      converged = true;
-      break;
-    }
-    confirmPending = false;
-
-    sparse::RTriplets j(n, n);
-    for (const auto& en : e1.C.entries()) j.add(en.row, en.col, jacQ * en.value);
-    for (const auto& en : e1.G.entries()) j.add(en.row, en.col, jacG * en.value);
-    try {
-      if (diag::FaultInjector::global().fire(
-              diag::FaultPoint::SingularJacobian))
-        failNumerical("integrateStep: injected singular Jacobian");
-      sparse::RSparseLU lu(j);
-      const RVec dx = lu.solve(r);
-      xIter = x1;
-      x1 -= dx;
-      if (numeric::norm2(dx) < tol * (1.0 + numeric::norm2(x1))) {
-        confirmPending = true;
-        confirmRnorm = rnorm;
-      }
-    } catch (const NumericalError&) {
-      return false;
-    }
-  }
-  if (!converged) return false;
-
-  if (sensitivity) {
-    // dx1/dx0 from the converged step:
-    //   BE:   (C1 + h·G1)·dx1 = C0·dx0
-    //   trap: (C1 + h/2·G1)·dx1 = (C0 − h/2·G0)·dx0
-    circuit::MnaEval ej;
-    sys.eval(x1, t1, ej, true);
-    const Real gw = (method == IntegrationMethod::trapezoidal) ? 0.5 * h : h;
-    sparse::RTriplets j(n, n);
-    for (const auto& en : ej.C.entries()) j.add(en.row, en.col, en.value);
-    for (const auto& en : ej.G.entries()) j.add(en.row, en.col, gw * en.value);
-    sparse::RSparseLU lu(j);
-
-    sparse::RTriplets rhsOp(n, n);
-    for (const auto& en : e0.C.entries()) rhsOp.add(en.row, en.col, en.value);
-    if (method == IntegrationMethod::trapezoidal) {
-      for (const auto& en : e0.G.entries())
-        rhsOp.add(en.row, en.col, -0.5 * h * en.value);
-    }
-    const numeric::RMat rhs = tripletsTimesDense(rhsOp, *sensitivity);
-    numeric::RMat out(n, sensitivity->cols());
-    RVec col(n);
-    for (std::size_t c = 0; c < rhs.cols(); ++c) {
-      for (std::size_t i = 0; i < n; ++i) col[i] = rhs(i, c);
-      const RVec sol = lu.solve(col);
-      for (std::size_t i = 0; i < n; ++i) out(i, c) = sol[i];
-    }
-    *sensitivity = std::move(out);
-  }
-  return true;
-}
-
 // The transient inner step: one Gear-2/trapezoidal Newton solve. Marked
 // real-time for the per-iteration body — the per-step history snapshots
 // before the loop are the audited exceptions below.
@@ -229,6 +111,8 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
   RVec r;           // grows once in assembleResidual, then reused
   RVec dx;          // grows once in ws.solve(r, dx), then reused
   bool converged = false;
+  // Set after a small-update iterate: the next residual evaluation (cheap —
+  // no factorization) confirms the step instead of accepting it blind.
   bool confirmPending = false;
   Real confirmRnorm = 0;
   for (std::size_t it = 0; it < maxNewton; ++it) {
@@ -239,10 +123,15 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
                      b0, qPrev, r, jacQ, jacG);
     if (!residualFinite(r)) return false;
     const Real rnorm = numeric::normInf(r);
+    // Residual is in charge units; scale tolerance by h to make it a
+    // current tolerance.
     if (rnorm < tol * std::max(h, 1e-30)) {
       converged = true;
       break;
     }
+    // Confirming evaluation after a converged-by-update iterate: accept if
+    // the final update did not make the residual worse (a NaN or a jump out
+    // of the Newton basin fails this and keeps iterating).
     if (confirmPending && rnorm <= 2.0 * confirmRnorm) {
       converged = true;
       break;
@@ -271,6 +160,9 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
   if (!converged) return false;
 
   if (sensitivity) {
+    // dx1/dx0 from the converged step:
+    //   BE:   (C1 + h·G1)·dx1 = C0·dx0
+    //   trap: (C1 + h/2·G1)·dx1 = (C0 − h/2·G0)·dx0
     const Real gw = (method == IntegrationMethod::trapezoidal) ? 0.5 * h : h;
     // The pattern may have grown during the Newton loop; the cached C0/G0
     // value arrays must match the pattern the final Jacobian uses.
@@ -317,15 +209,11 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
   // on the first step and every later Newton iteration refactors in place.
   // A caller-owned workspace (engine context cache) extends the reuse
   // across runs — repeat jobs refactor instead of re-discovering.
+  RFIC_REQUIRE(opts.workspace == nullptr || &opts.workspace->system() == &sys,
+               "runTransient: workspace bound to a different system");
   std::optional<circuit::MnaWorkspace> local;
-  circuit::MnaWorkspace* ws = nullptr;
-  if (opts.workspace != nullptr) {
-    RFIC_REQUIRE(&opts.workspace->system() == &sys,
-                 "runTransient: workspace bound to a different system");
-    ws = opts.workspace;
-  } else if (opts.patternCache) {
-    ws = &local.emplace(sys);
-  }
+  circuit::MnaWorkspace& ws =
+      opts.workspace != nullptr ? *opts.workspace : local.emplace(sys);
 
   const std::size_t n = x0.size();
   Real t = opts.tstart;
@@ -368,27 +256,17 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     res.newtonIterations = ck.newtonIterations;
     res.retries = ck.retries;
   } else if (opts.adaptive) {
-    if (ws) {
-      ws->eval(x0, opts.tstart, true);
-      const auto& rp = ws->pattern().rowPtr();
-      const auto& cv = ws->cValues();
-      for (std::size_t row = 0; row < ws->dim(); ++row)
-        for (std::size_t p = rp[row]; p < rp[row + 1]; ++p)
-          if (!diag::exactlyZero(cv[p])) dynamicMask[row] = 1;
-    } else {
-      circuit::MnaEval e0;
-      sys.eval(x0, opts.tstart, e0, true);
-      for (const auto& en : e0.C.entries())
-        if (!diag::exactlyZero(en.value)) dynamicMask[en.row] = 1;
-    }
+    ws.eval(x0, opts.tstart, true);
+    const auto& rp = ws.pattern().rowPtr();
+    const auto& cv = ws.cValues();
+    for (std::size_t row = 0; row < ws.dim(); ++row)
+      for (std::size_t p = rp[row]; p < rp[row + 1]; ++p)
+        if (!diag::exactlyZero(cv[p])) dynamicMask[row] = 1;
   }
 
   const auto noteRetry = [&] {
     ++res.retries;
-    if (ws)
-      ws->noteRetry();
-    else
-      perf::global().addRetry();
+    ws.noteRetry();
   };
   const auto saveCk = [&] {
     if (opts.checkpointPath.empty()) return;
@@ -421,7 +299,7 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     if (diag::budgetExceeded(opts.budget)) {
       saveCk();
       res.status = diag::SolverStatus::BudgetExceeded;
-      if (ws) res.perf = ws->counters();
+      res.perf = ws.counters();
       return res;  // res.ok stays false; trajectory so far is valid
     }
     if (!opts.checkpointPath.empty() && opts.checkpointInterval > 0 &&
@@ -433,15 +311,10 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     h = std::min(h, opts.tstop - t);
     RVec x1;
     const std::size_t newtonBefore = res.newtonIterations;
-    bool ok =
-        ws ? integrateStep(*ws, opts.method, t, h, x,
-                           havePrev ? &xPrev : nullptr, x1, nullptr,
-                           opts.maxNewton, opts.newtonTol,
-                           &res.newtonIterations)
-           : integrateStep(sys, opts.method, t, h, x,
-                           havePrev ? &xPrev : nullptr, x1, nullptr,
-                           opts.maxNewton, opts.newtonTol,
-                           &res.newtonIterations);
+    bool ok = integrateStep(ws, opts.method, t, h, x,
+                            havePrev ? &xPrev : nullptr, x1, nullptr,
+                            opts.maxNewton, opts.newtonTol,
+                            &res.newtonIterations);
     if (opts.budget)
       opts.budget->chargeNewton(res.newtonIterations - newtonBefore);
     // A converged Newton solve can still hand back a non-finite state
@@ -460,7 +333,7 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
       h *= 0.5;
       if (h < dtMin) {
         res.status = diag::SolverStatus::StepLimit;
-        if (ws) res.perf = ws->counters();
+        res.perf = ws.counters();
         return res;  // res.ok stays false
       }
       noteRetry();
@@ -505,7 +378,7 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     res.time.assign(1, t);
     res.x.assign(1, x);
   }
-  if (ws) res.perf = ws->counters();
+  res.perf = ws.counters();
   res.ok = true;
   res.status = diag::SolverStatus::Converged;
   return res;

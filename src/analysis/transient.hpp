@@ -40,14 +40,10 @@ struct TransientOptions {
   Real newtonTol = 1e-9;
   bool storeWaveforms = true;    ///< keep every accepted point
   Real noiseScale = 1.0;         ///< PSD multiplier in runNoisyTransient
-  /// Use the MnaWorkspace pattern-cached pipeline (cached sparsity +
-  /// symbolic/numeric LU split). Off = the original rebuild-everything
-  /// path, kept for A/B benchmarking.
-  bool patternCache = true;
   /// Optional caller-owned workspace (must be built on the same MnaSystem;
-  /// implies the pattern-cached path). The engine layer passes a per-
-  /// topology cached workspace here so repeat jobs skip pattern discovery
-  /// and reuse the recorded SymbolicLU pivot order.
+  /// nullptr = a workspace local to the run). The engine layer passes a
+  /// per-topology cached workspace here so repeat jobs skip pattern
+  /// discovery and reuse the recorded SymbolicLU pivot order.
   circuit::MnaWorkspace* workspace = nullptr;
   /// Optional cooperative budget, polled at every step boundary and charged
   /// with the Newton iterations of each attempt. On trip the run saves a
@@ -75,7 +71,7 @@ struct TransientResult {
   std::size_t steps = 0;
   std::size_t newtonIterations = 0;
   std::size_t retries = 0;  ///< failed/rejected step attempts (dt cuts, LTE)
-  perf::Snapshot perf;  ///< pipeline counters (pattern-cached path only)
+  perf::Snapshot perf;  ///< pipeline counters of the run's workspace
 };
 
 /// Integrate the circuit DAE from x0. If opts.storeWaveforms is false only
@@ -87,16 +83,9 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
 /// history state for Gear-2 (pass nullptr to fall back to BE on the first
 /// step). On return x1 holds the new state; when `sensitivity` is non-null
 /// it is updated in place: S ← (∂x1/∂x0)·S, the propagation used to build
-/// the monodromy matrix in shooting and Floquet analyses.
-bool integrateStep(const MnaSystem& sys, IntegrationMethod method, Real t0,
-                   Real h, const RVec& x0, const RVec* xPrevStep, RVec& x1,
-                   numeric::RMat* sensitivity, std::size_t maxNewton = 50,
-                   Real tol = 1e-9, std::size_t* newtonIters = nullptr);
-
-/// Pattern-cached variant: the workspace's sparsity pattern and LU pivot
-/// order persist across calls, so Newton iterations after the first pay
-/// only a numeric refactorization. Preferred inside stepping loops
-/// (runTransient, shooting) that take many steps on one circuit. The
+/// the monodromy matrix in shooting and Floquet analyses. The workspace's
+/// sparsity pattern and LU pivot order persist across calls, so Newton
+/// iterations after the first pay only a numeric refactorization; the
 /// Newton iteration body is allocation-free (real-time audited).
 RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
                                  IntegrationMethod method, Real t0, Real h,

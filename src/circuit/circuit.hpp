@@ -34,14 +34,12 @@ enum class TimeAxis { slow, fast };
 /// Accumulation target handed to Device::stamp(). Rows/columns < 0 denote
 /// the ground node and are silently dropped.
 ///
-/// Two matrix modes exist. The original triplet mode appends (row, col,
-/// value) records — simple, but it allocates and re-sorts every evaluation.
-/// The pattern mode (used by MnaWorkspace) accumulates directly into
-/// preallocated value arrays over a cached CSR sparsity pattern; a stamp at
-/// a position absent from the pattern is diverted to an overflow triplet
-/// list so the caller can grow the pattern and re-evaluate (devices like
-/// the diode stamp some positions conditionally, so the first discovery
-/// pass is not guaranteed to see every position).
+/// Matrix stamps (MnaWorkspace) accumulate directly into preallocated value
+/// arrays over a cached CSR sparsity pattern; a stamp at a position absent
+/// from the pattern is diverted to an overflow triplet list so the caller
+/// can grow the pattern and re-evaluate (devices like the diode stamp some
+/// positions conditionally, and pattern discovery itself starts from the
+/// diagonal alone). A Stamp built without a PatternTarget is vector-only.
 class Stamp {
  public:
   /// Pattern-mode target: G and C share one CSR pattern; values land in
@@ -54,9 +52,9 @@ class Stamp {
     sparse::RTriplets* cOverflow = nullptr;
   };
 
-  Stamp(RVec& f, RVec& q, RVec& b, sparse::RTriplets* g, sparse::RTriplets* c,
-        Real t1, Real t2)
-      : f_(f), q_(q), b_(b), g_(g), c_(c), t1_(t1), t2_(t2) {}
+  /// Vector-only target: f, q and b; matrix stamps are dropped.
+  Stamp(RVec& f, RVec& q, RVec& b, Real t1, Real t2)
+      : f_(f), q_(q), b_(b), t1_(t1), t2_(t2) {}
 
   Stamp(RVec& f, RVec& q, RVec& b, const PatternTarget& pt, Real t1, Real t2)
       : f_(f), q_(q), b_(b), pt_(&pt), t1_(t1), t2_(t2) {}
@@ -65,7 +63,7 @@ class Stamp {
   Real time(TimeAxis axis) const { return axis == TimeAxis::fast ? t2_ : t1_; }
   Real slowTime() const { return t1_; }
   Real fastTime() const { return t2_; }
-  bool wantMatrices() const { return g_ != nullptr || pt_ != nullptr; }
+  bool wantMatrices() const { return pt_ != nullptr; }
 
   void addF(int row, Real v) {
     if (row >= 0) f_[static_cast<std::size_t>(row)] += v;
@@ -81,22 +79,14 @@ class Stamp {
     if (row < 0 || col < 0) return;
     const auto r = static_cast<std::size_t>(row);
     const auto c = static_cast<std::size_t>(col);
-    if (g_) {
-      g_->add(r, c, v);
-    } else if (pt_) {
-      patternAdd(*pt_->gVals, *pt_->gOverflow, r, c, v);
-    }
+    if (pt_) patternAdd(*pt_->gVals, *pt_->gOverflow, r, c, v);
   }
   /// ∂q/∂x entry.
   void addC(int row, int col, Real v) {
     if (row < 0 || col < 0) return;
     const auto r = static_cast<std::size_t>(row);
     const auto c = static_cast<std::size_t>(col);
-    if (c_) {
-      c_->add(r, c, v);
-    } else if (pt_) {
-      patternAdd(*pt_->cVals, *pt_->cOverflow, r, c, v);
-    }
+    if (pt_) patternAdd(*pt_->cVals, *pt_->cOverflow, r, c, v);
   }
 
  private:
@@ -122,8 +112,6 @@ class Stamp {
   RVec& f_;
   RVec& q_;
   RVec& b_;
-  sparse::RTriplets* g_ = nullptr;
-  sparse::RTriplets* c_ = nullptr;
   const PatternTarget* pt_ = nullptr;
   Real t1_, t2_;
 };

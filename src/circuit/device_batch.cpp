@@ -280,11 +280,15 @@ void DeviceBatch::compile(const Circuit& ckt, const sparse::RCSR& pattern,
   }
   if (!genericDevs_.empty()) {
     // Probe generic devices' matrix footprint at the pattern's discovery
-    // point. Entries missing from the pattern are ignored here — they will
-    // overflow at evaluation time and heal through growPattern.
+    // point: stamping over an empty pattern sends every entry to the
+    // overflow lists. Entries missing from the pattern are ignored here —
+    // they will overflow at evaluation time and heal through growPattern.
     RVec f(dim), q(dim), b(dim);
+    const sparse::RCSR empty{sparse::RTriplets(dim, dim)};
+    std::vector<Real> noVals;
     sparse::RTriplets gT(dim, dim), cT(dim, dim);
-    Stamp probe(f, q, b, &gT, &cT, t1, t2);
+    const Stamp::PatternTarget pt{&empty, &noVals, &noVals, &gT, &cT};
+    Stamp probe(f, q, b, pt, t1, t2);
     for (const Device* dev : genericDevs_) dev->stamp(x, xPrev, probe);
     for (const auto& en : gT.entries()) {
       const std::int64_t sl = find(static_cast<std::int64_t>(en.row),

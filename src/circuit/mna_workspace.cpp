@@ -21,52 +21,32 @@ bool MnaWorkspace::batchedEvalDefault() {
   return gBatchedDefault.load(std::memory_order_relaxed);
 }
 
-// First-time pattern discovery: one triplet-mode evaluation at the caller's
-// point, unioned with the diagonal (analyses add gshunt/gDiag terms there,
-// and a structurally present diagonal keeps the factorization robust).
+// First-time pattern discovery is ordinary growth from a diagonal-only
+// pattern (analyses add gshunt/gDiag terms on the diagonal, and a
+// structurally present diagonal keeps the factorization robust): one scalar
+// walk at the caller's point sends every off-diagonal stamp to the overflow
+// lists, and growPattern unions them in.
 void MnaWorkspace::ensurePattern(const RVec& x, Real t1, Real t2,
                                  const RVec* xPrev) {
   if (pattern_.rows() == n_ && n_ > 0) return;
-  MnaEval e;
-  sys_.evalBivariate(x, t1, t2, e, true, xPrev);
-  sparse::RTriplets u(n_, n_);
-  for (const auto& en : e.G.entries()) u.add(en.row, en.col, 0.0);
-  for (const auto& en : e.C.entries()) u.add(en.row, en.col, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) u.add(i, i, 0.0);
-  pattern_ = sparse::RCSR(u);
-  ++patternVersion_;
-  luPatternCurrent_ = false;
-
-  diagSlot_.assign(n_, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const auto& rp = pattern_.rowPtr();
-    const auto& ci = pattern_.colIdx();
-    std::size_t lo = rp[i], hi = rp[i + 1];
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (ci[mid] < i)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    diagSlot_[i] = lo;
-  }
-
-  gVals_.assign(pattern_.nnz(), 0.0);
-  cVals_.assign(pattern_.nnz(), 0.0);
+  sparse::RTriplets d(n_, n_);
+  for (std::size_t i = 0; i < n_; ++i) d.add(i, i, 0.0);
+  pattern_ = sparse::RCSR(d);
+  gVals_.assign(n_, 0.0);
+  cVals_.assign(n_, 0.0);
   gOv_.reset(n_, n_);
   cOv_.reset(n_, n_);
-  ++growth_;
-  // Memory budget: pattern discovery is this workspace's dominant
-  // allocation — charge the CSR index arrays, both value arrays, and the
-  // diagonal slot map against the owning job's account (no-op without one).
-  diag::memCharge(pattern_.nnz() * (2 * sizeof(Real) + sizeof(std::size_t)) +
-                  (2 * n_ + 1) * sizeof(std::size_t));
+  RVec f(n_), q(n_), b(n_);
+  const Stamp::PatternTarget pt{&pattern_, &gVals_, &cVals_, &gOv_, &cOv_};
+  Stamp s(f, q, b, pt, t1, t2);
+  for (const auto& dev : sys_.circuit().devices()) dev->stamp(x, xPrev, s);
+  growPattern();
 }
 
-// A device stamped a position outside the cached pattern (conditional
-// stamps — e.g. a diode whose junction capacitance was zero during
-// discovery). Union the misses into the pattern; the caller re-evaluates.
+// A device stamped a position outside the cached pattern (discovery, or a
+// conditional stamp — e.g. a diode whose junction capacitance was zero
+// during discovery). Union the misses into the pattern; the caller
+// re-evaluates.
 void MnaWorkspace::growPattern() {
   sparse::RTriplets u(n_, n_);
   const auto& rp = pattern_.rowPtr();
@@ -80,25 +60,20 @@ void MnaWorkspace::growPattern() {
   luPatternCurrent_ = false;
 
   diagSlot_.assign(n_, 0);
-  const auto& rp2 = pattern_.rowPtr();
   const auto& ci2 = pattern_.colIdx();
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::size_t lo = rp2[i], hi = rp2[i + 1];
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (ci2[mid] < i)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    diagSlot_[i] = lo;
-  }
+  for (std::size_t i = 0; i < n_; ++i)
+    diagSlot_[i] = static_cast<std::size_t>(
+        std::lower_bound(ci2.begin() + pattern_.rowPtr()[i],
+                         ci2.begin() + pattern_.rowPtr()[i + 1], i) -
+        ci2.begin());
 
   gVals_.assign(pattern_.nnz(), 0.0);
   cVals_.assign(pattern_.nnz(), 0.0);
   ++growth_;
-  // Memory budget: a grown pattern is a fresh allocation of the same
-  // shape as ensurePattern's — charge it in full (charge-only contract).
+  // Memory budget: a grown pattern is this workspace's dominant
+  // allocation — charge the CSR index arrays, both value arrays, and the
+  // diagonal slot map in full against the owning job's account (charge-
+  // only contract; no-op without one).
   diag::memCharge(pattern_.nnz() * (2 * sizeof(Real) + sizeof(std::size_t)) +
                   (2 * n_ + 1) * sizeof(std::size_t));
 }
@@ -129,7 +104,7 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
                          // buffers hold n_ entries after the first call
     q_.assign(n_, 0.0);  // rt: allow(rt-alloc) same-size overwrite
     b_.assign(n_, 0.0);  // rt: allow(rt-alloc) same-size overwrite
-    Stamp s(f_, q_, b_, nullptr, nullptr, t1, t2);
+    Stamp s(f_, q_, b_, t1, t2);
     const bool useBatch = batched_ && batch_.compiled();
     if (useBatch) {
       batch_.eval(x, xPrev, s, nullptr, nullptr, scratch_, nullptr);
@@ -159,12 +134,7 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
     gOv_.reset(n_, n_);
     cOv_.reset(n_, n_);
 
-    Stamp::PatternTarget pt;
-    pt.pattern = &pattern_;
-    pt.gVals = &gVals_;
-    pt.cVals = &cVals_;
-    pt.gOverflow = &gOv_;
-    pt.cOverflow = &cOv_;
+    const Stamp::PatternTarget pt{&pattern_, &gVals_, &cVals_, &gOv_, &cOv_};
     Stamp s(f_, q_, b_, pt, t1, t2);
     if (useBatch) {
       // The batch prefills gVals_/cVals_ with the constant linear template
@@ -304,12 +274,8 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
           if (wantMatrices) {
             if (!ln.gOv.entries().empty()) ln.gOv.reset(n_, n_);
             if (!ln.cOv.entries().empty()) ln.cOv.reset(n_, n_);
-            Stamp::PatternTarget pt;
-            pt.pattern = &pattern_;
-            pt.gVals = &(*gOut)[s];
-            pt.cVals = &(*cOut)[s];
-            pt.gOverflow = &ln.gOv;
-            pt.cOverflow = &ln.cOv;
+            const Stamp::PatternTarget pt{&pattern_, &(*gOut)[s],
+                                          &(*cOut)[s], &ln.gOv, &ln.cOv};
             Stamp st(ln.f, ln.q, ln.b, pt, t1[s], t2[s]);
             if (useBatch) {
               batch_.assemble(ln.x, st, pt.gVals, pt.cVals, ln.sweep, j,
@@ -325,7 +291,7 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
             if (!ln.gOv.entries().empty() || !ln.cOv.entries().empty())
               ln.overflowed = true;
           } else {
-            Stamp st(ln.f, ln.q, ln.b, nullptr, nullptr, t1[s], t2[s]);
+            Stamp st(ln.f, ln.q, ln.b, t1[s], t2[s]);
             if (useBatch) {
               batch_.assemble(ln.x, st, nullptr, nullptr, ln.sweep, j,
                               wv != nullptr ? wv + s * nw : nullptr);
@@ -444,6 +410,16 @@ RFIC_REALTIME void MnaWorkspace::solve(const RVec& rhs, RVec& x) {
   const auto ns = timer.ns();
   counters_.addSolve(ns);
   perf::global().addSolve(ns);
+}
+
+void scatterDense(const sparse::RCSR& pattern, const std::vector<Real>& vals,
+                  numeric::RMat& out, Real scale, std::size_t row0,
+                  std::size_t col0) {
+  const auto& rp = pattern.rowPtr();
+  const auto& ci = pattern.colIdx();
+  for (std::size_t r = 0; r < pattern.rows(); ++r)
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
+      out(row0 + r, col0 + ci[p]) += scale * vals[p];
 }
 
 }  // namespace rfic::circuit

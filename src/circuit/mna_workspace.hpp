@@ -7,10 +7,11 @@
 // factorization. The workspace caches what never changes between
 // iterations:
 //
-//  - the union sparsity pattern of G, C, and the diagonal, discovered on
-//    the first evaluation and grown on demand (devices may stamp positions
-//    conditionally; a stamp that misses the pattern lands in an overflow
-//    list, the pattern is re-unioned, and the evaluation repeats);
+//  - the union sparsity pattern of G, C, and the diagonal, grown from the
+//    diagonal on the first evaluation and on demand afterwards (devices
+//    may stamp positions conditionally; a stamp that misses the pattern
+//    lands in an overflow list, the pattern is re-unioned, and the
+//    evaluation repeats);
 //  - preallocated value arrays that devices stamp into through cached CSR
 //    positions — zero heap churn per iteration;
 //  - a SymbolicLU whose pivot order and fill pattern are reused by cheap
@@ -190,5 +191,13 @@ class MnaWorkspace {
 
   perf::Counters counters_;
 };
+
+/// Dense scatter of one value array over a CSR pattern: for every position
+/// p = (r, c), out(row0 + r, col0 + c) += scale · vals[p]. The one CSR→dense
+/// bridge for the dense-path analyses (shooting, Floquet, the MPDE
+/// fast-axis systems) reading G/C from a workspace.
+void scatterDense(const sparse::RCSR& pattern, const std::vector<Real>& vals,
+                  numeric::RMat& out, Real scale = 1.0, std::size_t row0 = 0,
+                  std::size_t col0 = 0);
 
 }  // namespace rfic::circuit

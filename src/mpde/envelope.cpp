@@ -62,16 +62,9 @@ class EnvelopeInner final : public FastSystem {
         e.G.setZero();
         e.C.setZero();
       }
-      const auto& rp = ws_.pattern().rowPtr();
-      const auto& ci = ws_.pattern().colIdx();
-      const auto& gv = ws_.gValues();
-      const auto& cv = ws_.cValues();
-      for (std::size_t row = 0; row < n_; ++row) {
-        for (std::size_t p = rp[row]; p < rp[row + 1]; ++p) {
-          e.G(row, ci[p]) = gv[p] + w * cv[p];
-          e.C(row, ci[p]) = cv[p];
-        }
-      }
+      circuit::scatterDense(ws_.pattern(), ws_.gValues(), e.G);
+      circuit::scatterDense(ws_.pattern(), ws_.cValues(), e.G, w);
+      circuit::scatterDense(ws_.pattern(), ws_.cValues(), e.C);
     }
   }
 

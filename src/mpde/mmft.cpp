@@ -1,5 +1,6 @@
 #include "mpde/mmft.hpp"
 
+#include "circuit/mna_workspace.hpp"
 #include "diag/contracts.hpp"
 
 namespace rfic::mpde {
@@ -7,12 +8,13 @@ namespace rfic::mpde {
 namespace {
 
 // Stacked fast-axis system: block m holds x̂(t1_m, t2); the slow derivative
-// ∂q/∂t1 becomes the spectral matrix D applied across blocks.
+// ∂q/∂t1 becomes the spectral matrix D applied across blocks. One
+// workspace evaluates every block, as in EnvelopeInner.
 class MMFTStacked final : public FastSystem {
  public:
   MMFTStacked(const MnaSystem& sys, Real slowPeriod, Real fastPeriod,
               std::size_t m1, std::size_t m2)
-      : sys_(sys),
+      : ws_(sys),
         n_(sys.dim()),
         m1_(m1),
         m2_(m2),
@@ -36,44 +38,43 @@ class MMFTStacked final : public FastSystem {
     }
     const Real t2 = T2_ * static_cast<Real>(j % m2_) / static_cast<Real>(m2_);
 
-    // Per-block circuit evaluations.
+    // Per-block circuit evaluations. Block l's G lands on the diagonal
+    // block and its C on column block l through the coupling Jacobian
+    // ∂/∂y_l of D(m,l)·q(y_l) = D(m,l)·C_l, so each block's matrices are
+    // consumed before the next evaluation overwrites the workspace.
     numeric::RVec xm(n_);
-    std::vector<circuit::MnaEval> evals(m1_);
-    for (std::size_t m = 0; m < m1_; ++m) {
-      const Real t1 = T1_ * static_cast<Real>(m) / static_cast<Real>(m1_);
-      for (std::size_t u = 0; u < n_; ++u) xm[u] = y[m * n_ + u];
-      sys_.evalBivariate(xm, t1, t2, evals[m], wantMatrices);
-    }
-    for (std::size_t m = 0; m < m1_; ++m) {
-      const auto& ev = evals[m];
+    for (std::size_t l = 0; l < m1_; ++l) {
+      const Real t1 = T1_ * static_cast<Real>(l) / static_cast<Real>(m1_);
+      for (std::size_t u = 0; u < n_; ++u) xm[u] = y[l * n_ + u];
+      ws_.evalBivariate(xm, t1, t2, wantMatrices);
       for (std::size_t u = 0; u < n_; ++u) {
-        const std::size_t r = m * n_ + u;
-        e.q[r] = ev.q[u];
-        e.b[r] = ev.b[u];
-        // f block + spectral slow-derivative coupling Σ_l D(m,l)·q_l.
-        Real fv = ev.f[u];
-        for (std::size_t l = 0; l < m1_; ++l)
-          fv += d_(m, l) * evals[l].q[u];
-        e.f[r] = fv;
+        e.f[l * n_ + u] = ws_.f()[u];
+        e.q[l * n_ + u] = ws_.q()[u];
+        e.b[l * n_ + u] = ws_.b()[u];
       }
-      if (wantMatrices) {
-        for (const auto& en : ev.G.entries())
-          e.G(m * n_ + en.row, m * n_ + en.col) += en.value;
-        for (const auto& en : ev.C.entries())
-          e.C(m * n_ + en.row, m * n_ + en.col) += en.value;
-        // Coupling Jacobian: ∂/∂y_l of D(m,l)·q(y_l) = D(m,l)·C_l.
-        for (std::size_t l = 0; l < m1_; ++l) {
-          const Real dml = d_(m, l);
-          if (diag::exactlyZero(dml)) continue;
-          for (const auto& en : evals[l].C.entries())
-            e.G(m * n_ + en.row, l * n_ + en.col) += dml * en.value;
-        }
+      if (!wantMatrices) continue;
+      const auto& pat = ws_.pattern();
+      circuit::scatterDense(pat, ws_.gValues(), e.G, 1.0, l * n_, l * n_);
+      circuit::scatterDense(pat, ws_.cValues(), e.C, 1.0, l * n_, l * n_);
+      for (std::size_t m = 0; m < m1_; ++m) {
+        const Real dml = d_(m, l);
+        if (diag::exactlyZero(dml)) continue;
+        circuit::scatterDense(pat, ws_.cValues(), e.G, dml, m * n_, l * n_);
+      }
+    }
+    // f block + spectral slow-derivative coupling Σ_l D(m,l)·q_l.
+    for (std::size_t m = 0; m < m1_; ++m) {
+      for (std::size_t u = 0; u < n_; ++u) {
+        Real fv = e.f[m * n_ + u];
+        for (std::size_t l = 0; l < m1_; ++l)
+          fv += d_(m, l) * e.q[l * n_ + u];
+        e.f[m * n_ + u] = fv;
       }
     }
   }
 
  private:
-  const MnaSystem& sys_;
+  mutable circuit::MnaWorkspace ws_;
   std::size_t n_, m1_, m2_;
   Real T1_, T2_;
   numeric::RMat d_;

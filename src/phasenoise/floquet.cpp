@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "circuit/mna_workspace.hpp"
 #include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
 
@@ -28,12 +29,12 @@ FloquetDecomposition floquetDecompose(const MnaSystem& sys,
   }
 
   // Per-sample Jacobians along the orbit.
-  std::vector<RMat> gk(m + 1), ck(m + 1);
-  circuit::MnaEval e;
+  std::vector<RMat> gk(m + 1, RMat(n, n)), ck(m + 1, RMat(n, n));
+  circuit::MnaWorkspace ws(sys);
   for (std::size_t k = 0; k <= m; ++k) {
-    sys.eval(pss.trajectory[k], pss.times[k], e, true);
-    gk[k] = e.G.toDense();
-    ck[k] = e.C.toDense();
+    ws.eval(pss.trajectory[k], pss.times[k], true);
+    circuit::scatterDense(ws.pattern(), ws.gValues(), gk[k]);
+    circuit::scatterDense(ws.pattern(), ws.cValues(), ck[k]);
   }
 
   // Orbit tangent u1 = ẋs by periodic central differences (avoids

@@ -7,14 +7,17 @@
 #include "analysis/ac.hpp"
 #include "analysis/dc.hpp"
 #include "analysis/noise.hpp"
+#include "analysis/sparams.hpp"
 #include "circuit/devices.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "perf/perf.hpp"
 
 namespace rfic::analysis {
 namespace {
 
 using namespace rfic::circuit;
+using numeric::CVec;
 using numeric::RVec;
 
 class RCLowpassFreqs : public ::testing::TestWithParam<Real> {};
@@ -169,6 +172,53 @@ TEST(Noise, GroundOutputRejected) {
   c.add<Resistor>("R1", c.node("a"), -1, 1000.0);
   MnaSystem sys(c);
   EXPECT_THROW(noiseAnalysis(sys, RVec(1, 0.0), -1, {1e3}), InvalidArgument);
+}
+
+// Node indices and operating points reach the small-signal entry points
+// from netlists and API callers; an out-of-range one must throw instead of
+// indexing past the end of a vector.
+TEST(Noise, OutOfRangeOutputRejected) {
+  Circuit c;
+  c.add<Resistor>("R1", c.node("a"), -1, 1000.0);
+  MnaSystem sys(c);
+  EXPECT_THROW(noiseAnalysis(sys, RVec(1, 0.0), 1, {1e3}), InvalidArgument);
+  EXPECT_THROW(noiseAnalysis(sys, RVec(2, 0.0), 0, {1e3}), InvalidArgument);
+}
+
+TEST(AC, OutOfRangeStimulusNodeRejected) {
+  Circuit c;
+  c.add<Resistor>("R1", c.node("a"), -1, 1000.0);
+  MnaSystem sys(c);
+  EXPECT_THROW(acStimulusCurrent(sys, 1, -1), InvalidArgument);
+  EXPECT_THROW(acStimulusCurrent(sys, -1, 5), InvalidArgument);
+  EXPECT_THROW(acSweep(sys, RVec(2, 0.0), {1e3}, CVec(1)), InvalidArgument);
+}
+
+// The small-signal analyses linearize once per call: one matrix
+// evaluation, counted in perf::global(), however many frequencies follow.
+TEST(SmallSignal, OneEvaluationPerCall) {
+  Circuit c;
+  const int in = c.node("in"), out = c.node("out");
+  const int br = c.allocBranch("V1");
+  auto& vs = c.add<VSource>("V1", in, -1, br, std::make_shared<DCWave>(0.0));
+  c.add<Resistor>("R1", in, out, 1000.0);
+  c.add<Capacitor>("C1", out, -1, 1e-9);
+  MnaSystem sys(c);
+  const RVec xop(sys.dim(), 0.0);
+  const auto evals = [] { return perf::global().snapshot().evals; };
+  for (const std::vector<Real>& freqs :
+       {std::vector<Real>{1e3}, logspace(1e2, 1e8, 13)}) {
+    SCOPED_TRACE(freqs.size());
+    auto before = evals();
+    acSweep(sys, xop, freqs, acStimulusVSource(sys, vs));
+    EXPECT_EQ(evals() - before, 1u) << ".ac";
+    before = evals();
+    noiseAnalysis(sys, xop, out, freqs);
+    EXPECT_EQ(evals() - before, 1u) << ".noise";
+  }
+  const auto before = evals();
+  sParameters(sys, xop, {{in, -1, "p1"}, {out, -1, "p2"}}, 1e6);
+  EXPECT_EQ(evals() - before, 1u) << "S-parameters";
 }
 
 }  // namespace

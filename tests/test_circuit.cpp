@@ -9,7 +9,7 @@
 #include <random>
 
 #include "circuit/devices.hpp"
-#include "circuit/mna.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
 
@@ -39,22 +39,24 @@ TEST(Circuit, NodeManagement) {
 // G = ∂f/∂x and C = ∂q/∂x against central finite differences.
 void checkJacobians(Circuit& c, const RVec& x, Real tol = 1e-5) {
   MnaSystem sys(c);
-  MnaEval e;
-  sys.eval(x, 0.123e-6, e, true);
-  const auto g = e.G.toDense();
-  const auto cq = e.C.toDense();
+  MnaWorkspace ws(sys);
+  ws.setBatchedEval(false);  // the scalar stamps are the batch's oracle
+  ws.eval(x, 0.123e-6, true);
   const std::size_t n = sys.dim();
+  numeric::RMat g(n, n), cq(n, n);
+  scatterDense(ws.pattern(), ws.gValues(), g);
+  scatterDense(ws.pattern(), ws.cValues(), cq);
   const Real h = 1e-7;
   for (std::size_t j = 0; j < n; ++j) {
     RVec xp = x, xm = x;
     xp[j] += h;
     xm[j] -= h;
-    MnaEval ep, em;
-    sys.eval(xp, 0.123e-6, ep, false);
-    sys.eval(xm, 0.123e-6, em, false);
+    ws.eval(xp, 0.123e-6, false);
+    const RVec fp = ws.f(), qp = ws.q();
+    ws.eval(xm, 0.123e-6, false);
     for (std::size_t i = 0; i < n; ++i) {
-      const Real gfd = (ep.f[i] - em.f[i]) / (2 * h);
-      const Real cfd = (ep.q[i] - em.q[i]) / (2 * h);
+      const Real gfd = (fp[i] - ws.f()[i]) / (2 * h);
+      const Real cfd = (qp[i] - ws.q()[i]) / (2 * h);
       const Real gscale = 1.0 + std::abs(g(i, j));
       const Real cscale = 1.0 + std::abs(cq(i, j));
       EXPECT_NEAR(g(i, j), gfd, tol * gscale) << "G(" << i << "," << j << ")";
@@ -68,15 +70,15 @@ void checkJacobians(Circuit& c, const RVec& x, Real tol = 1e-5) {
 void checkChargeCurrentConservation(Circuit& c, const RVec& x,
                                     std::size_t numNodes) {
   MnaSystem sys(c);
-  MnaEval e;
-  sys.eval(x, 0.0, e, false);
+  MnaWorkspace ws(sys);
+  ws.eval(x, 0.0, false);
   Real fsum = 0, qsum = 0;
   for (std::size_t i = 0; i < numNodes; ++i) {
-    fsum += e.f[i];
-    qsum += e.q[i];
+    fsum += ws.f()[i];
+    qsum += ws.q()[i];
   }
-  EXPECT_NEAR(fsum, 0.0, 1e-12 * (1.0 + numeric::normInf(e.f)));
-  EXPECT_NEAR(qsum, 0.0, 1e-12 * (1.0 + numeric::normInf(e.q)));
+  EXPECT_NEAR(fsum, 0.0, 1e-12 * (1.0 + numeric::normInf(ws.f())));
+  EXPECT_NEAR(qsum, 0.0, 1e-12 * (1.0 + numeric::normInf(ws.q())));
 }
 
 TEST(Devices, ResistorJacobianAndConservation) {
@@ -100,10 +102,10 @@ TEST(Devices, CapacitorChargeIsLinear) {
   const int a = c.node("a");
   c.add<Capacitor>("C1", a, -1, 1e-9);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{2.5};
-  sys.eval(x, 0.0, e, false);
-  EXPECT_DOUBLE_EQ(e.q[0], 2.5e-9);
+  ws.eval(x, 0.0, false);
+  EXPECT_DOUBLE_EQ(ws.q()[0], 2.5e-9);
   checkJacobians(c, x);
 }
 
@@ -114,12 +116,12 @@ TEST(Devices, InductorBranchEquations) {
   c.add<Inductor>("L1", a, b, br, 1e-6);
   RVec x{1.0, 0.25, 0.003};  // va, vb, iL
   MnaSystem sys(c);
-  MnaEval e;
-  sys.eval(x, 0.0, e, false);
-  EXPECT_DOUBLE_EQ(e.f[0], 0.003);       // current leaves a
-  EXPECT_DOUBLE_EQ(e.f[1], -0.003);
-  EXPECT_DOUBLE_EQ(e.q[2], 1e-6 * 0.003);  // flux
-  EXPECT_DOUBLE_EQ(e.f[2], -(1.0 - 0.25)); // branch voltage equation
+  MnaWorkspace ws(sys);
+  ws.eval(x, 0.0, false);
+  EXPECT_DOUBLE_EQ(ws.f()[0], 0.003);       // current leaves a
+  EXPECT_DOUBLE_EQ(ws.f()[1], -0.003);
+  EXPECT_DOUBLE_EQ(ws.q()[2], 1e-6 * 0.003);  // flux
+  EXPECT_DOUBLE_EQ(ws.f()[2], -(1.0 - 0.25)); // branch voltage equation
   checkJacobians(c, x);
 }
 
@@ -131,11 +133,11 @@ TEST(Devices, MutualInductanceCouplesFluxes) {
   auto& l2 = c.add<Inductor>("L2", b, -1, br2, 1e-6);
   c.add<MutualInductance>("K1", l1, l2, 0.5);  // M = 0.5*sqrt(4e-6*1e-6) = 1e-6
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{0, 0, 2.0, 3.0};  // iL1=2, iL2=3
-  sys.eval(x, 0.0, e, false);
-  EXPECT_NEAR(e.q[2], 4e-6 * 2.0 + 1e-6 * 3.0, 1e-18);
-  EXPECT_NEAR(e.q[3], 1e-6 * 3.0 + 1e-6 * 2.0, 1e-18);
+  ws.eval(x, 0.0, false);
+  EXPECT_NEAR(ws.q()[2], 4e-6 * 2.0 + 1e-6 * 3.0, 1e-18);
+  EXPECT_NEAR(ws.q()[3], 1e-6 * 3.0 + 1e-6 * 2.0, 1e-18);
   checkJacobians(c, x);
 }
 
@@ -183,10 +185,10 @@ TEST(Devices, CubicConductanceCurrentAndDerivative) {
   const int a = c.node("a");
   c.add<CubicConductance>("GN", a, -1, 1e-3, 2e-3);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{0.5};
-  sys.eval(x, 0.0, e, false);
-  EXPECT_NEAR(e.f[0], 1e-3 * 0.5 + 2e-3 * 0.125, 1e-15);
+  ws.eval(x, 0.0, false);
+  EXPECT_NEAR(ws.f()[0], 1e-3 * 0.5 + 2e-3 * 0.125, 1e-15);
   checkJacobians(c, x);
 }
 
@@ -261,10 +263,10 @@ TEST(Devices, BJTForwardActiveGain) {
   p.bf = 120.0;
   c.add<BJT>("Q1", nc, nb, ne, p);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{3.0, 0.65, 0.0};
-  sys.eval(x, 0.0, e, false);
-  const Real ic = e.f[0], ib = e.f[1];
+  ws.eval(x, 0.0, false);
+  const Real ic = ws.f()[0], ib = ws.f()[1];
   EXPECT_GT(ic, 0.0);
   EXPECT_NEAR(ic / ib, 120.0, 1.0);
 }
@@ -303,10 +305,10 @@ TEST(Devices, MOSFETSquareLawSaturation) {
   p.lambda = 0.0;
   c.add<MOSFET>("M1", nd, ng, ns, p);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{3.0, 1.7, 0.0};  // vgs = 1.7, vov = 1.0, saturation
-  sys.eval(x, 0.0, e, false);
-  EXPECT_NEAR(e.f[0], 0.5 * 2e-3 * 1.0, 1e-11);  // gmin leakage included
+  ws.eval(x, 0.0, false);
+  EXPECT_NEAR(ws.f()[0], 0.5 * 2e-3 * 1.0, 1e-11);  // gmin leakage included
 }
 
 TEST(Waveforms, SineAndMultiTone) {
@@ -353,11 +355,11 @@ TEST(Sources, VSourcePinsVoltageThroughBranch) {
   c.add<VSource>("V1", a, -1, br, std::make_shared<DCWave>(3.3));
   c.add<Resistor>("R1", a, -1, 330.0);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x{3.3, -0.01};  // at the solution: iR = 10 mA through source
-  sys.eval(x, 0.0, e, false);
-  EXPECT_NEAR(e.f[0] - e.b[0], 3.3 / 330.0 + x[1], 1e-15);
-  EXPECT_NEAR(e.f[1] - e.b[1], 3.3 - 3.3, 1e-15);
+  ws.eval(x, 0.0, false);
+  EXPECT_NEAR(ws.f()[0] - ws.b()[0], 3.3 / 330.0 + x[1], 1e-15);
+  EXPECT_NEAR(ws.f()[1] - ws.b()[1], 3.3 - 3.3, 1e-15);
 }
 
 TEST(Sources, BivariateAxisSelection) {
@@ -370,16 +372,16 @@ TEST(Sources, BivariateAxisSelection) {
   c.add<Resistor>("Ra", a, -1, 1.0);
   c.add<Resistor>("Rb", b, -1, 1.0);
   MnaSystem sys(c);
-  MnaEval e;
+  MnaWorkspace ws(sys);
   RVec x(2, 0.0);
   // t1 = quarter period of the slow tone, t2 = 0: only the slow source on.
-  sys.evalBivariate(x, 0.25, 0.0, e, false);
-  EXPECT_NEAR(e.b[0], 1.0, 1e-12);
-  EXPECT_NEAR(e.b[1], 0.0, 1e-12);
+  ws.evalBivariate(x, 0.25, 0.0, false);
+  EXPECT_NEAR(ws.b()[0], 1.0, 1e-12);
+  EXPECT_NEAR(ws.b()[1], 0.0, 1e-12);
   // And the other way around.
-  sys.evalBivariate(x, 0.0, 0.25 / 100.0, e, false);
-  EXPECT_NEAR(e.b[0], 0.0, 1e-12);
-  EXPECT_NEAR(e.b[1], 1.0, 1e-12);
+  ws.evalBivariate(x, 0.0, 0.25 / 100.0, false);
+  EXPECT_NEAR(ws.b()[0], 0.0, 1e-12);
+  EXPECT_NEAR(ws.b()[1], 1.0, 1e-12);
 }
 
 TEST(Noise, ResistorThermalPSD) {

@@ -326,19 +326,20 @@ TEST(Devices, MultiplierJacobianAndMixing) {
   analysis::MnaSystem sys(c);
   // FD check of the bilinear Jacobian at a generic point.
   RVec x{0.3, -0.7, 0.1};
-  circuit::MnaEval e;
-  sys.eval(x, 0.0, e, true);
-  const auto g = e.G.toDense();
+  circuit::MnaWorkspace ws(sys);
+  ws.eval(x, 0.0, true);
+  numeric::RMat g(3, 3);
+  circuit::scatterDense(ws.pattern(), ws.gValues(), g);
   const Real h = 1e-7;
   for (std::size_t j = 0; j < 3; ++j) {
     RVec xp = x, xm = x;
     xp[j] += h;
     xm[j] -= h;
-    circuit::MnaEval ep, em;
-    sys.eval(xp, 0.0, ep, false);
-    sys.eval(xm, 0.0, em, false);
+    ws.eval(xp, 0.0, false);
+    const RVec fp = ws.f();
+    ws.eval(xm, 0.0, false);
     for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_NEAR(g(i, j), (ep.f[i] - em.f[i]) / (2 * h), 1e-6);
+      EXPECT_NEAR(g(i, j), (fp[i] - ws.f()[i]) / (2 * h), 1e-6);
   }
 }
 

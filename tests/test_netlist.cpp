@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/dc.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/netlist.hpp"
 
 namespace rfic::circuit {
@@ -109,14 +110,14 @@ TEST(Netlist, SinSourceAndFastAxisTag) {
   Circuit c;
   parseNetlist("V1 a 0 SIN(0 1 1meg) AXIS=FAST\nR1 a 0 50\n", c);
   analysis::MnaSystem sys(c);
-  circuit::MnaEval e;
+  circuit::MnaWorkspace ws(sys);
   numeric::RVec x(2, 0.0);
   // Fast axis at a quarter of the 1 MHz period.
-  sys.evalBivariate(x, 0.0, 0.25e-6, e, false);
-  EXPECT_NEAR(e.b[1], 1.0, 1e-9);
+  ws.evalBivariate(x, 0.0, 0.25e-6, false);
+  EXPECT_NEAR(ws.b()[1], 1.0, 1e-9);
   // Slow axis alone leaves the source at zero phase.
-  sys.evalBivariate(x, 0.25e-6, 0.0, e, false);
-  EXPECT_NEAR(e.b[1], 0.0, 1e-9);
+  ws.evalBivariate(x, 0.25e-6, 0.0, false);
+  EXPECT_NEAR(ws.b()[1], 0.0, 1e-9);
 }
 
 TEST(Netlist, MutualInductanceCard) {

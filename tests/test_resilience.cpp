@@ -25,6 +25,7 @@
 #include "perf/perf.hpp"
 #include "phasenoise/jitter_mc.hpp"
 #include "sparse/krylov.hpp"
+#include "sparse/ordering.hpp"
 
 namespace rfic {
 namespace {
@@ -408,55 +409,56 @@ TEST(TransientResilience, BudgetTripSavesCheckpointAndReturnsPartial) {
 }
 
 TEST(TransientResilience, CheckpointResumeIsBitIdentical) {
-  const std::string path = tempPath("ck_resume_tran.bin");
-  analysis::TransientOptions to;
-  to.tstop = 1e-3;
-  to.dt = 2e-6;
-  to.adaptive = true;
-  to.method = analysis::IntegrationMethod::gear2;
-  // The rebuild (non-pattern-cached) pipeline factors each step from
-  // scratch, so the resumed run replays exactly the arithmetic the
-  // uninterrupted run performs. (The pattern cache picks its pivot order at
-  // the first factorization after the start point, which is a different
-  // state for the resumed run.)
-  to.patternCache = false;
+  for (const sparse::Ordering ord :
+       {sparse::Ordering::Natural, sparse::Ordering::Amd}) {
+    SCOPED_TRACE(sparse::toString(ord));
+    const sparse::ScopedOrderingOverride ordering(ord);
+    const std::string path = tempPath("ck_resume_tran.bin");
+    analysis::TransientOptions to;
+    to.tstop = 1e-3;
+    to.dt = 2e-6;
+    to.adaptive = true;
+    to.method = analysis::IntegrationMethod::gear2;
 
-  RCSine a;
-  const auto full = analysis::runTransient(*a.sys, RVec(a.sys->dim(), 0.0), to);
-  ASSERT_TRUE(full.ok);
+    RCSine a;
+    const auto full =
+        analysis::runTransient(*a.sys, RVec(a.sys->dim(), 0.0), to);
+    ASSERT_TRUE(full.ok);
 
-  // Interrupt mid-run via a Newton budget; the trip saves the checkpoint.
-  RCSine b;
-  diag::RunBudget budget;
-  budget.setNewtonLimit(200);
-  analysis::TransientOptions toStop = to;
-  toStop.budget = &budget;
-  toStop.checkpointPath = path;
-  const auto part =
-      analysis::runTransient(*b.sys, RVec(b.sys->dim(), 0.0), toStop);
-  ASSERT_EQ(part.status, diag::SolverStatus::BudgetExceeded);
-  ASSERT_GT(part.steps, 0u);
-  ASSERT_LT(part.steps, full.steps);
+    // Interrupt mid-run via a Newton budget; the trip saves the checkpoint.
+    RCSine b;
+    diag::RunBudget budget;
+    budget.setNewtonLimit(200);
+    analysis::TransientOptions toStop = to;
+    toStop.budget = &budget;
+    toStop.checkpointPath = path;
+    const auto part =
+        analysis::runTransient(*b.sys, RVec(b.sys->dim(), 0.0), toStop);
+    ASSERT_EQ(part.status, diag::SolverStatus::BudgetExceeded);
+    ASSERT_GT(part.steps, 0u);
+    ASSERT_LT(part.steps, full.steps);
 
-  RCSine c;
-  analysis::TransientOptions toResume = to;
-  toResume.checkpointPath = path;
-  toResume.resume = true;
-  const auto rest =
-      analysis::runTransient(*c.sys, RVec(c.sys->dim(), 0.0), toResume);
-  ASSERT_TRUE(rest.ok);
+    RCSine c;
+    analysis::TransientOptions toResume = to;
+    toResume.checkpointPath = path;
+    toResume.resume = true;
+    const auto rest =
+        analysis::runTransient(*c.sys, RVec(c.sys->dim(), 0.0), toResume);
+    ASSERT_TRUE(rest.ok);
 
-  // Identical step count and bit-identical final state/time.
-  EXPECT_EQ(rest.steps, full.steps);
-  EXPECT_EQ(rest.newtonIterations, full.newtonIterations);
-  EXPECT_EQ(std::memcmp(&rest.time.back(), &full.time.back(), sizeof(Real)),
-            0);
-  const RVec& xr = rest.x.back();
-  const RVec& xf = full.x.back();
-  ASSERT_EQ(xr.size(), xf.size());
-  for (std::size_t i = 0; i < xr.size(); ++i)
-    EXPECT_EQ(std::memcmp(&xr[i], &xf[i], sizeof(Real)), 0) << "unknown " << i;
-  std::remove(path.c_str());
+    // Identical step count and bit-identical final state/time.
+    EXPECT_EQ(rest.steps, full.steps);
+    EXPECT_EQ(rest.newtonIterations, full.newtonIterations);
+    EXPECT_EQ(
+        std::memcmp(&rest.time.back(), &full.time.back(), sizeof(Real)), 0);
+    const RVec& xr = rest.x.back();
+    const RVec& xf = full.x.back();
+    ASSERT_EQ(xr.size(), xf.size());
+    for (std::size_t i = 0; i < xr.size(); ++i)
+      EXPECT_EQ(std::memcmp(&xr[i], &xf[i], sizeof(Real)), 0)
+          << "unknown " << i;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TransientResilience, ResumeWithoutFileThrowsInvalid) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "analysis/dc.hpp"
 #include "analysis/noise.hpp"
@@ -168,6 +169,28 @@ TEST(SParams, MatchedLoadIsReflectionless) {
   const auto sp = analysis::sParameters(sys, RVec(sys.dim(), 0.0),
                                         {{p, -1, "p1"}}, 1e9, 50.0);
   EXPECT_NEAR(std::abs(sp.s(0, 0)), 0.0, 1e-9);  // port gmin regularization
+}
+
+TEST(SParams, OutOfRangePortNodeRejected) {
+  Circuit c;
+  const int p = c.node("p");
+  c.add<Resistor>("R1", p, -1, 50.0);
+  analysis::MnaSystem sys(c);
+  // The diagnostic names the entry point and the port, not an internal
+  // container the bad index happens to reach first.
+  for (const analysis::Port& bad :
+       {analysis::Port{p, 3, "p1"}, analysis::Port{1, -1, "p1"}}) {
+    try {
+      analysis::sParameters(sys, RVec(1, 0.0), {bad}, 1e9);
+      ADD_FAILURE() << "out-of-range port node accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("sParameters: port node"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(analysis::sParameters(sys, RVec(2, 0.0), {{p, -1, "p1"}}, 1e9),
+               InvalidArgument);
 }
 
 TEST(SParams, OpenAndShortReflections) {

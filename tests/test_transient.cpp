@@ -177,15 +177,16 @@ TEST(Transient, SensitivityMatchesPerturbation) {
   numeric::RMat sens = numeric::RMat::identity(n);
   RVec x1;
   const Real h = 1e-5;
-  ASSERT_TRUE(integrateStep(*f.sys, IntegrationMethod::backwardEuler, 0.0, h,
-                            x0, nullptr, x1, &sens));
+  circuit::MnaWorkspace ws(*f.sys);
+  ASSERT_TRUE(integrateStep(ws, IntegrationMethod::backwardEuler, 0.0, h, x0,
+                            nullptr, x1, &sens));
   // Perturb the capacitor voltage and re-integrate.
   RVec x0p = x0;
   const Real dv = 1e-6;
   x0p[static_cast<std::size_t>(f.out)] += dv;
   RVec x1p;
-  ASSERT_TRUE(integrateStep(*f.sys, IntegrationMethod::backwardEuler, 0.0, h,
-                            x0p, nullptr, x1p, nullptr));
+  ASSERT_TRUE(integrateStep(ws, IntegrationMethod::backwardEuler, 0.0, h, x0p,
+                            nullptr, x1p, nullptr));
   for (std::size_t i = 0; i < n; ++i) {
     const Real fd = (x1p[i] - x1[i]) / dv;
     EXPECT_NEAR(sens(i, static_cast<std::size_t>(f.out)), fd, 1e-5);
