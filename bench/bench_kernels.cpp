@@ -15,7 +15,7 @@
 #include "extraction/panel_kernel.hpp"
 #include "fft/fft.hpp"
 #include "hb/harmonic_balance.hpp"
-#include "sparse/sparse_lu.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace {
 
@@ -36,7 +36,7 @@ void BM_FFT(benchmark::State& state) {
 }
 BENCHMARK(BM_FFT)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
 
-void BM_SparseLUFactor(benchmark::State& state) {
+void BM_SymbolicLUFactor(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sparse::RTriplets t(n, n);
   std::mt19937_64 rng(2);
@@ -46,13 +46,17 @@ void BM_SparseLUFactor(benchmark::State& state) {
     t.add(i, (i + 1) % n, u(rng));
     t.add(i, (i + 17) % n, u(rng));
   }
+  const sparse::RCSR a(t);
   for (auto _ : state) {
-    sparse::RSparseLU lu(t);
+    const sparse::RSymbolicLU lu(a);
     benchmark::DoNotOptimize(lu.factorNnz());
   }
   state.SetComplexityN(static_cast<long>(n));
 }
-BENCHMARK(BM_SparseLUFactor)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
+BENCHMARK(BM_SymbolicLUFactor)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Complexity();
 
 void BM_PanelPotential(benchmark::State& state) {
   extraction::Panel p;

@@ -2,22 +2,24 @@
 
 #include <cmath>
 
-#include "sparse/sparse_lu.hpp"
+#include "perf/perf.hpp"
 
 namespace rfic::analysis {
 
-sparse::CTriplets acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
-  const std::size_t n = ws.dim();
-  const auto& rp = ws.pattern().rowPtr();
-  const auto& ci = ws.pattern().colIdx();
+sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
   const auto& g = ws.gValues();
   const auto& c = ws.cValues();
   const Real w = kTwoPi * freqHz;
-  sparse::CTriplets a(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
-      a.add(r, ci[p], Complex(g[p], w * c[p]));
-  return a;
+  std::vector<Complex> vals(g.size());
+  for (std::size_t p = 0; p < vals.size(); ++p)
+    vals[p] = Complex(g[p], w * c[p]);
+  return {ws.pattern(), std::move(vals)};
+}
+
+void factorSmallSignal(sparse::CSymbolicLU& lu, const sparse::CCSR& a) {
+  const perf::Timer timer;
+  lu.factor(a);
+  perf::global().addFactorization(timer.ns());
 }
 
 void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop) {
@@ -32,15 +34,23 @@ CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
 }
 
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
-                 const std::vector<Real>& freqs, const CVec& stimulus) {
+                 const std::vector<Real>& freqs, const CVec& stimulus,
+                 diag::RunBudget* budget) {
   RFIC_REQUIRE(stimulus.size() == sys.dim(), "acSweep: stimulus size mismatch");
   circuit::MnaWorkspace ws(sys);
   linearizeAt(ws, xop);
   ACResult out;
-  out.freq = freqs;
   out.x.reserve(freqs.size());
-  for (const Real f : freqs)
-    out.x.push_back(sparse::CSparseLU(acMatrix(ws, f)).solve(stimulus));
+  sparse::CSymbolicLU lu;
+  for (const Real f : freqs) {
+    if (diag::budgetExceeded(budget)) {
+      out.status = diag::SolverStatus::BudgetExceeded;
+      break;
+    }
+    factorSmallSignal(lu, acMatrix(ws, f));
+    out.x.push_back(lu.solve(stimulus));
+  }
+  out.freq.assign(freqs.begin(), freqs.begin() + out.x.size());
   return out;
 }
 

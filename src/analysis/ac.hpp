@@ -7,6 +7,9 @@
 #include "circuit/mna.hpp"
 #include "circuit/mna_workspace.hpp"
 #include "circuit/sources.hpp"
+#include "diag/convergence.hpp"
+#include "diag/resilience.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace rfic::analysis {
 
@@ -15,8 +18,10 @@ using numeric::CVec;
 using numeric::RVec;
 
 struct ACResult {
-  std::vector<Real> freq;
-  std::vector<CVec> x;  ///< one solution vector per frequency
+  std::vector<Real> freq;  ///< the frequencies solved (a prefix on a trip)
+  std::vector<CVec> x;     ///< one solution vector per frequency
+  /// Converged, or BudgetExceeded when the run budget tripped mid-sweep.
+  diag::SolverStatus status = diag::SolverStatus::Converged;
 };
 
 /// Evaluate G and C at operating point xop (one matrix evaluation); the
@@ -24,9 +29,13 @@ struct ACResult {
 /// InvalidArgument when xop does not match the workspace dimension.
 void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop);
 
-/// G + j·2πf·C over the pattern of a workspace evaluated by linearizeAt(),
-/// one entry per pattern position.
-sparse::CTriplets acMatrix(const circuit::MnaWorkspace& ws, Real freqHz);
+/// G + j·2πf·C on the pattern of a workspace evaluated by linearizeAt().
+/// The pattern always holds the diagonal.
+sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz);
+
+/// Full factorization of one small-signal matrix, counted (with its wall
+/// time) as a factorization in perf::global().
+void factorSmallSignal(sparse::CSymbolicLU& lu, const sparse::CCSR& a);
 
 /// True for ground (any negative index) or an unknown index below sys.dim().
 inline bool nodeInRange(const MnaSystem& sys, int node) {
@@ -39,9 +48,11 @@ CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
              const CVec& stimulus);
 
 /// Sweep a list of frequencies: one linearization, one factorization per
-/// point.
+/// point. The optional budget is polled once per frequency; on a trip the
+/// result holds the points solved so far and status BudgetExceeded.
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
-                 const std::vector<Real>& freqs, const CVec& stimulus);
+                 const std::vector<Real>& freqs, const CVec& stimulus,
+                 diag::RunBudget* budget = nullptr);
 
 /// Unit AC stimulus applied through an existing voltage source (its branch
 /// equation right-hand side becomes `amplitude`).

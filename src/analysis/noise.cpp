@@ -3,12 +3,12 @@
 #include <cmath>
 
 #include "analysis/ac.hpp"
-#include "sparse/sparse_lu.hpp"
 
 namespace rfic::analysis {
 
 NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
-                          const std::vector<Real>& freqs) {
+                          const std::vector<Real>& freqs,
+                          diag::RunBudget* budget) {
   RFIC_REQUIRE(outNode >= 0, "noiseAnalysis: output node must not be ground");
   RFIC_REQUIRE(nodeInRange(sys, outNode),
                "noiseAnalysis: output node out of range");
@@ -16,27 +16,22 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
 
   circuit::MnaWorkspace ws(sys);
   linearizeAt(ws, xop);
-  const auto& rp = ws.pattern().rowPtr();
-  const auto& ci = ws.pattern().colIdx();
   const auto sources = sys.noiseSources(xop);
 
   NoiseResult out;
-  out.freq = freqs;
   out.totalPsd.reserve(freqs.size());
   out.contributions.reserve(freqs.size());
 
+  numeric::CVec rhs(n);
+  rhs[static_cast<std::size_t>(outNode)] = 1.0;
+  sparse::CSymbolicLU lu;
   for (const Real f : freqs) {
-    // Assemble Aᴴ = (G + jωC)ᴴ directly: entry (i,j) ← conj(A(j,i)).
-    const Real w = kTwoPi * f;
-    sparse::CTriplets ah(n, n);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t p = rp[r]; p < rp[r + 1]; ++p)
-        ah.add(ci[p], r, Complex(ws.gValues()[p], -w * ws.cValues()[p]));
-    sparse::CSparseLU lu(ah);
-
-    numeric::CVec rhs(n);
-    rhs[static_cast<std::size_t>(outNode)] = 1.0;
-    const numeric::CVec adj = lu.solve(rhs);
+    if (diag::budgetExceeded(budget)) {
+      out.status = diag::SolverStatus::BudgetExceeded;
+      break;
+    }
+    factorSmallSignal(lu, acMatrix(ws, f));
+    const numeric::CVec adj = lu.solveTransposed(rhs);
 
     Real total = 0;
     std::vector<NoiseContribution> contribs;
@@ -56,6 +51,7 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
     out.totalPsd.push_back(total);
     out.contributions.push_back(std::move(contribs));
   }
+  out.freq.assign(freqs.begin(), freqs.begin() + out.totalPsd.size());
   return out;
 }
 

@@ -4,7 +4,6 @@
 
 #include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
-#include "sparse/sparse_lu.hpp"
 
 namespace rfic::analysis {
 
@@ -16,33 +15,24 @@ Real SParameters::magDb(std::size_t i, std::size_t j) const {
   return m > 0 ? 20.0 * std::log10(m) : -400.0;
 }
 
-SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
-                        const std::vector<Port>& ports, Real freqHz,
-                        Real z0) {
-  RFIC_REQUIRE(!ports.empty(), "sParameters: at least one port");
-  RFIC_REQUIRE(z0 > 0, "sParameters: positive reference impedance");
-  for (const auto& p : ports)
-    RFIC_REQUIRE(nodeInRange(sys, p.nodePlus) && nodeInRange(sys, p.nodeMinus),
-                 "sParameters: port node out of range");
-  const std::size_t np = ports.size();
+namespace {
 
+/// S at one frequency from a linearized workspace: the Z-matrix from one
+/// factorization, then S = (Z − Z0 I)(Z + Z0 I)⁻¹.
+SParameters solveAt(const MnaSystem& sys, const circuit::MnaWorkspace& ws,
+                    const std::vector<Port>& ports,
+                    const std::vector<std::size_t>& gminSlots, Real freqHz,
+                    Real z0) {
+  const std::size_t np = ports.size();
   // Z-matrix: inject 1 A into port j (others open), read port voltages.
   // One factorization serves all ports. Tiny shunt conductances at the
   // port nodes regularize networks that float when every port is open
   // (e.g. a bare series element) — the |S| error is ~Z0·gminPort ≈ 5e-11.
-  circuit::MnaWorkspace ws(sys);
-  linearizeAt(ws, xop);
-  sparse::CTriplets a = acMatrix(ws, freqHz);
+  sparse::CCSR a = acMatrix(ws, freqHz);
   const Real gminPort = 1e-12;
-  for (const auto& p : ports) {
-    if (p.nodePlus >= 0)
-      a.add(static_cast<std::size_t>(p.nodePlus),
-            static_cast<std::size_t>(p.nodePlus), gminPort);
-    if (p.nodeMinus >= 0)
-      a.add(static_cast<std::size_t>(p.nodeMinus),
-            static_cast<std::size_t>(p.nodeMinus), gminPort);
-  }
-  const sparse::CSparseLU lu0(a);
+  for (const std::size_t p : gminSlots) a.values()[p] += gminPort;
+  sparse::CSymbolicLU lu0;
+  factorSmallSignal(lu0, a);
 
   CMat z(np, np);
   for (std::size_t j = 0; j < np; ++j) {
@@ -81,14 +71,37 @@ SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
   return out;
 }
 
+}  // namespace
+
+SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
+                        const std::vector<Port>& ports, Real freqHz,
+                        Real z0) {
+  return sParameterSweep(sys, xop, ports, {freqHz}, z0).front();
+}
+
 std::vector<SParameters> sParameterSweep(const MnaSystem& sys,
                                          const numeric::RVec& xop,
                                          const std::vector<Port>& ports,
                                          const std::vector<Real>& freqs,
                                          Real z0) {
+  RFIC_REQUIRE(!ports.empty(), "sParameters: at least one port");
+  RFIC_REQUIRE(z0 > 0, "sParameters: positive reference impedance");
+  for (const auto& p : ports)
+    RFIC_REQUIRE(nodeInRange(sys, p.nodePlus) && nodeInRange(sys, p.nodeMinus),
+                 "sParameters: port node out of range");
+
+  circuit::MnaWorkspace ws(sys);
+  linearizeAt(ws, xop);
+  std::vector<std::size_t> gminSlots;  // the port nodes' diagonals
+  for (const auto& p : ports)
+    for (const int node : {p.nodePlus, p.nodeMinus})
+      if (node >= 0)
+        gminSlots.push_back(ws.diagSlots()[static_cast<std::size_t>(node)]);
+
   std::vector<SParameters> out;
   out.reserve(freqs.size());
-  for (const Real f : freqs) out.push_back(sParameters(sys, xop, ports, f, z0));
+  for (const Real f : freqs)
+    out.push_back(solveAt(sys, ws, ports, gminSlots, f, z0));
   return out;
 }
 

@@ -30,12 +30,13 @@ struct SParameters {
   Real magDb(std::size_t i, std::size_t j) const;
 };
 
-/// Compute S at one frequency from the circuit linearized at xop.
+/// Compute S at one frequency from the circuit linearized at xop (a
+/// one-frequency sweep).
 SParameters sParameters(const MnaSystem& sys, const numeric::RVec& xop,
                         const std::vector<Port>& ports, Real freqHz,
                         Real z0 = 50.0);
 
-/// Frequency sweep.
+/// Frequency sweep: one linearization, one factorization per frequency.
 std::vector<SParameters> sParameterSweep(const MnaSystem& sys,
                                          const numeric::RVec& xop,
                                          const std::vector<Port>& ports,

@@ -375,7 +375,8 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
     j.values() = jVals_;
     sparse::RSymbolicLU::Options o;
     o.ordering = ordering_;
-    lu_.factor(j, o);
+    lu_.factor(j, o);  // rt: allow(rt-alloc) cold path: the one full
+    // analysis per pattern; every later call replays it through refactor()
     luPatternCurrent_ = true;
     const auto ns = timer.ns();
     counters_.addFactorization(ns);

@@ -110,6 +110,8 @@ class MnaWorkspace {
   const sparse::RCSR& pattern() const { return pattern_; }
   const std::vector<Real>& gValues() const { return gVals_; }
   const std::vector<Real>& cValues() const { return cVals_; }
+  /// Position of (i, i) in pattern() for each unknown i (always present).
+  const std::vector<std::size_t>& diagSlots() const { return diagSlot_; }
   /// Bumped every time the pattern grows; lets callers that cache value
   /// arrays (e.g. HB's per-sample Jacobians) detect a mid-sweep change.
   std::size_t patternVersion() const { return patternVersion_; }

@@ -164,6 +164,34 @@ bool isAnalysisHead(const std::string& head) {
          head == ".end";
 }
 
+/// The frequency grid of a `.ac`/`.noise` card, whose tokens t[at],
+/// t[at + 1], t[at + 2] are points per decade, start and stop frequency.
+/// Returns "" on success, else a diagnostic naming the card.
+std::string decadeSweep(const std::vector<std::string>& t, std::size_t at,
+                        std::vector<Real>& freqs) {
+  const Real pts = circuit::parseSpiceNumber(t[at]);
+  const Real f0 = circuit::parseSpiceNumber(t[at + 1]);
+  const Real f1 = circuit::parseSpiceNumber(t[at + 2]);
+  const auto bad = [&](const char* what, const std::string& tok) {
+    return t[0] + ": " + what + " (got '" + tok + "')";
+  };
+  // The bound keeps the integer conversion below defined.
+  if (!(pts >= 0 && pts <= 1e9))
+    return bad("points per decade must be a number in [0, 1e9]", t[at]);
+  if (!(f0 > 0) || !std::isfinite(f0))
+    return bad("start frequency must be finite and > 0", t[at + 1]);
+  if (!(f1 > f0) || !std::isfinite(f1))
+    return bad("stop frequency must be finite and above the start",
+               t[at + 2]);
+  const auto perDecade = static_cast<std::size_t>(pts);
+  const Real decades = std::log10(f1 / f0);
+  freqs = analysis::logspace(
+      f0, f1,
+      std::max<std::size_t>(
+          2, static_cast<std::size_t>(std::lround(perDecade * decades)) + 1));
+  return "";
+}
+
 /// The ported body of the old rficsim runFile(): runs every analysis card
 /// against an acquired context, renders byte-identical output, and fills
 /// the structured per-analysis outcomes. Returns the process exit code.
@@ -180,8 +208,20 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
                ? diag::SolverStatus::BudgetExceededMemory
                : st;
   };
-  const auto budgetExit = [budget]() {
-    return budget->cancelled() ? 5 : budget->memoryExceeded() ? 6 : 4;
+  // A tripped budget ends the job: exit 5 cancelled, 6 memory, 4 other.
+  const auto budgetStop = [&](const char* card, const char* note = "") {
+    if (budget->cancelled()) {
+      r.errf("job cancelled during %s%s\n", card, note);
+      return 5;
+    }
+    r.errf("budget exceeded during %s (%s)%s\n", card, budget->reason(),
+           note);
+    return budget->memoryExceeded() ? 6 : 4;
+  };
+  const auto badCard = [&](const std::string& why) {
+    res.error = why;
+    r.errf("%s\n", why.c_str());
+    return 2;
   };
   // Collect analysis and print cards (parseNetlist ignores them).
   struct Card {
@@ -243,14 +283,8 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
   dco.budget = budget;
   dco.workspace = &ws;
   const auto dc = analysis::dcOperatingPoint(sys, dco);
-  if (dc.status == diag::SolverStatus::BudgetExceeded) {
-    if (budget->cancelled()) {
-      r.errf("job cancelled during .op\n");
-      return 5;
-    }
-    r.errf("budget exceeded during .op (%s)\n", budget->reason());
-    return budgetExit();
-  }
+  if (dc.status == diag::SolverStatus::BudgetExceeded)
+    return budgetStop(".op");
 
   for (const auto& card : cards) {
     const auto& t = card.tokens;
@@ -300,50 +334,34 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
       }
       res.analyses.push_back(a);
       r.analysisDone(a);
-      if (tr.status == diag::SolverStatus::BudgetExceeded) {
-        if (budget->cancelled()) {
-          r.errf("job cancelled during .tran%s\n",
-                spec.checkpointPath.empty() ? "" : "; checkpoint saved");
-          return 5;
-        }
-        r.errf("budget exceeded during .tran (%s)%s\n", budget->reason(),
-              spec.checkpointPath.empty() ? "" : "; checkpoint saved");
-        return budgetExit();
-      }
+      if (tr.status == diag::SolverStatus::BudgetExceeded)
+        return budgetStop(".tran", spec.checkpointPath.empty()
+                                       ? ""
+                                       : "; checkpoint saved");
     } else if (t[0] == ".ac" && t.size() >= 5) {
-      const auto pts =
-          static_cast<std::size_t>(circuit::parseSpiceNumber(t[2]));
-      const Real f0 = circuit::parseSpiceNumber(t[3]);
-      const Real f1 = circuit::parseSpiceNumber(t[4]);
-      const Real decades = std::log10(f1 / f0);
-      const auto freqs = analysis::logspace(
-          f0, f1,
-          std::max<std::size_t>(
-              2, static_cast<std::size_t>(std::lround(pts * decades)) + 1));
+      std::vector<Real> freqs;
+      if (const auto why = decadeSweep(t, 2, freqs); !why.empty())
+        return badCard(why);
       // Drive through the first voltage source in the netlist.
       const circuit::VSource* src = nullptr;
       for (const auto& dev : ckt.devices())
         if ((src = dynamic_cast<const circuit::VSource*>(dev.get()))) break;
-      if (!src) {
-        res.error = ".ac: no voltage source to drive";
-        r.errf(".ac: no voltage source to drive\n");
-        return 2;
-      }
+      if (!src) return badCard(".ac: no voltage source to drive");
       const auto sweep = analysis::acSweep(
-          sys, dc.x, freqs, analysis::acStimulusVSource(sys, *src));
+          sys, dc.x, freqs, analysis::acStimulusVSource(sys, *src), budget);
       AnalysisOutcome a;
       a.card = ".ac";
-      a.summary = strprintf("* .ac %zu points (driving %s)", freqs.size(),
+      a.summary = strprintf("* .ac %zu points (driving %s)", sweep.freq.size(),
                             src->name().c_str());
-      a.status = diag::SolverStatus::Converged;
-      a.ok = true;
+      a.status = effStatus(sweep.status);
+      a.ok = sweep.status == diag::SolverStatus::Converged;
       r.outf("%s\n", a.summary.c_str());
       r.outf("%-16s", "freq");
       for (const auto& [name, idx] : outs)
         r.outf(" %-14s %-10s", ("|" + name + "|").c_str(), "phase");
       r.outf("\n");
-      for (std::size_t k = 0; k < freqs.size(); ++k) {
-        r.outf("%-16.8e", freqs[k]);
+      for (std::size_t k = 0; k < sweep.freq.size(); ++k) {
+        r.outf("%-16.8e", sweep.freq[k]);
         for (const auto& [name, idx] : outs) {
           const Complex v = sweep.x[k][idx];
           r.outf(" %-14.6e %-10.3f", std::abs(v), std::arg(v) * 180.0 / kPi);
@@ -352,34 +370,27 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
       }
       res.analyses.push_back(a);
       r.analysisDone(a);
+      if (!a.ok) return budgetStop(".ac");
     } else if (t[0] == ".noise" && t.size() >= 6) {
       const int node = ckt.lookupNode(t[1]);
-      if (node < 0) {
-        res.error = ".noise: unknown or ground node '" + t[1] + "'";
-        r.errf(".noise: unknown or ground node '%s'\n", t[1].c_str());
-        return 2;
-      }
-      const auto pts =
-          static_cast<std::size_t>(circuit::parseSpiceNumber(t[3]));
-      const Real f0 = circuit::parseSpiceNumber(t[4]);
-      const Real f1 = circuit::parseSpiceNumber(t[5]);
-      const Real decades = std::log10(f1 / f0);
-      const auto freqs = analysis::logspace(
-          f0, f1,
-          std::max<std::size_t>(
-              2, static_cast<std::size_t>(std::lround(pts * decades)) + 1));
-      const auto nr = analysis::noiseAnalysis(sys, dc.x, node, freqs);
+      if (node < 0)
+        return badCard(".noise: unknown or ground node '" + t[1] + "'");
+      std::vector<Real> freqs;
+      if (const auto why = decadeSweep(t, 3, freqs); !why.empty())
+        return badCard(why);
+      const auto nr = analysis::noiseAnalysis(sys, dc.x, node, freqs, budget);
       AnalysisOutcome a;
       a.card = ".noise";
       a.summary = strprintf("* .noise at V(%s)", t[1].c_str());
-      a.status = diag::SolverStatus::Converged;
-      a.ok = true;
+      a.status = effStatus(nr.status);
+      a.ok = nr.status == diag::SolverStatus::Converged;
       r.outf("%s\n", a.summary.c_str());
       r.outf("%-16s %-14s\n", "freq", "PSD (V^2/Hz)");
-      for (std::size_t k = 0; k < freqs.size(); ++k)
+      for (std::size_t k = 0; k < nr.freq.size(); ++k)
         r.outf("%-16.8e %-14.6e\n", nr.freq[k], nr.totalPsd[k]);
       res.analyses.push_back(a);
       r.analysisDone(a);
+      if (!a.ok) return budgetStop(".noise");
     } else if (t[0] == ".hb" && t.size() >= 3) {
       std::vector<hb::Tone> tones;
       tones.push_back(
@@ -408,12 +419,7 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
       if (sol.status == diag::SolverStatus::BudgetExceeded) {
         res.analyses.push_back(a);
         r.analysisDone(a);
-        if (budget->cancelled()) {
-          r.errf("job cancelled during .hb\n");
-          return 5;
-        }
-        r.errf("budget exceeded during .hb (%s)\n", budget->reason());
-        return budgetExit();
+        return budgetStop(".hb");
       }
       if (!sol.converged) {
         res.analyses.push_back(a);

@@ -6,7 +6,7 @@ Complex DescriptorSystem::transferFunction(Complex s) const {
   sparse::CTriplets a(n, n);
   for (const auto& e : G.entries()) a.add(e.row, e.col, Complex(e.value, 0.0));
   for (const auto& e : C.entries()) a.add(e.row, e.col, s * e.value);
-  sparse::CSparseLU lu(a);
+  const sparse::CSymbolicLU lu{sparse::CCSR(a)};
   CVec rhs(n);
   for (std::size_t i = 0; i < n; ++i) rhs[i] = b[i];
   const CVec x = lu.solve(rhs);
@@ -17,26 +17,17 @@ Complex DescriptorSystem::transferFunction(Complex s) const {
 
 namespace {
 
-sparse::RTriplets shifted(const DescriptorSystem& sys, Real s0) {
+sparse::RCSR shifted(const DescriptorSystem& sys, Real s0) {
   sparse::RTriplets k(sys.n, sys.n);
   for (const auto& e : sys.G.entries()) k.add(e.row, e.col, e.value);
   for (const auto& e : sys.C.entries()) k.add(e.row, e.col, s0 * e.value);
-  return k;
-}
-
-sparse::RTriplets transposed(const sparse::RTriplets& a) {
-  sparse::RTriplets t(a.cols(), a.rows());
-  for (const auto& e : a.entries()) t.add(e.col, e.row, e.value);
-  return t;
+  return sparse::RCSR(k);
 }
 
 }  // namespace
 
 ExpansionOperator::ExpansionOperator(const DescriptorSystem& sys, Real s0)
-    : sys_(sys),
-      c_(sys.C),
-      k_(shifted(sys, s0)),
-      kT_(transposed(shifted(sys, s0))) {
+    : sys_(sys), c_(sys.C), k_(shifted(sys, s0)) {
   r_ = k_.solve(sys.b);
 }
 
@@ -45,7 +36,7 @@ RVec ExpansionOperator::apply(const RVec& x) const {
 }
 
 RVec ExpansionOperator::applyTransposed(const RVec& x) const {
-  return c_.transposeMultiply(kT_.solve(x));
+  return c_.transposeMultiply(k_.solveTransposed(x));
 }
 
 std::vector<Real> exactMoments(const DescriptorSystem& sys, Real s0,

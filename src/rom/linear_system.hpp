@@ -11,8 +11,8 @@
 #include <memory>
 
 #include "numeric/dense.hpp"
-#include "sparse/sparse_lu.hpp"
 #include "sparse/sparse_matrix.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace rfic::rom {
 
@@ -45,8 +45,7 @@ class ExpansionOperator {
  private:
   const DescriptorSystem& sys_;
   sparse::RCSR c_;
-  sparse::RSparseLU k_;       // K
-  sparse::RSparseLU kT_;      // Kᵀ (separate factorization)
+  sparse::RSymbolicLU k_;  // K; Kᵀ solves reuse its factors
   RVec r_;
 };
 

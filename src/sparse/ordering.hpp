@@ -1,6 +1,6 @@
-// Fill-reducing pivot pre-ordering for the sparse LU factorizers.
+// Fill-reducing pivot pre-ordering for the sparse LU factorization.
 //
-// The Markowitz/threshold search in SparseLU/SymbolicLU chooses good pivots
+// The Markowitz/threshold search in SymbolicLU chooses good pivots
 // but pays an O(n) candidate scan per elimination step — O(n²) for the whole
 // analysis — which is what makes 100k-node MNA systems infeasible even
 // though the numeric work itself is nearly linear in the fill. The classic

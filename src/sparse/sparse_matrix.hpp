@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "numeric/dense.hpp"
@@ -61,6 +62,17 @@ class CSR {
  public:
   CSR() = default;
   explicit CSR(const Triplets<T>& t);
+  /// The structure of `pattern` (any element type) carrying `values`, one
+  /// per position in its order.
+  template <class U>
+  CSR(const CSR<U>& pattern, std::vector<T> values)
+      : rows_(pattern.rows()),
+        cols_(pattern.cols()),
+        rowPtr_(pattern.rowPtr()),
+        colIdx_(pattern.colIdx()),
+        val_(std::move(values)) {
+    RFIC_REQUIRE(val_.size() == colIdx_.size(), "CSR: value count mismatch");
+  }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

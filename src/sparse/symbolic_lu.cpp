@@ -106,7 +106,7 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
 
 // Full elimination recording the slot-level update program for later
 // replay. Pivot choice depends on the ordering: Natural runs the classic
-// full Markowitz/threshold search (mirrors SparseLU); Amd eliminates
+// full Markowitz/threshold search; Amd eliminates
 // columns in the precomputed fill-reducing sequence and only chooses the
 // pivot *row* numerically — threshold first, then the shortest active row
 // (the Markowitz count with the column fixed), ties to the larger
@@ -220,7 +220,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         failNumerical("SymbolicLU: matrix is singular");
     } else {
       // Natural: minimize the Markowitz product among entries passing the
-      // relative threshold (same strategy as SparseLU).
+      // relative threshold.
       std::size_t bestMark = std::numeric_limits<std::size_t>::max();
       Real bestMag = 0;
 
@@ -397,25 +397,34 @@ diag::SolverStatus SymbolicLU<T>::refactor(const CSR<T>& a) {
 
 template <class T>
 Vec<T> SymbolicLU<T>::solve(const Vec<T>& b) const {
-  RFIC_REQUIRE(analyzed_, "SymbolicLU::solve before factor");
-  RFIC_REQUIRE(b.size() == n_, "SymbolicLU::solve size mismatch");
-  // Forward: replay the elimination on the right-hand side.
-  Vec<T> y = b;
+  Vec<T> x, y, z;
+  solve(b, x, y, z);
+  return x;
+}
+
+// The factors satisfy A = Pᵀ·L·U·Qᵀ, with P and Q the pivot row and column
+// permutations, so Aᵀ = Q·Uᵀ·Lᵀ·P: forward through Uᵀ in elimination order
+// (reading b by pivot column), then backward through the unit Lᵀ,
+// scattering by pivot row.
+template <class T>
+Vec<T> SymbolicLU<T>::solveTransposed(const Vec<T>& b) const {
+  RFIC_REQUIRE(analyzed_, "SymbolicLU::solveTransposed before factor");
+  RFIC_REQUIRE(b.size() == n_, "SymbolicLU::solveTransposed size mismatch");
+  Vec<T> y = b;  // indexed by original column
   Vec<T> z(n_);
   for (std::size_t k = 0; k < n_; ++k) {
-    const T zk = y[pivRow_[k]];
+    const T zk = y[pivCol_[k]] / pivVal_[k];
     z[k] = zk;
     if (zk == T{}) continue;
-    for (std::size_t q = lPtr_[k]; q < lPtr_[k + 1]; ++q)
-      y[lRow_[q]] -= lVal_[q] * zk;
+    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q)
+      y[uCol_[q]] -= uVal_[q] * zk;
   }
-  // Backward: solve U in elimination order, scatter by the column perm.
-  Vec<T> x(n_);
+  Vec<T> x(n_);  // indexed by original row
   for (std::size_t k = n_; k-- > 0;) {
     T s = z[k];
-    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q)
-      s -= uVal_[q] * x[uCol_[q]];
-    x[pivCol_[k]] = s / pivVal_[k];
+    for (std::size_t q = lPtr_[k]; q < lPtr_[k + 1]; ++q)
+      s -= lVal_[q] * x[lRow_[q]];
+    x[pivRow_[k]] = s;
   }
   return x;
 }
@@ -433,6 +442,7 @@ RFIC_REALTIME void SymbolicLU<T>::solve(const Vec<T>& b, Vec<T>& x,
   x.resize(n_);         // rt: allow(rt-alloc) grow-once caller solution
   Vec<T>& y = scratchY;
   Vec<T>& z = scratchZ;
+  // Forward: replay the elimination on the right-hand side.
   for (std::size_t i = 0; i < n_; ++i) y[i] = b[i];
   for (std::size_t k = 0; k < n_; ++k) {
     const T zk = y[pivRow_[k]];
@@ -441,6 +451,7 @@ RFIC_REALTIME void SymbolicLU<T>::solve(const Vec<T>& b, Vec<T>& x,
     for (std::size_t q = lPtr_[k]; q < lPtr_[k + 1]; ++q)
       y[lRow_[q]] -= lVal_[q] * zk;
   }
+  // Backward: solve U in elimination order, scatter by the column perm.
   for (std::size_t k = n_; k-- > 0;) {
     T s = z[k];
     for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q)

@@ -1,16 +1,18 @@
-// Symbolic/numeric split of the sparse LU factorization.
+// The sparse LU factorization: Markowitz/threshold pivoting (the classic
+// SPICE strategy for MNA matrices, which are structurally symmetric,
+// extremely sparse, and benefit enormously from a fill-minimizing pivot
+// order) split into a symbolic analysis and a numeric replay. It is the one
+// sparse factorizer: Newton loops (DC, transient, HB blocks, MPDE) factor
+// once and refactor per iteration; one-shot users (AC, noise, S-parameters,
+// the ROM expansion operator) call factor() and solve()/solveTransposed().
 //
-// SparseLU redoes everything — Markowitz ordering, fill discovery, and the
-// numeric elimination — on every call, which is the right trade for one-shot
-// users (AC sweeps, S-parameters) but wasteful inside Newton loops where the
-// sparsity pattern never changes between iterations. SymbolicLU factors a
-// pattern ONCE with the same pivot strategy as SparseLU, and while doing so
-// records a flat "update program": a workspace slot for every position the
-// elimination ever touches (inputs and fill-in), the pivot/L/U slots per
-// step, and the (target, source) slot pairs of every elimination flop.
+// factor() chooses the pivots and, while eliminating, records a flat
+// "update program": a workspace slot for every position the elimination
+// ever touches (inputs and fill-in), the pivot/L/U slots per step, and the
+// (target, source) slot pairs of every elimination flop.
 //
 // refactor(values) then replays that program on new numeric values — no
-// hashing, no ordering, no allocation — in time proportional to the flop
+// ordering, no search, no allocation — in time proportional to the flop
 // count of the original factorization. Because fill depends only on the
 // pattern and the pivot order, the replay is bit-for-bit the same arithmetic
 // a fresh factorization with the same pivots would perform.
@@ -93,6 +95,10 @@ class SymbolicLU {
   Ordering orderingUsed() const { return resolved_; }
 
   Vec<T> solve(const Vec<T>& b) const;
+  /// Solve Aᵀ·x = b (no conjugation) with the same factors: a Uᵀ pass, then
+  /// an Lᵀ pass. Serves adjoint noise and two-sided Lanczos without a
+  /// second factorization.
+  Vec<T> solveTransposed(const Vec<T>& b) const;
 
   /// Allocation-free solve for hot loops: writes the solution into `x` and
   /// uses the caller's scratch vectors (all three grow to size() on first

@@ -1,8 +1,8 @@
-# Selftest driver for the numerics-lint scalar-exp rule: runs the lint on
-# the seeded fixture tree and asserts the rule fires on the inline junction
-# exponential while honoring the justified suppression. (Entry-check /
-# status findings about the fixture's missing solver files are expected
-# noise — the assertions below pin only the scalar-exp behaviour.)
+# Selftest driver for the numerics-lint scalar-exp and sparse-hash rules:
+# runs the lint on the seeded fixture tree and asserts each rule fires on
+# its seeded violation while honoring the justified suppression. (Entry-
+# check / status findings about the fixture's missing solver files are
+# expected noise — the assertions below pin only these two rules.)
 #
 # Invoked by ctest as:
 #   cmake -DPYTHON=... -DLINT=... -DFIXTURE=... -P check_numerics_lint.cmake
@@ -35,5 +35,22 @@ if(NOT pos EQUAL -1)
           "numerics_lint selftest: the justified suppression at "
           "seeded_exp.cpp:15 must not be flagged. Output:\n${lint_out}")
 endif()
+
+# A hash map in the sparse layer must be flagged by the sparse-hash rule;
+# an ordered map and the justified suppression must not.
+string(FIND "${lint_out}" "seeded_hash.cpp:9: [sparse-hash]" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR
+          "numerics_lint selftest: expected sparse-hash finding at "
+          "seeded_hash.cpp:9. Output:\n${lint_out}")
+endif()
+foreach(line 16 22)
+  string(FIND "${lint_out}" "seeded_hash.cpp:${line}:" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: seeded_hash.cpp:${line} must not be "
+            "flagged. Output:\n${lint_out}")
+  endif()
+endforeach()
 
 message(STATUS "numerics_lint selftest: all assertions passed")

@@ -11,7 +11,9 @@
 #include "circuit/devices.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "diag/resilience.hpp"
 #include "perf/perf.hpp"
+#include "sparse/ordering.hpp"
 
 namespace rfic::analysis {
 namespace {
@@ -196,6 +198,8 @@ TEST(AC, OutOfRangeStimulusNodeRejected) {
 
 // The small-signal analyses linearize once per call: one matrix
 // evaluation, counted in perf::global(), however many frequencies follow.
+// Each frequency is one full factorization, also counted, so the AMD
+// ordering time stays a part of the factorization time.
 TEST(SmallSignal, OneEvaluationPerCall) {
   Circuit c;
   const int in = c.node("in"), out = c.node("out");
@@ -205,20 +209,75 @@ TEST(SmallSignal, OneEvaluationPerCall) {
   c.add<Capacitor>("C1", out, -1, 1e-9);
   MnaSystem sys(c);
   const RVec xop(sys.dim(), 0.0);
-  const auto evals = [] { return perf::global().snapshot().evals; };
+  const std::vector<Port> ports{{in, -1, "p1"}, {out, -1, "p2"}};
+  const auto snap = [] { return perf::global().snapshot(); };
+  const auto expectCounts = [&](const perf::Snapshot& before,
+                                std::uint64_t evals,
+                                std::uint64_t factorizations,
+                                const char* what) {
+    const perf::Snapshot after = snap();
+    EXPECT_EQ(after.evals - before.evals, evals) << what;
+    EXPECT_EQ(after.factorizations - before.factorizations, factorizations)
+        << what;
+  };
   for (const std::vector<Real>& freqs :
        {std::vector<Real>{1e3}, logspace(1e2, 1e8, 13)}) {
     SCOPED_TRACE(freqs.size());
-    auto before = evals();
+    auto before = snap();
     acSweep(sys, xop, freqs, acStimulusVSource(sys, vs));
-    EXPECT_EQ(evals() - before, 1u) << ".ac";
-    before = evals();
+    expectCounts(before, 1, freqs.size(), ".ac");
+    before = snap();
     noiseAnalysis(sys, xop, out, freqs);
-    EXPECT_EQ(evals() - before, 1u) << ".noise";
+    expectCounts(before, 1, freqs.size(), ".noise");
   }
-  const auto before = evals();
-  sParameters(sys, xop, {{in, -1, "p1"}, {out, -1, "p2"}}, 1e6);
-  EXPECT_EQ(evals() - before, 1u) << "S-parameters";
+  auto before = snap();
+  sParameters(sys, xop, ports, 1e6);
+  expectCounts(before, 1, 1, "S-parameters");
+  before = snap();
+  sParameterSweep(sys, xop, ports, logspace(1e3, 1e7, 5));
+  expectCounts(before, 1, 5, "S-parameter sweep");
+
+  const sparse::ScopedOrderingOverride amd(sparse::Ordering::Amd);
+  before = snap();
+  acSweep(sys, xop, {1e3, 1e6}, acStimulusVSource(sys, vs));
+  noiseAnalysis(sys, xop, out, {1e3, 1e6});
+  sParameters(sys, xop, ports, 1e6);
+  const perf::Snapshot after = snap();
+  EXPECT_GT(after.orderingNs - before.orderingNs, 0u);
+  EXPECT_LE(after.orderingNs - before.orderingNs,
+            after.factorNs - before.factorNs);
+}
+
+// The sweeps poll the run budget once per frequency and stop with the
+// points solved before the trip (none here: it tripped before the first).
+TEST(SmallSignal, SweepsStopOnBudget) {
+  Circuit c;
+  const int in = c.node("in"), out = c.node("out");
+  const int br = c.allocBranch("V1");
+  auto& vs = c.add<VSource>("V1", in, -1, br, std::make_shared<DCWave>(0.0));
+  c.add<Resistor>("R1", in, out, 1000.0);
+  c.add<Capacitor>("C1", out, -1, 1e-9);
+  MnaSystem sys(c);
+  const RVec xop(sys.dim(), 0.0);
+  const auto freqs = logspace(1e2, 1e8, 13);
+
+  diag::RunBudget open;
+  const auto full =
+      acSweep(sys, xop, freqs, acStimulusVSource(sys, vs), &open);
+  EXPECT_EQ(full.status, diag::SolverStatus::Converged);
+  EXPECT_EQ(full.x.size(), freqs.size());
+
+  diag::RunBudget cancelled;
+  cancelled.requestCancel();
+  const auto ac = acSweep(sys, xop, freqs, acStimulusVSource(sys, vs),
+                          &cancelled);
+  EXPECT_EQ(ac.status, diag::SolverStatus::BudgetExceeded);
+  EXPECT_TRUE(ac.freq.empty());
+  EXPECT_TRUE(ac.x.empty());
+  const auto nr = noiseAnalysis(sys, xop, out, freqs, &cancelled);
+  EXPECT_EQ(nr.status, diag::SolverStatus::BudgetExceeded);
+  EXPECT_TRUE(nr.freq.empty());
+  EXPECT_TRUE(nr.totalPsd.empty());
 }
 
 }  // namespace

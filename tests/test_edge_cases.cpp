@@ -15,7 +15,7 @@
 #include "numeric/qr.hpp"
 #include "numeric/svd.hpp"
 #include "rom/pvl.hpp"
-#include "sparse/sparse_lu.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace rfic {
 namespace {
@@ -69,7 +69,7 @@ TEST(Edge, SparseLUOnePivotChain) {
   const std::size_t n = 6;
   sparse::RTriplets t(n, n);
   for (std::size_t i = 0; i < n; ++i) t.add(i, (i + 1) % n, 1.0 + Real(i));
-  sparse::RSparseLU lu(t);
+  const sparse::RSymbolicLU lu{sparse::RCSR(t)};
   RVec b(n, 1.0);
   const RVec x = lu.solve(b);
   for (std::size_t i = 0; i < n; ++i)
@@ -186,7 +186,7 @@ TEST(Edge, SingularSparseSystemRejected) {
   t.add(0, 1, 1.0);
   t.add(1, 0, 1.0);
   t.add(1, 1, 1.0);  // rank 1
-  EXPECT_THROW(sparse::RSparseLU lu{t}, NumericalError);
+  EXPECT_THROW(sparse::RSymbolicLU{sparse::RCSR(t)}, NumericalError);
 }
 
 }  // namespace

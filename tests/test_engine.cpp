@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +143,43 @@ TEST(EngineValidation, UnknownNoiseNodeIsExit2) {
   EXPECT_EQ(res.exitCode, 2);
   EXPECT_NE(sink.err(0).find(".noise"), std::string::npos);
 }
+
+// A malformed `.ac`/`.noise` sweep (negative or NaN point count, start
+// frequency <= 0, stop <= start) is a usage error naming the card.
+struct SweepCard {
+  const char* name;
+  const char* card;
+};
+// Names each instance in gtest and ctest output.
+void PrintTo(const SweepCard& c, std::ostream* os) { *os << c.name; }
+
+class MalformedSweepCard : public ::testing::TestWithParam<SweepCard> {};
+
+TEST_P(MalformedSweepCard, IsExit2) {
+  const std::string card = GetParam().card;
+  engine::Engine eng;
+  CollectSink sink;
+  const auto res =
+      eng.run(spec("V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1n\n" + card +
+                   "\n"),
+              sink);
+  EXPECT_EQ(res.exitCode, 2);
+  const std::string head = card.substr(0, card.find(' '));
+  EXPECT_EQ(sink.err(0).rfind(head + ": ", 0), 0u) << sink.err(0);
+  EXPECT_EQ(res.error.rfind(head + ": ", 0), 0u) << res.error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineValidation, MalformedSweepCard,
+    ::testing::Values(
+        SweepCard{"AcNegativeCount", ".ac dec -5 1e2 1e6"},
+        SweepCard{"AcNanCount", ".ac dec nan 1 10"},
+        SweepCard{"AcZeroStart", ".ac dec 5 0 1e6"},
+        SweepCard{"AcStopBelowStart", ".ac dec 5 1e6 1e2"},
+        SweepCard{"NoiseNegativeCount", ".noise out dec -5 1e2 1e6"},
+        SweepCard{"NoiseNanCount", ".noise out dec nan 1 10"},
+        SweepCard{"NoiseZeroStart", ".noise out dec 5 0 1e6"},
+        SweepCard{"NoiseStopBelowStart", ".noise out dec 5 1e6 1e2"}));
 
 TEST(EngineValidation, NoAnalysisCardsIsExit2) {
   engine::Engine eng;
@@ -365,6 +403,30 @@ TEST(SchedulerBudget, RunningJobTripsWallClock) {
   const auto res = sched.wait(id);
   EXPECT_EQ(res.exitCode, 4);
   EXPECT_NE(sink->err(id).find("budget exceeded"), std::string::npos);
+}
+
+// A 600k-point small-signal sweep runs for seconds; the wall-clock budget
+// stops it after the points solved so far, with exit code 4.
+TEST(EngineBudget, SmallSignalSweepsStopOnTimeout) {
+  for (const std::string card :
+       {".ac dec 100000 1 1e6", ".noise out dec 100000 1 1e6"}) {
+    SCOPED_TRACE(card);
+    engine::Engine eng;
+    CollectSink sink;
+    engine::JobSpec s =
+        spec("V1 in 0 DC 0\nR1 in out 10k\nC1 out 0 1n\n.print out\n" +
+             card + "\n");
+    s.timeoutSeconds = 0.1;
+    const auto res = eng.run(s, sink);
+    EXPECT_EQ(res.exitCode, 4);
+    const std::string head = card.substr(0, card.find(' '));
+    EXPECT_NE(sink.err(0).find("budget exceeded during " + head),
+              std::string::npos)
+        << sink.err(0);
+    ASSERT_EQ(res.analyses.size(), 1u);
+    EXPECT_EQ(res.analyses[0].status, diag::SolverStatus::BudgetExceeded);
+    EXPECT_FALSE(res.analyses[0].ok);
+  }
 }
 
 TEST(SchedulerAdmission, QueueDepthRejectsOverflow) {

@@ -6,7 +6,6 @@
 
 #include "numeric/lu.hpp"
 #include "sparse/krylov.hpp"
-#include "sparse/sparse_lu.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -83,7 +82,7 @@ TEST_P(SparseLUCases, SolvesRandomSystems) {
   const auto t = randomSparse(n, density, 50 + n, 4.0);
   const RVec xref = randomVec(n, 60 + n);
   const RVec b = RCSR(t) * xref;
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   const RVec x = lu.solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-8);
 }
@@ -98,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SparseLU, MatchesDenseOnSmallSystem) {
   const auto t = randomSparse(12, 0.4, 70, 3.0);
   const RVec b = randomVec(12, 71);
-  const RVec xs = RSparseLU(t).solve(b);
+  const RVec xs = RSymbolicLU(RCSR(t)).solve(b);
   const RVec xd = numeric::solveDense(t.toDense(), b);
   for (std::size_t i = 0; i < 12; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-9);
 }
@@ -115,7 +114,7 @@ TEST(SparseLU, ComplexSystem) {
   numeric::CVec xref(n);
   for (auto& v : xref) v = Complex(u(rng), u(rng));
   const numeric::CVec b = CCSR(t) * xref;
-  const numeric::CVec x = CSparseLU(t).solve(b);
+  const numeric::CVec x = CSymbolicLU(CCSR(t)).solve(b);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(x[i] - xref[i]), 0.0, 1e-10);
 }
@@ -124,7 +123,7 @@ TEST(SparseLU, SingularMatrixThrows) {
   RTriplets t(3, 3);
   t.add(0, 0, 1.0);
   t.add(1, 1, 1.0);  // row/col 2 empty
-  EXPECT_THROW(RSparseLU{t}, NumericalError);
+  EXPECT_THROW(RSymbolicLU{RCSR(t)}, NumericalError);
 }
 
 TEST(SparseLU, TridiagonalHasNoFill) {
@@ -137,7 +136,7 @@ TEST(SparseLU, TridiagonalHasNoFill) {
       t.add(i + 1, i, -1.0);
     }
   }
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   // Perfect elimination order: factor nnz stays O(n).
   EXPECT_LE(lu.factorNnz(), 3 * n);
 }
@@ -152,7 +151,7 @@ TEST(SparseLU, ArrowMatrixMarkowitzAvoidsFill) {
     t.add(0, i, 1.0);
     t.add(i, 0, 1.0);
   }
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   EXPECT_LE(lu.factorNnz(), 4 * n);
   const RVec xref = randomVec(n, 90);
   const RVec b = RCSR(t) * xref;
@@ -165,7 +164,7 @@ TEST(SparseLU, ZeroDiagonalRequiresOffDiagonalPivot) {
   RTriplets t(2, 2);
   t.add(0, 1, 1.0);
   t.add(1, 0, 1.0);
-  RSparseLU lu(t);
+  const RSymbolicLU lu{RCSR(t)};
   RVec b{3.0, 5.0};
   const RVec x = lu.solve(b);
   EXPECT_NEAR(x[0], 5.0, 1e-14);

@@ -39,6 +39,11 @@ drifting into silent-wrong-answer territory:
                 same shared inline kernels; a stray scalar exponential in a
                 device file forks the implementations and silently breaks
                 the --no-batch-eval golden-reference contract.
+  sparse-hash   No std::unordered_map / unordered_set (or their multi
+                forms) under src/sparse. The sparse layer works on flat
+                index arrays: hash containers are slow on the analysis'
+                access patterns, and their iteration order would make
+                pivot tie-breaks depend on the standard library.
 
 Escape hatch: append  // lint: allow-<rule>  to a flagged line when the
 pattern is intentional (used sparingly; each use is visible in review).
@@ -119,6 +124,7 @@ POOL_DISPATCH_RE = re.compile(r"\bparallelFor\s*\(")
 BY_VALUE_CAPTURE_RE = re.compile(r"(?:^|,)\s*(?:=|\w+\s*(?:,|$))")
 
 SCALAR_EXP_RE = re.compile(r"\bstd::(?:exp|expm1)\s*\(")
+HASH_CONTAINER_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_:<]")
 DELETE_RE = re.compile(r"(?<![\w.])delete(\[\])?\s+[A-Za-z_(*]")
@@ -183,6 +189,7 @@ class Linter:
         in_pool_impl = rel.startswith("src/perf")
         in_device_eval = (rel.startswith("src/circuit/")
                           and not rel.endswith("junction_kernels.hpp"))
+        in_sparse = rel.startswith("src/sparse/")
 
         self.lint_pool_dispatches(path, clean, lines)
 
@@ -231,6 +238,14 @@ class Linter:
                           "expression into junction_kernels.hpp so the "
                           "batched and scalar paths share one bitwise "
                           "implementation")
+
+            # sparse-hash: the sparse layer keeps flat index structures.
+            if in_sparse and not allowed(line, "sparse-hash") \
+                    and HASH_CONTAINER_RE.search(line):
+                self.flag(path, num, "sparse-hash",
+                          "hash container in the sparse layer — use flat "
+                          "index arrays (row/column lists, a dense scatter "
+                          "array)")
 
             # detached-thread: raw std::thread in library code (src/perf is
             # the sanctioned owner); .detach() everywhere.
