@@ -4,6 +4,7 @@
 // records the measured numbers against the paper's.
 #pragma once
 
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -74,34 +75,18 @@ class JsonReporter {
   void text(const std::string& key, const std::string& value) {
     add(key, "\"" + escaped(value) + "\"");
   }
-  /// Expands a perf snapshot into <prefix>.evals, <prefix>.factorizations,
-  /// <prefix>.refactorizations, <prefix>.solves and the per-stage times.
+  /// Expands a perf snapshot into one <prefix>.<row> key per perf table row,
+  /// the row name in snake_case (fftCount → <prefix>.fft_count).
   void counters(const std::string& prefix, const perf::Snapshot& s) {
-    count(prefix + ".evals", s.evals);
-    count(prefix + ".eval_batched", s.evalBatched);
-    count(prefix + ".factorizations", s.factorizations);
-    count(prefix + ".refactorizations", s.refactorizations);
-    count(prefix + ".solves", s.solves);
-    count(prefix + ".retries", s.retries);
-    count(prefix + ".fallbacks", s.fallbacks);
-    count(prefix + ".fft_count", s.fftCount);
-    count(prefix + ".plan_cache_hits", s.planCacheHits);
-    count(prefix + ".plan_cache_misses", s.planCacheMisses);
-    count(prefix + ".matvecs", s.matvecs);
-    count(prefix + ".extract_builds", s.extractBuilds);
-    count(prefix + ".eval_ns", static_cast<std::size_t>(s.evalNs));
-    count(prefix + ".eval_batch_ns", static_cast<std::size_t>(s.evalBatchNs));
-    count(prefix + ".factor_ns", static_cast<std::size_t>(s.factorNs));
-    count(prefix + ".refactor_ns", static_cast<std::size_t>(s.refactorNs));
-    count(prefix + ".solve_ns", static_cast<std::size_t>(s.solveNs));
-    count(prefix + ".fft_ns", static_cast<std::size_t>(s.fftNs));
-    count(prefix + ".matvec_ns", static_cast<std::size_t>(s.matvecNs));
-    count(prefix + ".extract_build_ns",
-          static_cast<std::size_t>(s.extractBuildNs));
-    count(prefix + ".extract_compress_ns",
-          static_cast<std::size_t>(s.extractCompressNs));
-    count(prefix + ".mem_peak_bytes",
-          static_cast<std::size_t>(s.memPeakBytes));
+    for (const perf::Row& row : perf::kRows) {
+      std::string key = prefix + ".";
+      for (const char* c = row.name; *c != '\0'; ++c) {
+        const auto u = static_cast<unsigned char>(*c);
+        if (std::isupper(u) != 0) key += '_';
+        key += static_cast<char>(std::tolower(u));
+      }
+      count(key, static_cast<std::size_t>(s.*row.field));
+    }
   }
 
   void write() {

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "perf/perf.hpp"
-
 namespace rfic::analysis {
 
 sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
@@ -14,12 +12,6 @@ sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
   for (std::size_t p = 0; p < vals.size(); ++p)
     vals[p] = Complex(g[p], w * c[p]);
   return {ws.pattern(), std::move(vals)};
-}
-
-void factorSmallSignal(sparse::CSymbolicLU& lu, const sparse::CCSR& a) {
-  const perf::Timer timer;
-  lu.factor(a);
-  perf::global().addFactorization(timer.ns());
 }
 
 void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop) {
@@ -47,7 +39,7 @@ ACResult acSweep(const MnaSystem& sys, const RVec& xop,
       out.status = diag::SolverStatus::BudgetExceeded;
       break;
     }
-    factorSmallSignal(lu, acMatrix(ws, f));
+    lu.factor(acMatrix(ws, f));
     out.x.push_back(lu.solve(stimulus));
   }
   out.freq.assign(freqs.begin(), freqs.begin() + out.x.size());

@@ -33,10 +33,6 @@ void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop);
 /// The pattern always holds the diagonal.
 sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz);
 
-/// Full factorization of one small-signal matrix, counted (with its wall
-/// time) as a factorization in perf::global().
-void factorSmallSignal(sparse::CSymbolicLU& lu, const sparse::CCSR& a);
-
 /// True for ground (any negative index) or an unknown index below sys.dim().
 inline bool nodeInRange(const MnaSystem& sys, int node) {
   return node < 0 || static_cast<std::size_t>(node) < sys.dim();

@@ -127,9 +127,10 @@ bool dcNewton(const MnaSystem& sys, RVec& x, Real sourceScale, Real gshunt,
   return dcNewton(ws, x, sourceScale, gshunt, opts, itersOut, statusOut);
 }
 
-DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
-  RFIC_REQUIRE(sys.dim() > 0, "dcOperatingPoint: empty system");
-  RFIC_REQUIRE(opts.maxIterations > 0, "dcOperatingPoint: maxIterations == 0");
+namespace {
+
+// The strategy ladder behind dcOperatingPoint, run under its counter scope.
+DCResult dcLadder(const MnaSystem& sys, const DCOptions& opts) {
   DCResult res;
   res.x = RVec(sys.dim(), 0.0);
 
@@ -149,7 +150,6 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
     res.converged = false;
     res.status = diag::SolverStatus::BudgetExceeded;
     res.strategy = strategy;
-    res.perf = ws.counters();
     return res;
   };
 
@@ -158,14 +158,13 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
     res.converged = true;
     res.status = diag::SolverStatus::Converged;
     res.strategy = "newton";
-    res.perf = ws.counters();
     return res;
   }
   if (status == diag::SolverStatus::BudgetExceeded)
     return budgetAbort(res.x, "newton");
 
   // Strategy 2: gmin stepping.
-  ws.noteFallback();
+  perf::global().addFallback();
   {
     RVec x(sys.dim(), 0.0);
     bool ok = true;
@@ -187,7 +186,6 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
       res.status = diag::SolverStatus::Converged;
       res.iterations = iters;
       res.strategy = "gmin";
-      res.perf = ws.counters();
       return res;
     }
     if (status == diag::SolverStatus::BudgetExceeded)
@@ -195,7 +193,7 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
   }
 
   // Strategy 3: source stepping.
-  ws.noteFallback();
+  perf::global().addFallback();
   {
     RVec x(sys.dim(), 0.0);
     bool ok = true;
@@ -216,7 +214,6 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
       res.status = diag::SolverStatus::Converged;
       res.iterations = iters;
       res.strategy = "source";
-      res.perf = ws.counters();
       return res;
     }
     if (status == diag::SolverStatus::BudgetExceeded)
@@ -224,6 +221,14 @@ DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
   }
 
   failNumerical("dcOperatingPoint: no convergence with any strategy");
+}
+
+}  // namespace
+
+DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts) {
+  RFIC_REQUIRE(sys.dim() > 0, "dcOperatingPoint: empty system");
+  RFIC_REQUIRE(opts.maxIterations > 0, "dcOperatingPoint: maxIterations == 0");
+  return perf::measured([&] { return dcLadder(sys, opts); });
 }
 
 }  // namespace rfic::analysis

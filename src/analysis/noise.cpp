@@ -30,7 +30,7 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
       out.status = diag::SolverStatus::BudgetExceeded;
       break;
     }
-    factorSmallSignal(lu, acMatrix(ws, f));
+    lu.factor(acMatrix(ws, f));
     const numeric::CVec adj = lu.solveTransposed(rhs);
 
     Real total = 0;

@@ -117,7 +117,7 @@ PSSResult shootingPSS(const circuit::MnaSystem& sys, Real period,
       return res;
     innerTol *= 0.01;
     ++res.retries;
-    ws.noteRetry();
+    perf::global().addRetry();
   }
 }
 
@@ -210,7 +210,7 @@ PSSResult shootingOscillatorPSS(const circuit::MnaSystem& sys,
       return res;
     innerTol *= 0.01;
     ++res.retries;
-    ws.noteRetry();
+    perf::global().addRetry();
   }
 }
 

@@ -32,7 +32,7 @@ SParameters solveAt(const MnaSystem& sys, const circuit::MnaWorkspace& ws,
   const Real gminPort = 1e-12;
   for (const std::size_t p : gminSlots) a.values()[p] += gminPort;
   sparse::CSymbolicLU lu0;
-  factorSmallSignal(lu0, a);
+  lu0.factor(a);
 
   CMat z(np, np);
   for (std::size_t j = 0; j < np; ++j) {

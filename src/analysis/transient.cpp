@@ -198,10 +198,12 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
   return true;
 }
 
-TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
-                             const TransientOptions& opts) {
-  RFIC_REQUIRE(opts.tstop > opts.tstart, "runTransient: tstop must exceed tstart");
-  RFIC_REQUIRE(opts.dt > 0, "runTransient: dt must be positive");
+namespace {
+
+// The bodies of runTransient / runNoisyTransient, run under their counter
+// scopes (perf::measured fills TransientResult::perf).
+TransientResult transientSweep(const MnaSystem& sys, const RVec& x0,
+                               const TransientOptions& opts) {
   TransientResult res;
   const Real dtMin = opts.dtMin > 0 ? opts.dtMin : opts.dt * 1e-6;
 
@@ -264,9 +266,9 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
         if (!diag::exactlyZero(cv[p])) dynamicMask[row] = 1;
   }
 
-  const auto noteRetry = [&] {
+  const auto retryStep = [&] {
     ++res.retries;
-    ws.noteRetry();
+    perf::global().addRetry();
   };
   const auto saveCk = [&] {
     if (opts.checkpointPath.empty()) return;
@@ -299,7 +301,6 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     if (diag::budgetExceeded(opts.budget)) {
       saveCk();
       res.status = diag::SolverStatus::BudgetExceeded;
-      res.perf = ws.counters();
       return res;  // res.ok stays false; trajectory so far is valid
     }
     if (!opts.checkpointPath.empty() && opts.checkpointInterval > 0 &&
@@ -333,10 +334,9 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
       h *= 0.5;
       if (h < dtMin) {
         res.status = diag::SolverStatus::StepLimit;
-        res.perf = ws.counters();
         return res;  // res.ok stays false
       }
-      noteRetry();
+      retryStep();
       continue;
     }
 
@@ -359,7 +359,7 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
       }
     }
     if (!accept) {
-      noteRetry();
+      retryStep();
       continue;
     }
 
@@ -378,16 +378,14 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
     res.time.assign(1, t);
     res.x.assign(1, x);
   }
-  res.perf = ws.counters();
   res.ok = true;
   res.status = diag::SolverStatus::Converged;
   return res;
 }
 
-TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
-                                  const TransientOptions& opts,
-                                  std::uint64_t seed) {
-  RFIC_REQUIRE(opts.dt > 0, "runNoisyTransient: dt must be positive");
+TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
+                                    const TransientOptions& opts,
+                                    std::uint64_t seed) {
   TransientResult res;
   std::mt19937_64 rng(seed);
   std::normal_distribution<Real> gauss(0.0, 1.0);
@@ -404,7 +402,6 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
   while (t < opts.tstop - 1e-12 * opts.tstop) {
     if (diag::budgetExceeded(opts.budget)) {
       res.status = diag::SolverStatus::BudgetExceeded;
-      res.perf = ws.counters();
       return res;
     }
     // Sample device noise at the current operating point (cyclostationary
@@ -450,7 +447,6 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
     }
     if (!converged) {
       res.status = diag::SolverStatus::MaxIterations;
-      res.perf = ws.counters();
       return res;
     }
     x = x1;
@@ -465,10 +461,26 @@ TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
     res.time.assign(1, t);
     res.x.assign(1, x);
   }
-  res.perf = ws.counters();
   res.ok = true;
   res.status = diag::SolverStatus::Converged;
   return res;
+}
+
+}  // namespace
+
+TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
+                             const TransientOptions& opts) {
+  RFIC_REQUIRE(opts.tstop > opts.tstart, "runTransient: tstop must exceed tstart");
+  RFIC_REQUIRE(opts.dt > 0, "runTransient: dt must be positive");
+  return perf::measured([&] { return transientSweep(sys, x0, opts); });
+}
+
+TransientResult runNoisyTransient(const MnaSystem& sys, const RVec& x0,
+                                  const TransientOptions& opts,
+                                  std::uint64_t seed) {
+  RFIC_REQUIRE(opts.dt > 0, "runNoisyTransient: dt must be positive");
+  return perf::measured(
+      [&] { return noisyTransientSweep(sys, x0, opts, seed); });
 }
 
 }  // namespace rfic::analysis

@@ -113,10 +113,8 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
     }
     const auto ns = timer.ns();
     if (useBatch) {
-      counters_.addEvalBatch(1, ns);
       perf::global().addEvalBatch(1, ns);
     } else {
-      counters_.addEval(ns);
       perf::global().addEval(ns);
     }
     return;
@@ -155,10 +153,8 @@ void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
   }
   const auto ns = timer.ns();
   if (useBatch) {
-    counters_.addEvalBatch(1, ns);
     perf::global().addEvalBatch(1, ns);
   } else {
-    counters_.addEval(ns);
     perf::global().addEval(ns);
   }
 }
@@ -344,10 +340,8 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
 
   const auto ns = timer.ns();
   if (useBatch) {
-    counters_.addEvalBatch(S, ns);
     perf::global().addEvalBatch(S, ns);
   } else {
-    counters_.addEvals(S, ns);
     perf::global().addEvals(S, ns);
   }
 }
@@ -366,10 +360,9 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
   if (gDiag != 0.0)  // lint: allow-float-eq (exact sentinel for "no shunt")
     for (std::size_t i = 0; i < n_; ++i) jVals_[diagSlot_[i]] += gDiag;
 
-  const perf::Timer timer;
   // !lu_.analyzed() covers a previous factorization attempt that threw on a
   // singular matrix: the workspace pattern is still current, but the LU
-  // holds no usable program to replay.
+  // holds no usable program to replay. SymbolicLU counts both paths.
   if (!luPatternCurrent_ || !lu_.analyzed()) {
     sparse::RCSR j = pattern_;
     j.values() = jVals_;
@@ -378,39 +371,22 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
     lu_.factor(j, o);  // rt: allow(rt-alloc) cold path: the one full
     // analysis per pattern; every later call replays it through refactor()
     luPatternCurrent_ = true;
-    const auto ns = timer.ns();
-    counters_.addFactorization(ns);
-    perf::global().addFactorization(ns);
     return diag::SolverStatus::Converged;
   }
-  const diag::SolverStatus st = lu_.refactor(jVals_);
-  const auto ns = timer.ns();
-  if (st == diag::SolverStatus::Converged) {
-    counters_.addRefactorization(ns);
-    perf::global().addRefactorization(ns);
-  } else {
-    // Repivoted: a full factorization ran under the hood.
-    counters_.addFactorization(ns);
-    perf::global().addFactorization(ns);
-  }
-  return st;
+  return lu_.refactor(jVals_);
 }
 
 RVec MnaWorkspace::solve(const RVec& rhs) {
   const perf::Timer timer;
   RVec x = lu_.solve(rhs);
-  const auto ns = timer.ns();
-  counters_.addSolve(ns);
-  perf::global().addSolve(ns);
+  perf::global().addSolve(timer.ns());
   return x;
 }
 
 RFIC_REALTIME void MnaWorkspace::solve(const RVec& rhs, RVec& x) {
   const perf::Timer timer;
   lu_.solve(rhs, x, solveY_, solveZ_);
-  const auto ns = timer.ns();
-  counters_.addSolve(ns);
-  perf::global().addSolve(ns);
+  perf::global().addSolve(timer.ns());
 }
 
 void scatterDense(const sparse::RCSR& pattern, const std::vector<Real>& vals,

@@ -18,9 +18,11 @@
 //    numeric refactorizations until pivot growth forces a repivot
 //    (surfaced as diag::SolverStatus::Repivoted).
 //
-// The workspace also owns a perf::Counters instance and mirrors every
-// event into perf::global(), so analyses and `rficsim --stats` can report
-// evals / factorizations / refactorizations / solves and their wall time.
+// The workspace bumps perf::global() once per evaluation and solve (the
+// SymbolicLU counts its own factorizations and refactorizations); it keeps
+// no counters of its own. Analyses read their totals from the CounterScope
+// they run under (perf::measured), so a warm workspace reused across calls
+// reports each call's work, not the running sum.
 #pragma once
 
 #include <vector>
@@ -133,21 +135,6 @@ class MnaWorkspace {
   /// it.
   RFIC_REALTIME void solve(const RVec& rhs, RVec& x);
 
-  /// This workspace's pipeline counters (also mirrored into perf::global()).
-  perf::Snapshot counters() const { return counters_.snapshot(); }
-
-  /// Resilience-layer bookkeeping: engines count retry attempts (dt cuts,
-  /// Newton re-runs) and strategy escalations (continuation ladder rungs)
-  /// here so they show up in result snapshots and `rficsim --stats`.
-  void noteRetry() {
-    counters_.addRetry();
-    perf::global().addRetry();
-  }
-  void noteFallback() {
-    counters_.addFallback();
-    perf::global().addFallback();
-  }
-
  private:
   void ensurePattern(const RVec& x, Real t1, Real t2, const RVec* xPrev);
   void growPattern();
@@ -190,8 +177,6 @@ class MnaWorkspace {
   sparse::RSymbolicLU lu_;
   bool luPatternCurrent_ = false;        ///< lu_ analyzed this pattern
   RVec solveY_, solveZ_;                 ///< solve(rhs, x) scratch, grow-once
-
-  perf::Counters counters_;
 };
 
 /// Dense scatter of one value array over a CSR pattern: for every position

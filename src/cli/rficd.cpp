@@ -15,14 +15,17 @@
 //       {"event":"stdout","job":7,"text":"* .op (newton, 5 iterations)\n..."}
 //       {"event":"analysis","job":7,"card":".op","ok":true,...}
 //       {"event":"finished","job":7,"exit":0,"cancelled":false,
-//        "peakBytes":18432,"ctxHits":1,"ctxMisses":0,"planCacheHits":42,...}
+//        "peakBytes":18432,"evals":12,...,"ctxHits":1,"ctxMisses":0,...}
+//         (every perf counter of the job, under its perf::Snapshot name)
 //   {"cmd":"status"}            → one {"event":"job",...} line per job,
 //                                 then {"event":"status-end","jobs":N}
 //   {"cmd":"cancel","job":7}    → {"event":"cancel","job":7,"ok":true}
 //   {"cmd":"result","job":7}    → blocks, then {"event":"result","job":7,...}
 //   {"cmd":"stats"}             → {"event":"stats","queued":0,"running":1,
 //                                  "queueDepth":64,"highWater":48,
-//                                  "degraded":false,"shed":0,...,"text":"..."}
+//                                  "degraded":false,"shed":0,...,
+//                                  "evals":...,"memPeakBytes":...,
+//                                  "text":"..."}  (process perf totals)
 //   {"cmd":"shutdown"}          → {"event":"bye"}, daemon drains and exits
 //
 // Overload behavior (DESIGN.md §11): submissions carry a priority class;
@@ -85,6 +88,14 @@ extern "C" void onSignal(int) {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
+}
+
+/// Append `,"<counter>":<value>` for every perf table row (the per-job
+/// counters of a finished event, the process totals of a stats event).
+void appendCounters(std::string& s, const perf::Snapshot& snap) {
+  for (const perf::Row& row : perf::kRows)
+    s += std::string(",\"") + row.name +
+         "\":" + std::to_string(snap.*row.field);
 }
 
 /// Per-connection sink: serializes events (from any scheduler worker) and
@@ -200,19 +211,9 @@ class ConnectionSink : public engine::EventSink {
         s += "\"cancelled\":";
         s += r.cancelled ? "true" : "false";
         if (!r.error.empty()) s += ",\"error\":" + jsonString(r.error);
-        char perf[320];
-        std::snprintf(
-            perf, sizeof perf,
-            ",\"peakBytes\":%llu"
-            ",\"ctxHits\":%llu,\"ctxMisses\":%llu,\"planCacheHits\":%llu,"
-            "\"factorizations\":%llu,\"refactorizations\":%llu}",
-            static_cast<unsigned long long>(r.peakBytes),
-            static_cast<unsigned long long>(r.perf.ctxHits),
-            static_cast<unsigned long long>(r.perf.ctxMisses),
-            static_cast<unsigned long long>(r.perf.planCacheHits),
-            static_cast<unsigned long long>(r.perf.factorizations),
-            static_cast<unsigned long long>(r.perf.refactorizations));
-        s += perf;
+        s += ",\"peakBytes\":" + std::to_string(r.peakBytes);
+        appendCounters(s, r.perf);
+        s += "}";
         return s;
       }
     }
@@ -373,8 +374,7 @@ void handleConnection(engine::Scheduler& sched,
             "\"queueDepth\":%zu,\"highWater\":%zu,\"degraded\":%s,"
             "\"maxQueueAge\":%.3f,\"submitted\":%llu,\"admitted\":%llu,"
             "\"finished\":%llu,\"shed\":%llu,\"rejectedFull\":%llu,"
-            "\"rejectedInvalid\":%llu,\"promoted\":%llu,"
-            "\"memPeakBytes\":%llu,",
+            "\"rejectedInvalid\":%llu,\"promoted\":%llu",
             st.queued, st.running, st.queueDepth, st.highWater,
             st.degraded ? "true" : "false",
             static_cast<double>(st.maxQueueAgeSeconds),
@@ -384,11 +384,11 @@ void handleConnection(engine::Scheduler& sched,
             static_cast<unsigned long long>(st.shed),
             static_cast<unsigned long long>(st.rejectedFull),
             static_cast<unsigned long long>(st.rejectedInvalid),
-            static_cast<unsigned long long>(st.promoted),
-            static_cast<unsigned long long>(snap.memPeakBytes));
-        sink->writeLine(std::string(head) +
-                        "\"text\":" + engine::jsonString(perf::format(snap)) +
-                        "}");
+            static_cast<unsigned long long>(st.promoted));
+        std::string line = head;
+        appendCounters(line, snap);
+        sink->writeLine(line + ",\"text\":" +
+                        engine::jsonString(perf::format(snap)) + "}");
       } else if (cmd == "shutdown") {
         sink->writeLine("{\"event\":\"bye\"}");
         gStop.store(true);

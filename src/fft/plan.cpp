@@ -243,8 +243,7 @@ void PlanCache::clear() {
 }
 
 RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
-                                    std::size_t count, bool inverse,
-                                    perf::Counters* extra) {
+                                    std::size_t count, bool inverse) {
   RFIC_REQUIRE(count == 0 || data != nullptr,
                "fft::transformColumns: null data with nonzero count");
   if (count == 0) return;
@@ -265,13 +264,11 @@ RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
       },
       grain);
   perf::global().addFfts(count, t.ns());
-  if (extra) extra->addFfts(count, t.ns());
 }
 
 RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
                                    Complex* x, std::size_t rows,
-                                   std::size_t cols, bool inverse,
-                                   perf::Counters* extra) {
+                                   std::size_t cols, bool inverse) {
   RFIC_REQUIRE(x != nullptr && rowPlan.size() == cols && colPlan.size() == rows,
                "fft::transformGrid2D: plan lengths must match the grid");
   std::uint64_t nTransforms = 0;
@@ -312,10 +309,7 @@ RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
         grain);
     nTransforms += cols;
   }
-  if (nTransforms > 0) {
-    perf::global().addFfts(nTransforms, t.ns());
-    if (extra) extra->addFfts(nTransforms, t.ns());
-  }
+  if (nTransforms > 0) perf::global().addFfts(nTransforms, t.ns());
 }
 
 }  // namespace rfic::fft

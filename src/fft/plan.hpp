@@ -107,12 +107,10 @@ class PlanCache {
 /// Runs on perf::ThreadPool::global() when the batch is large enough to
 /// amortize dispatch, reuses per-thread scratch, and performs no steady-
 /// state allocation. Inverse transforms include the 1/n normalization.
-/// Counters (fftCount, fftNs) are bumped on perf::global() and, when
-/// given, on `extra` — analyses pass their local pipeline counters so the
-/// spectral cost lands in their result snapshots.
+/// Counters (fftCount, fftNs) are bumped on perf::global(), so the spectral
+/// cost lands in the result snapshot of the analysis that ran it.
 RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
-                                    std::size_t count, bool inverse,
-                                    perf::Counters* extra = nullptr);
+                                    std::size_t count, bool inverse);
 
 /// 2-D in-place DFT of a rows×cols row-major grid: `rowPlan` must have
 /// length cols, `colPlan` length rows. Rows transform contiguously;
@@ -121,7 +119,6 @@ RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,
 /// transformColumns.
 RFIC_REALTIME void transformGrid2D(const Plan& rowPlan, const Plan& colPlan,
                                    Complex* x, std::size_t rows,
-                                   std::size_t cols, bool inverse,
-                                   perf::Counters* extra = nullptr);
+                                   std::size_t cols, bool inverse);
 
 }  // namespace rfic::fft

@@ -121,8 +121,7 @@ void HarmonicBalance::spectrumToTime(const CMat& coeffs, RMat& samples) const {
         grid[am * m2_ + bm] += std::conj(coeffs(u, j)) * scale;
       }
     }
-    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, true,
-                         &fftCounters_);
+    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, true);
     for (std::size_t s = 0; s < msamp_; ++s) samples(u, s) = grid[s].real();
   });
 }
@@ -137,8 +136,7 @@ void HarmonicBalance::timeToSpectrum(const RMat& samples, CMat& coeffs) const {
   perf::ThreadPool::global().parallelFor(n_, [&](std::size_t u) {
     Complex* grid = work_.grid.data() + u * msamp_;
     for (std::size_t s = 0; s < msamp_; ++s) grid[s] = samples(u, s);
-    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, false,
-                         &fftCounters_);
+    fft::transformGrid2D(*rowPlan_, *colPlan_, grid, m1_, m2_, false);
     for (std::size_t j = 0; j < indices_.size(); ++j) {
       const int k1 = indices_[j][0], k2 = indices_[j][1];
       const std::size_t a = static_cast<std::size_t>((k1 % static_cast<int>(m1_) + static_cast<int>(m1_))) % m1_;
@@ -180,19 +178,16 @@ HBSolution HarmonicBalance::solve(const RVec& dcOp) const {
   // for Newton divergence at full drive. Rung 3 escalates the linear
   // solver: exact dense Jacobian for small systems (the strongest
   // "preconditioner" there is), tightened longer-restart GMRES for large
-  // ones. A tripped budget stops the ladder immediately; counters and
-  // iteration totals accumulate across rungs.
+  // ones. A tripped budget stops the ladder immediately; iteration totals
+  // accumulate across rungs, and one counter scope covers every rung.
   const auto fold = [](HBSolution& total, HBSolution&& next,
                        const char* strategy) {
     const std::size_t newton = total.newtonIterations + next.newtonIterations;
     const std::size_t gm = total.gmresIterations + next.gmresIterations;
-    perf::Snapshot perf = total.perf;
-    perf += next.perf;
     const std::size_t retries = total.retries + 1;
     total = std::move(next);
     total.newtonIterations = newton;
     total.gmresIterations = gm;
-    total.perf = perf;
     total.retries = retries;
     total.strategy = strategy;
   };
@@ -201,41 +196,39 @@ HBSolution HarmonicBalance::solve(const RVec& dcOp) const {
     perf::global().addFallback();
   };
 
-  HBSolution sol = solveAttempt(dcOp, opts_);
-  sol.strategy = "base";
-  if (sol.converged || sol.status == diag::SolverStatus::BudgetExceeded ||
-      opts_.maxRetries < 1)
-    return sol;
+  return perf::measured([&] {
+    HBSolution sol = solveAttempt(dcOp, opts_);
+    sol.strategy = "base";
+    if (sol.converged || sol.status == diag::SolverStatus::BudgetExceeded ||
+        opts_.maxRetries < 1)
+      return sol;
 
-  HBOptions rampOpts = opts_;
-  rampOpts.continuationSteps = std::max<std::size_t>(
-      4, 4 * std::max<std::size_t>(1, opts_.continuationSteps));
-  escalate();
-  fold(sol, solveAttempt(dcOp, rampOpts), "source-ramp");
-  sol.perf.retries += 1;
-  sol.perf.fallbacks += 1;
-  if (sol.converged || sol.status == diag::SolverStatus::BudgetExceeded ||
-      opts_.maxRetries < 2)
-    return sol;
+    HBOptions rampOpts = opts_;
+    rampOpts.continuationSteps = std::max<std::size_t>(
+        4, 4 * std::max<std::size_t>(1, opts_.continuationSteps));
+    escalate();
+    fold(sol, solveAttempt(dcOp, rampOpts), "source-ramp");
+    if (sol.converged || sol.status == diag::SolverStatus::BudgetExceeded ||
+        opts_.maxRetries < 2)
+      return sol;
 
-  HBOptions escOpts = rampOpts;
-  const char* strategy;
-  if (!escOpts.useDirectSolver &&
-      numRealUnknowns() <= opts_.directFallbackMaxUnknowns) {
-    escOpts.useDirectSolver = true;
-    strategy = "direct";
-  } else {
-    escOpts.gmres.tolerance *= 1e-2;
-    escOpts.gmres.maxIterations *= 4;
-    escOpts.gmres.restart =
-        std::min(numRealUnknowns(), 2 * escOpts.gmres.restart);
-    strategy = "gmres-tight";
-  }
-  escalate();
-  fold(sol, solveAttempt(dcOp, escOpts), strategy);
-  sol.perf.retries += 1;
-  sol.perf.fallbacks += 1;
-  return sol;
+    HBOptions escOpts = rampOpts;
+    const char* strategy;
+    if (!escOpts.useDirectSolver &&
+        numRealUnknowns() <= opts_.directFallbackMaxUnknowns) {
+      escOpts.useDirectSolver = true;
+      strategy = "direct";
+    } else {
+      escOpts.gmres.tolerance *= 1e-2;
+      escOpts.gmres.maxIterations *= 4;
+      escOpts.gmres.restart =
+          std::min(numRealUnknowns(), 2 * escOpts.gmres.restart);
+      strategy = "gmres-tight";
+    }
+    escalate();
+    fold(sol, solveAttempt(dcOp, escOpts), strategy);
+    return sol;
+  });
 }
 
 HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
@@ -254,10 +247,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   sol.realUnknowns = n_ * nc_;
   sol.f1_ = tones_[0].freq;
   sol.f2_ = dims() == 2 ? tones_[1].freq : 0.0;
-
-  // Spectral counters restart per attempt so the ladder's fold() can
-  // accumulate per-rung snapshots without double counting.
-  fftCounters_.reset();
 
   // Initial spectrum: DC slots carry the operating point.
   CMat coeffs(n_, indices_.size());
@@ -395,15 +384,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   // update() is a parallel numeric refactorization of the harmonic blocks.
   HBBlockPreconditioner prec(*this);
 
-  // Final counter merge: pipeline counters from the MNA workspace, block
-  // factorization/solve counters from the preconditioner, and the
-  // spectral-transform counters of this attempt.
-  const auto finishPerf = [&](HBSolution& s) {
-    s.perf = ws.counters();
-    s.perf += prec.counters();
-    s.perf += fftCounters_.snapshot();
-  };
-
   sparse::IterativeOptions gmresOpts = opts.gmres;
   gmresOpts.budget = opts.budget;
 
@@ -417,7 +397,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
       if (diag::budgetExceeded(opts.budget)) {
         sol.status = diag::SolverStatus::BudgetExceeded;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
       residual(coeffs, lambda, r, &gS, &cS, &gAvg, &cAvg);
@@ -429,7 +408,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
       if (!diag::isFinite(rnorm)) {
         sol.status = diag::SolverStatus::Diverged;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
       if (rnorm < opts.tolerance * scale) {
@@ -464,7 +442,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
           if (stat.status == diag::SolverStatus::BudgetExceeded) {
             sol.status = diag::SolverStatus::BudgetExceeded;
             sol.coeffs = coeffs;
-            finishPerf(sol);
             return sol;
           }
           if (!stat.converged && stat.residualNorm > 0.5 * rnorm) {
@@ -478,7 +455,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
         // failure to the ladder in solve() instead of unwinding further.
         sol.status = diag::SolverStatus::Breakdown;
         sol.coeffs = coeffs;
-        finishPerf(sol);
         return sol;
       }
 
@@ -500,7 +476,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
     if (!stageConverged && stage == ramp) {
       sol.status = diag::SolverStatus::MaxIterations;
       sol.coeffs = coeffs;
-      finishPerf(sol);
       return sol;  // converged flag stays false
     }
   }
@@ -508,7 +483,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   sol.converged = true;
   sol.status = diag::SolverStatus::Converged;
   sol.coeffs = coeffs;
-  finishPerf(sol);
   return sol;
 }
 

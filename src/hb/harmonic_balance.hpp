@@ -218,9 +218,6 @@ class HarmonicBalance {
   /// its whole duration, so overlapping solves on one engine instance fail
   /// loudly instead of corrupting the shared workspace.
   mutable diag::ExclusiveContext workCtx_;
-  /// Spectral-transform counters for the current solve; merged into
-  /// HBSolution::perf so a result reports the FFT cost of producing it.
-  mutable perf::Counters fftCounters_;
 };
 
 }  // namespace rfic::hb

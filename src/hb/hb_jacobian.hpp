@@ -77,12 +77,8 @@ class HBBlockPreconditioner final : public sparse::LinearOperator<Real> {
   RFIC_REALTIME void apply(const numeric::RVec& r,
                            numeric::RVec& z) const override;
 
-  /// Block (re)factorization counters accumulated across update() calls.
-  perf::Snapshot counters() const { return counters_.snapshot(); }
-
  private:
   const HarmonicBalance& eng_;
-  mutable perf::Counters counters_;  ///< apply() counts solves; it is const
   // Union pattern of Ḡ and C̄; packed.values() carries (g, c) as the real
   // and imaginary parts, so block κ's values are Complex(g_p, ω_κ·c_p).
   sparse::CCSR packed_;

@@ -30,13 +30,11 @@ std::size_t csrPos(const sparse::RCSR& a, std::size_t row, std::size_t col) {
   return lo;
 }
 
-}  // namespace
-
-MFDTDResult runMFDTD(const MnaSystem& sys, Real slowFreq, Real fastFreq,
-                     const numeric::RVec& dcOp, const MFDTDOptions& opts) {
-  RFIC_REQUIRE(slowFreq > 0 && fastFreq > 0, "runMFDTD: bad frequencies");
+// The body of runMFDTD, run under its counter scope (perf::measured fills
+// MFDTDResult::perf).
+MFDTDResult mfdtdSolve(const MnaSystem& sys, Real slowFreq, Real fastFreq,
+                       const numeric::RVec& dcOp, const MFDTDOptions& opts) {
   const std::size_t n = sys.dim();
-  RFIC_REQUIRE(dcOp.size() == n, "runMFDTD: DC point size mismatch");
   const std::size_t m1 = opts.m1, m2 = opts.m2;
   const Real T1 = 1.0 / slowFreq, T2 = 1.0 / fastFreq;
   const Real h1 = T1 / static_cast<Real>(m1);
@@ -276,28 +274,16 @@ MFDTDResult runMFDTD(const MnaSystem& sys, Real slowFreq, Real fastFreq,
         if (diag::FaultInjector::global().fire(
                 diag::FaultPoint::SingularJacobian))
           failNumerical("runMFDTD: injected singular Jacobian");
-        const perf::Timer timer;
         if (!glu.analyzed()) {
           sparse::RCSR a = gpat;
           a.values() = gvals;
           glu.factor(a);
-          ++res.perf.factorizations;
-          res.perf.factorNs += timer.ns();
-          perf::global().addFactorization(timer.ns());
-        } else if (glu.refactor(gvals) == diag::SolverStatus::Converged) {
-          ++res.perf.refactorizations;
-          res.perf.refactorNs += timer.ns();
-          perf::global().addRefactorization(timer.ns());
-        } else {  // repivoted: a full factorization ran under the hood
-          ++res.perf.factorizations;
-          res.perf.factorNs += timer.ns();
-          perf::global().addFactorization(timer.ns());
+        } else {
+          (void)glu.refactor(gvals);  // a repivot is as good as a factor
         }
         res.jacobianNnz = glu.factorNnz();
         const perf::Timer solveTimer;
         dx = glu.solve(r);
-        ++res.perf.solves;
-        res.perf.solveNs += solveTimer.ns();
         perf::global().addSolve(solveTimer.ns());
       } catch (const NumericalError&) {
         res.status = diag::SolverStatus::Breakdown;
@@ -313,15 +299,24 @@ MFDTDResult runMFDTD(const MnaSystem& sys, Real slowFreq, Real fastFreq,
   gmresTol *= 0.01;
   gmresMaxIter *= 2;
   ++res.retries;
-  ws.noteRetry();
+  perf::global().addRetry();
   }  // attempt ladder
 
   for (std::size_t i = 0; i < m1; ++i)
     for (std::size_t j = 0; j < m2; ++j)
       for (std::size_t u = 0; u < n; ++u)
         res.grid.at(u, i, j) = x[(i * m2 + j) * n + u];
-  res.perf += ws.counters();
   return res;
+}
+
+}  // namespace
+
+MFDTDResult runMFDTD(const MnaSystem& sys, Real slowFreq, Real fastFreq,
+                     const numeric::RVec& dcOp, const MFDTDOptions& opts) {
+  RFIC_REQUIRE(slowFreq > 0 && fastFreq > 0, "runMFDTD: bad frequencies");
+  RFIC_REQUIRE(dcOp.size() == sys.dim(), "runMFDTD: DC point size mismatch");
+  return perf::measured(
+      [&] { return mfdtdSolve(sys, slowFreq, fastFreq, dcOp, opts); });
 }
 
 }  // namespace rfic::mpde

@@ -39,47 +39,26 @@ Counters* CounterScope::exchange(Counters* c) {
 }
 
 std::string format(const Snapshot& s) {
-  char buf[2048];
-  const auto ms = [](std::uint64_t ns) {
-    return static_cast<double>(ns) * 1e-6;
-  };
-  std::snprintf(buf, sizeof(buf),
-                "evals            %10llu  (%10.3f ms)\n"
-                "  batched        %10llu  (%10.3f ms)\n"
-                "ordering                     (%10.3f ms)\n"
-                "factorizations   %10llu  (%10.3f ms)\n"
-                "  fill nnz       %10llu\n"
-                "refactorizations %10llu  (%10.3f ms)\n"
-                "solves           %10llu  (%10.3f ms)\n"
-                "ffts             %10llu  (%10.3f ms)\n"
-                "plan cache       %10llu hits / %llu misses\n"
-                "matvecs          %10llu  (%10.3f ms)\n"
-                "extract builds   %10llu  (%10.3f ms, %10.3f ms compress)\n"
-                "engine ctx cache %10llu hits / %llu misses\n"
-                "mem peak bytes   %10llu\n"
-                "retries          %10llu\n"
-                "fallbacks        %10llu\n",
-                static_cast<unsigned long long>(s.evals), ms(s.evalNs),
-                static_cast<unsigned long long>(s.evalBatched),
-                ms(s.evalBatchNs), ms(s.orderingNs),
-                static_cast<unsigned long long>(s.factorizations),
-                ms(s.factorNs),
-                static_cast<unsigned long long>(s.factorFillNnz),
-                static_cast<unsigned long long>(s.refactorizations),
-                ms(s.refactorNs),
-                static_cast<unsigned long long>(s.solves), ms(s.solveNs),
-                static_cast<unsigned long long>(s.fftCount), ms(s.fftNs),
-                static_cast<unsigned long long>(s.planCacheHits),
-                static_cast<unsigned long long>(s.planCacheMisses),
-                static_cast<unsigned long long>(s.matvecs), ms(s.matvecNs),
-                static_cast<unsigned long long>(s.extractBuilds),
-                ms(s.extractBuildNs), ms(s.extractCompressNs),
-                static_cast<unsigned long long>(s.ctxHits),
-                static_cast<unsigned long long>(s.ctxMisses),
-                static_cast<unsigned long long>(s.memPeakBytes),
-                static_cast<unsigned long long>(s.retries),
-                static_cast<unsigned long long>(s.fallbacks));
-  return buf;
+  std::string out =
+      "pipeline counters (time rows add the elapsed time of every thread "
+      "that bumped them, so parallel pool lanes add up)\n";
+  char line[96];
+  for (const Row& r : kRows) {
+    // Subset rows sit indented under their parent.
+    const bool child = r.parent[0] != '\0';
+    const int width = child ? 20 : 22;
+    const char* indent = child ? "  " : "";
+    const std::uint64_t v = s.*r.field;
+    if (r.unit == Unit::Ns)
+      std::snprintf(line, sizeof line, "%s%-*s %14.3f ms\n", indent, width,
+                    r.label, static_cast<double>(v) * 1e-6);
+    else
+      std::snprintf(line, sizeof line, "%s%-*s %14llu%s\n", indent, width,
+                    r.label, static_cast<unsigned long long>(v),
+                    r.unit == Unit::Bytes ? " B" : "");
+    out += line;
+  }
+  return out;
 }
 
 }  // namespace rfic::perf

@@ -89,6 +89,7 @@ SymbolicLU<T>::SymbolicLU(const CSR<T>& a, const Options& opts) {
 template <class T>
 void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   RFIC_REQUIRE(a.rows() == a.cols(), "SymbolicLU: square matrix required");
+  const perf::Timer timer;
   opts_ = opts;
   n_ = a.rows();
   nnz_ = a.nnz();
@@ -96,12 +97,18 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   aColIdx_.assign(a.colIdx().begin(), a.colIdx().end());
   colOrder_.clear();
   resolved_ = resolveOrdering(opts.ordering);
+  std::uint64_t orderingNs = 0;
   if (resolved_ == Ordering::Amd) {
-    const perf::Timer timer;
+    const perf::Timer orderTimer;
     colOrder_ = amdOrder(n_, aRowPtr_, aColIdx_);
-    perf::global().addOrdering(timer.ns());
+    orderingNs = orderTimer.ns();
   }
   analyzeFromValues(a.values().data());
+  // Counted once the analysis succeeded, so the ordering time of a
+  // factorization that threw never shows up without its parent.
+  auto& ctr = perf::global();
+  ctr.addOrdering(orderingNs);
+  ctr.addFactorization(timer.ns());
 }
 
 // Full elimination recording the slot-level update program for later
@@ -374,17 +381,21 @@ template <class T>
 RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
     const std::vector<T>& values) {
   RFIC_REQUIRE(analyzed_, "SymbolicLU::refactor before factor");
+  const perf::Timer timer;
   // factor-repivot fault point: pretend the replayed pivots went bad so the
   // fresh-analysis fallback below runs (and callers see Repivoted).
   const bool forceRepivot =
       diag::FaultInjector::global().fire(diag::FaultPoint::FactorRepivot);
-  if (!forceRepivot && replay(values.data(), values.size()))
+  if (!forceRepivot && replay(values.data(), values.size())) {
+    perf::global().addRefactorization(timer.ns());
     return diag::SolverStatus::Converged;
+  }
   // Pivot growth (or a sign/topology change in the values) invalidated the
   // recorded pivot order — redo the full analysis with fresh pivots.
   analyzeFromValues(values.data());  // rt: allow(rt-alloc) cold Repivoted
   // fallback — runs only when the recorded pivots went numerically bad;
   // callers observe it through the returned status and perf counters
+  perf::global().addFactorization(timer.ns());
   return diag::SolverStatus::Repivoted;
 }
 

@@ -34,6 +34,12 @@
 // stability backstop under any ordering). The caller learns which path ran
 // through the returned diag::SolverStatus (Converged = cheap replay,
 // Repivoted = fallback).
+//
+// The factorizer counts its own work on perf::global(), so no caller times
+// or counts it: factor() bumps one factorization (its wall time includes
+// the AMD ordering, which is also reported alone as orderingNs) and the
+// factor fill; refactor() bumps one refactorization, or one factorization
+// when it repivots. Solves are counted by the callers that own them.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,9 @@
-# Selftest driver for the numerics-lint scalar-exp and sparse-hash rules:
-# runs the lint on the seeded fixture tree and asserts each rule fires on
-# its seeded violation while honoring the justified suppression. (Entry-
-# check / status findings about the fixture's missing solver files are
-# expected noise — the assertions below pin only these two rules.)
+# Selftest driver for the numerics-lint scalar-exp, sparse-hash and
+# counter-member rules: runs the lint on the seeded fixture tree and asserts
+# each rule fires on its seeded violation while honoring the justified
+# suppression. (Entry-check / status findings about the fixture's missing
+# solver files are expected noise — the assertions below pin only these
+# three rules.)
 #
 # Invoked by ctest as:
 #   cmake -DPYTHON=... -DLINT=... -DFIXTURE=... -P check_numerics_lint.cmake
@@ -49,6 +50,27 @@ foreach(line 16 22)
   if(NOT pos EQUAL -1)
     message(FATAL_ERROR
             "numerics_lint selftest: seeded_hash.cpp:${line} must not be "
+            "flagged. Output:\n${lint_out}")
+  endif()
+endforeach()
+
+# A perf::Counters data member and a Counters* parameter outside src/perf
+# must be flagged by the counter-member rule; a CounterScope-installed
+# local, a reference to perf::global() and the justified suppression must
+# not.
+foreach(line 11 14)
+  string(FIND "${lint_out}" "seeded_counters.cpp:${line}: [counter-member]" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: expected counter-member finding at "
+            "seeded_counters.cpp:${line}. Output:\n${lint_out}")
+  endif()
+endforeach()
+foreach(line 18 20 26)
+  string(FIND "${lint_out}" "seeded_counters.cpp:${line}:" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: seeded_counters.cpp:${line} must not be "
             "flagged. Output:\n${lint_out}")
   endif()
 endforeach()

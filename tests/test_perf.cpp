@@ -2,10 +2,13 @@
 // parallel fan-out paths (HB preconditioner blocks, jitter MC, MoM fill).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -50,6 +53,37 @@ TEST(PerfCounters, SnapshotPlusEquals) {
   EXPECT_EQ(a.evals, 7u);
   EXPECT_EQ(a.factorNs, 42u);
   EXPECT_EQ(a.refactorizations, 2u);
+}
+
+TEST(PerfCounters, TableMergeRules) {
+  // Distinct values on every row, with a > b on some rows and b > a on
+  // others, so a max merge and a sum merge can never coincide.
+  Snapshot a, b;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    a.*kRows[i].field = 100 + 3 * i;
+    b.*kRows[i].field = 200 - 5 * i;
+  }
+  Counters c;
+  c.addSnapshot(a);
+  c.addSnapshot(b);
+  const Snapshot folded = c.snapshot();
+  Snapshot sum = a;
+  sum += b;
+
+  std::vector<std::string> maxRows;
+  for (const Row& r : kRows) {
+    const std::uint64_t x = a.*r.field, y = b.*r.field;
+    const std::uint64_t want = r.merge == Merge::Max ? std::max(x, y) : x + y;
+    EXPECT_EQ(folded.*r.field, want) << r.name;
+    EXPECT_EQ(sum.*r.field, want) << r.name;
+    if (r.merge == Merge::Max) maxRows.emplace_back(r.name);
+  }
+  EXPECT_EQ(maxRows,
+            (std::vector<std::string>{"factorFillNnz", "memPeakBytes"}));
+
+  c.reset();
+  const Snapshot z = c.snapshot();
+  for (const Row& r : kRows) EXPECT_EQ(z.*r.field, 0u) << r.name;
 }
 
 TEST(PerfCounters, ConcurrentIncrementsAreExact) {

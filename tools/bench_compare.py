@@ -13,7 +13,8 @@ artifacts). Numeric keys are diffed; wall-clock keys (ending in `_s` or
 the threshold (default 25%).
 
 Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations,
-factorizations, Newton/GMRES iterations, transforms, fill) are
+factorizations, Newton/GMRES iterations, transforms, fill — which depends
+only on the pattern and the pivots) are
 machine-independent, so they GATE: the exit code is 1 when one differs
 from its baseline while both files ran in the same quick mode. Benches in
 SCHEDULING_DEPENDENT are exempt (their counts follow thread scheduling).
@@ -31,7 +32,8 @@ from pathlib import Path
 
 
 WORK_COUNT_SUFFIXES = (".evals", ".factorizations", ".refactorizations",
-                       ".newton", ".gmres", ".fft_count", ".fill")
+                       ".newton", ".gmres", ".fft_count", ".fill",
+                       ".factor_fill_nnz")
 SCHEDULING_DEPENDENT = {"BENCH_daemon_throughput.json"}
 
 

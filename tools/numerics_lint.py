@@ -44,6 +44,13 @@ drifting into silent-wrong-answer territory:
                 index arrays: hash containers are slow on the analysis'
                 access patterns, and their iteration order would make
                 pivot tie-breaks depend on the standard library.
+  counter-member
+                perf::Counters lives only in src/perf. Elsewhere in the
+                library a Counters data member or a Counters* / &
+                parameter is a private counting path that mirrors
+                perf::global() (and drifts from it); bump perf::global()
+                and read totals from a CounterScope (perf::measured).
+                Locals that a CounterScope installs are fine.
 
 Escape hatch: append  // lint: allow-<rule>  to a flagged line when the
 pattern is intentional (used sparingly; each use is visible in review).
@@ -126,6 +133,8 @@ BY_VALUE_CAPTURE_RE = re.compile(r"(?:^|,)\s*(?:=|\w+\s*(?:,|$))")
 SCALAR_EXP_RE = re.compile(r"\bstd::(?:exp|expm1)\s*\(")
 HASH_CONTAINER_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 
+COUNTERS_RE = re.compile(r"\bperf::Counters\b(\s*[*&])?")
+
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_:<]")
 DELETE_RE = re.compile(r"(?<![\w.])delete(\[\])?\s+[A-Za-z_(*]")
 DATA_CAPTURE_RE = re.compile(r"[*&]?\s*(\w+)\s*=\s*(\w+)\.data\(\)")
@@ -170,6 +179,31 @@ def allowed(line, rule):
     return f"allow-{rule}" in line
 
 
+def statement_head(clean, pos):
+    """Text from the last `;`, `{` or `}` before pos up to pos."""
+    j = max(clean.rfind(c, 0, pos) for c in ";{}")
+    return clean[j + 1:pos]
+
+
+def enclosing_block_head(clean, pos):
+    """Head of the innermost brace block containing pos (the `class X`,
+    `void f(...)` or `namespace n` before its `{`); "" at file scope."""
+    depth = 0
+    for i in range(pos - 1, -1, -1):
+        if clean[i] == "}":
+            depth += 1
+        elif clean[i] == "{":
+            if depth == 0:
+                return statement_head(clean, i)
+            depth -= 1
+    return ""
+
+
+def is_class_head(head):
+    return ("(" not in head and not re.search(r"\benum\b", head)
+            and re.search(r"\b(?:class|struct|union)\b", head) is not None)
+
+
 class Linter:
     def __init__(self, root):
         self.root = Path(root)
@@ -192,6 +226,8 @@ class Linter:
         in_sparse = rel.startswith("src/sparse/")
 
         self.lint_pool_dispatches(path, clean, lines)
+        if in_library and not in_pool_impl:
+            self.lint_counter_members(path, clean, lines)
 
         data_aliases = []  # (ptr, container, lineno), reset at function end
         for num, line in enumerate(lines, 1):
@@ -280,6 +316,26 @@ class Linter:
                       "each worker mutates a private copy, so workspace "
                       "state diverges; capture by reference or drop "
                       "`mutable`")
+
+    def lint_counter_members(self, path, clean, lines):
+        """counter-member: a perf::Counters data member, or a pointer /
+        reference to one in a parameter list."""
+        for m in COUNTERS_RE.finditer(clean):
+            lineno = clean[:m.start()].count("\n") + 1
+            if allowed(lines[lineno - 1], "counter-member"):
+                continue
+            head = statement_head(clean, m.start())
+            if m.group(1) and head.count("(") > head.count(")"):
+                self.flag(path, lineno, "counter-member",
+                          "perf::Counters pointer/reference parameter — "
+                          "bump perf::global() once instead of a second "
+                          "counter")
+            elif not m.group(1) and is_class_head(
+                    enclosing_block_head(clean, m.start())):
+                self.flag(path, lineno, "counter-member",
+                          "perf::Counters data member — bump perf::global() "
+                          "and read totals from a CounterScope "
+                          "(perf::measured)")
 
     def lint_entry_points(self):
         for rel, sig in ENTRY_POINTS:
