@@ -1,19 +1,15 @@
-// Large-circuit scaling bench: fill-reducing ordering (DESIGN.md §13)
-// against the natural Markowitz reference on synthetic RC interconnect
-// matrices — the 2-D mesh (power grid / substrate network) and the 1-D
-// ladder (long RC line), the two canonical sparsity shapes
-// parasitic-dominated RF layouts produce. The
-// same topologies are available as netlists via tools/gen_mesh.py; the
-// bench builds the MNA-shaped matrices directly so it measures exactly the
+// Large-circuit scaling bench: the AMD-ordered sparse LU (DESIGN.md §13)
+// on synthetic RC interconnect matrices — the 2-D mesh (power grid /
+// substrate network) and the 1-D ladder (long RC line), the two canonical
+// sparsity shapes parasitic-dominated RF layouts produce. The same
+// topologies are available as netlists via tools/gen_mesh.py; the bench
+// builds the MNA-shaped matrices directly so it measures exactly the
 // factor/refactor/solve pipeline and nothing else.
 //
 // Reported per case: analysis (ordering + factor) wall time, fill-in ratio
-// and factor nnz, refactor time, solve time, and the headline speedups of
-// AMD vs natural for the full factor and for the Newton-loop steady state
-// (refactor + solve). Quick mode (RFIC_BENCH_QUICK=1, the CI perf-smoke
-// setting) trims the node counts; the full run goes to a ~50k-node mesh
-// for the natural/AMD comparison and ~100k nodes AMD-only (the natural
-// analysis scan is O(n²) — the very cost the ordering stage removes).
+// and factor nnz, refactor time and solve time. Quick mode
+// (RFIC_BENCH_QUICK=1, the CI perf-smoke setting) trims the node counts;
+// the full run goes to ~50k- and ~100k-node meshes.
 #include <cstdio>
 #include <random>
 #include <vector>
@@ -129,15 +125,11 @@ int main() {
               "fill", "factor_ms", "refac_ms", "solve_ms");
   rule();
 
-  // Mesh sizes: natural's analysis scan is O(n²), so the head-to-head stops
-  // at ~50k nodes and the largest case runs AMD only.
-  const std::size_t kCmp = quick ? 48 : 224;     // 2.3k / 50.2k nodes
+  const std::size_t kMesh = quick ? 48 : 224;    // 2.3k / 50.2k nodes
   const std::size_t kBig = quick ? 80 : 316;     // 6.4k / 99.9k nodes
   const std::size_t reps = quick ? 10 : 5;
 
-  const sparse::RCSR mesh = gridMesh(kCmp, 1);
-  const auto nat = runCase("mesh/natural", mesh, sparse::Ordering::Natural,
-                           reps);
+  const sparse::RCSR mesh = gridMesh(kMesh, 1);
   const auto amd = runCase("mesh/amd", mesh, sparse::Ordering::Amd, reps);
 
   const sparse::RCSR big = gridMesh(kBig, 2);
@@ -148,26 +140,13 @@ int main() {
   const auto ladAmd = runCase("ladder/amd", lad, sparse::Ordering::Amd, reps);
 
   rule();
-  const Real natLoop = nat.refactorMs + nat.solveMs;
-  const Real amdLoop = amd.refactorMs + amd.solveMs;
-  const Real speedupLoop = natLoop / amdLoop;
-  const Real speedupFactor = nat.factorMs / amd.factorMs;
-  std::printf("mesh %zu nodes: factor speedup %.2fx, refactor+solve speedup "
-              "%.2fx (natural %.3f ms vs amd %.3f ms)\n",
-              nat.n, speedupFactor, speedupLoop, natLoop, amdLoop);
 
   // Wall-clock keys end in _s so tools/bench_compare.py ratio-checks them.
-  json.count("mesh.n", nat.n);
-  json.metric("mesh.natural.fill", nat.fill);
-  json.metric("mesh.natural.factor_s", nat.factorMs * 1e-3);
-  json.metric("mesh.natural.refactor_s", nat.refactorMs * 1e-3);
-  json.metric("mesh.natural.solve_s", nat.solveMs * 1e-3);
+  json.count("mesh.n", amd.n);
   json.metric("mesh.amd.fill", amd.fill);
   json.metric("mesh.amd.factor_s", amd.factorMs * 1e-3);
   json.metric("mesh.amd.refactor_s", amd.refactorMs * 1e-3);
   json.metric("mesh.amd.solve_s", amd.solveMs * 1e-3);
-  json.metric("mesh.speedup_factor", speedupFactor);
-  json.metric("mesh.speedup_refactor_solve", speedupLoop);
   json.count("mesh_big.n", amdBig.n);
   json.metric("mesh_big.amd.fill", amdBig.fill);
   json.metric("mesh_big.amd.factor_s", amdBig.factorMs * 1e-3);

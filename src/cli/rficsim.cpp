@@ -33,10 +33,10 @@
 // --no-batch-eval pins the scalar virtual-stamp device walk (the golden
 // reference path) instead of the batched SoA evaluation engine; outputs
 // are bitwise identical either way, so this is a verification/debug aid.
-// --ordering selects the sparse-LU pivot pre-ordering: "natural" (the
-// default) pins today's full Markowitz search, "amd" enables the
-// fill-reducing approximate-minimum-degree pre-order for large circuits
-// (DESIGN.md §13).
+// --ordering selects the sparse-LU column order: "amd" (the default) is
+// the fill-reducing approximate-minimum-degree pre-order, "natural" the
+// identity order (a reference mode; DESIGN.md §13). Outputs are the same
+// either way.
 //
 // Since the engine refactor this file is a thin client: it parses flags
 // into an engine::JobSpec, runs it through engine::Engine, and replays the

@@ -64,9 +64,10 @@ struct JobSpec {
   /// of the job.
   std::size_t threadShare = 0;
 
-  /// Sparse-LU pivot pre-ordering for this job: "natural", "amd", or ""
-  /// for the process default (sparse::ScopedOrderingOverride for the
-  /// duration of the job). Unrecognized values reject the job with exit
+  /// Sparse-LU column order for this job: "natural", "amd", or "" for
+  /// the process default, which is "amd" unless the daemon was started
+  /// with --ordering (sparse::ScopedOrderingOverride for the duration of
+  /// the job). Unrecognized values reject the job with exit
   /// code 2 before any analysis runs.
   std::string ordering;
 

@@ -8,7 +8,7 @@
 namespace rfic::sparse {
 
 namespace {
-std::atomic<Ordering> gDefault{Ordering::Natural};
+std::atomic<Ordering> gDefault{Ordering::Amd};
 // Innermost per-thread override; Auto = none installed.
 thread_local Ordering tlOverride = Ordering::Auto;
 }  // namespace

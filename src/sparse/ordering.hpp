@@ -1,24 +1,25 @@
-// Fill-reducing pivot pre-ordering for the sparse LU factorization.
+// Fill-reducing column pre-order for the sparse LU factorization.
 //
-// The Markowitz/threshold search in SymbolicLU chooses good pivots
-// but pays an O(n) candidate scan per elimination step — O(n²) for the whole
-// analysis — which is what makes 100k-node MNA systems infeasible even
-// though the numeric work itself is nearly linear in the fill. The classic
-// fix is to split the decision: compute a fill-reducing *column* order up
-// front on the symmetrized pattern (approximate minimum degree, the
-// AMD algorithm of Amestoy, Davis & Duff), then let the numeric
-// factorization pick the pivot *row* inside each pre-ordered column with
-// the same relative-magnitude threshold as before. Ordering quality is a
-// pattern property; numerical stability stays a value property — the
-// threshold backstop (and the replay repivot fallback) is unchanged.
+// A full Markowitz search pays an O(n) candidate scan per elimination step
+// — O(n²) for the whole analysis — which makes 100k-node MNA systems
+// infeasible even though the numeric work itself is nearly linear in the
+// fill. SymbolicLU therefore splits the decision: the *column* sequence is
+// fixed up front from the pattern alone, and the numeric factorization
+// only picks the pivot *row* inside each column, with a relative-magnitude
+// threshold. Ordering quality is a pattern property; numerical stability
+// stays a value property — the threshold backstop (and the replay repivot
+// fallback) is the same under every ordering.
+//
+// Two column orders exist: `Amd` (the default) is the approximate minimum
+// degree order of the symmetrized pattern (Amestoy, Davis & Duff);
+// `Natural` is the identity order, a reference mode that fills far more on
+// large meshes.
 //
 // Selection is plumbed three ways, mirroring the batched-eval toggle:
 //  - a process-wide default (CLI `--ordering=natural|amd`),
 //  - a per-thread override (the daemon's per-job `ordering` submit field,
 //    installed around the job so every workspace the job creates sees it),
 //  - an explicit Options::ordering on the factorizers (tests, benches).
-// `Natural` pins today's full Markowitz search and is the default — the
-// golden byte-equality references all run in natural order.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@ namespace rfic::sparse {
 
 enum class Ordering {
   Auto,     ///< resolve to effectiveOrdering() at factor() time
-  Natural,  ///< full Markowitz/threshold pivot search (golden reference)
-  Amd,      ///< approximate-minimum-degree column pre-order
+  Natural,  ///< identity column order (reference mode)
+  Amd,      ///< approximate-minimum-degree column pre-order (default)
 };
 
 const char* toString(Ordering o);

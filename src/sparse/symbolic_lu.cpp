@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "diag/resilience.hpp"
 #include "perf/perf.hpp"
@@ -95,13 +96,15 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   nnz_ = a.nnz();
   aRowPtr_ = a.rowPtr();
   aColIdx_.assign(a.colIdx().begin(), a.colIdx().end());
-  colOrder_.clear();
   resolved_ = resolveOrdering(opts.ordering);
   std::uint64_t orderingNs = 0;
   if (resolved_ == Ordering::Amd) {
     const perf::Timer orderTimer;
     colOrder_ = amdOrder(n_, aRowPtr_, aColIdx_);
     orderingNs = orderTimer.ns();
+  } else {
+    colOrder_.resize(n_);
+    std::iota(colOrder_.begin(), colOrder_.end(), std::uint32_t{0});
   }
   analyzeFromValues(a.values().data());
   // Counted once the analysis succeeded, so the ordering time of a
@@ -112,19 +115,18 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
 }
 
 // Full elimination recording the slot-level update program for later
-// replay. Pivot choice depends on the ordering: Natural runs the classic
-// full Markowitz/threshold search; Amd eliminates
-// columns in the precomputed fill-reducing sequence and only chooses the
-// pivot *row* numerically — threshold first, then the shortest active row
-// (the Markowitz count with the column fixed), ties to the larger
-// magnitude.
+// replay. Columns are eliminated in the colOrder_ sequence (AMD's
+// fill-reducing order, or the identity under Natural); only the pivot
+// *row* is chosen numerically: the diagonal if it passes the relative
+// threshold, else the shortest active row that does (the Markowitz count
+// with the column fixed), ties to the larger magnitude.
 //
 // The active submatrix lives in flat per-row (col, slot) and per-column
 // (row, slot) lists. Slots [0, nnz_) are the input CSR positions in
 // order; fill-in appends. Eliminated rows stay in the column lists until a
-// scan compacts them out (rowActive/colActive mark what is live, colLen
-// counts it); a row is compacted each time it is scattered for an update,
-// so an active row's list holds exactly its live entries.
+// scan compacts them out (rowActive marks the live rows, colLen counts a
+// column's live entries); a row is compacted each time it is scattered for
+// an update, so an active row's list holds exactly its live entries.
 template <class T>
 void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   analyzed_ = false;
@@ -152,14 +154,12 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     for (const Entry& e : rows[r]) pos[e.idx] = kNoSlot;
   }
 
-  if (!colOrder_.empty()) {
-    const DiagonalPivotCounts est =
-        diagonalPivotCounts(n_, aRowPtr_, aColIdx_, colOrder_);
-    w_.reserve(est.factorNnz);  // every slot ends as one factor entry
-    updTarget_.reserve(est.flops);
-  }
+  const DiagonalPivotCounts est =
+      diagonalPivotCounts(n_, aRowPtr_, aColIdx_, colOrder_);
+  w_.reserve(est.factorNnz);  // every slot ends as one factor entry
+  updTarget_.reserve(est.flops);
 
-  std::vector<char> rowActive(n_, 1), colActive(n_, 1);
+  std::vector<char> rowActive(n_, 1);
   pivRow_.resize(n_);
   pivCol_.resize(n_);
   pivVal_.resize(n_);
@@ -189,95 +189,45 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   };
 
   for (std::size_t k = 0; k < n_; ++k) {
-    // --- Pivot selection.
-    std::size_t bestR = n_, bestC = n_;
-    std::uint32_t bestSlot = kNoSlot;
-
-    if (!colOrder_.empty()) {
-      // Pre-ordered column: only the row is a numeric decision.
-      const std::size_t pc = colOrder_[k];
-      const Real cmax = columnMax(pc);
-      if (cmax > 0) {
-        bestC = pc;
-        if (opts_.preferDiagonal && rowActive[pc] &&
-            diagSlot[pc] != kNoSlot) {
-          const Real mag = std::abs(w_[diagSlot[pc]]);
-          if (mag > 0 && mag >= opts_.pivotThreshold * cmax) {
-            bestR = pc;
-            bestSlot = diagSlot[pc];
-          }
+    // --- Pivot selection: the column is the pre-ordered one, so only the
+    // row is a numeric decision.
+    const std::size_t pc = colOrder_[k];
+    const Real cmax = columnMax(pc);
+    std::size_t pr = n_;
+    std::uint32_t pivSlot = kNoSlot;
+    if (cmax > 0) {
+      const Real tol = opts_.pivotThreshold * cmax;
+      if (rowActive[pc] && diagSlot[pc] != kNoSlot) {
+        const Real mag = std::abs(w_[diagSlot[pc]]);
+        if (mag > 0 && mag >= tol) {
+          pr = pc;
+          pivSlot = diagSlot[pc];
         }
-        if (bestR == n_) {
-          std::size_t bestLen = std::numeric_limits<std::size_t>::max();
-          Real bestMag = 0;
-          for (const Entry& e : liveCol(pc)) {
-            const Real mag = std::abs(w_[e.slot]);
-            if (mag < opts_.pivotThreshold * cmax) continue;
-            const std::size_t len = rows[e.idx].size();
-            if (len < bestLen || (len == bestLen && mag > bestMag)) {
-              bestR = e.idx;
-              bestSlot = e.slot;
-              bestLen = len;
-              bestMag = mag;
-            }
+      }
+      if (pr == n_) {
+        std::size_t bestLen = std::numeric_limits<std::size_t>::max();
+        Real bestMag = 0;
+        for (const Entry& e : liveCol(pc)) {
+          const Real mag = std::abs(w_[e.slot]);
+          if (mag < tol) continue;
+          const std::size_t len = rows[e.idx].size();
+          if (len < bestLen || (len == bestLen && mag > bestMag)) {
+            pr = e.idx;
+            pivSlot = e.slot;
+            bestLen = len;
+            bestMag = mag;
           }
         }
       }
-      if (bestR == n_)
-        failNumerical("SymbolicLU: matrix is singular");
-    } else {
-      // Natural: minimize the Markowitz product among entries passing the
-      // relative threshold.
-      std::size_t bestMark = std::numeric_limits<std::size_t>::max();
-      Real bestMag = 0;
-
-      if (opts_.preferDiagonal) {
-        for (std::size_t j = 0; j < n_; ++j) {
-          if (!colActive[j] || !rowActive[j]) continue;
-          const std::uint32_t ds = diagSlot[j];
-          if (ds == kNoSlot || w_[ds] == T{}) continue;
-          const std::size_t mark = (rows[j].size() - 1) * (colLen[j] - 1);
-          if (mark > bestMark) continue;
-          const Real mag = std::abs(w_[ds]);
-          if (mark == bestMark && mag <= bestMag) continue;
-          if (mag < opts_.pivotThreshold * columnMax(j)) continue;
-          bestR = bestC = j;
-          bestSlot = ds;
-          bestMark = mark;
-          bestMag = mag;
-        }
-      }
-      if (bestR == n_) {
-        for (std::size_t j = 0; j < n_; ++j) {
-          if (!colActive[j]) continue;
-          const Real cmax = columnMax(j);
-          if (cmax == 0) continue;
-          for (const Entry& e : liveCol(j)) {
-            const Real mag = std::abs(w_[e.slot]);
-            if (mag < opts_.pivotThreshold * cmax) continue;
-            const std::size_t mark =
-                (rows[e.idx].size() - 1) * (colLen[j] - 1);
-            if (mark < bestMark || (mark == bestMark && mag > bestMag)) {
-              bestR = e.idx;
-              bestC = j;
-              bestSlot = e.slot;
-              bestMark = mark;
-              bestMag = mag;
-            }
-          }
-        }
-      }
-      if (bestR == n_) failNumerical("SymbolicLU: matrix is singular");
     }
+    if (pr == n_) failNumerical("SymbolicLU: matrix is singular");
 
-    const std::size_t pr = bestR, pc = bestC;
-    const T p = w_[bestSlot];
+    const T p = w_[pivSlot];
     pivRow_[k] = static_cast<std::uint32_t>(pr);
     pivCol_[k] = static_cast<std::uint32_t>(pc);
-    pivSlot_[k] = bestSlot;
+    pivSlot_[k] = pivSlot;
     pivVal_[k] = p;
     rowActive[pr] = 0;
-    colActive[pc] = 0;
 
     // Record the U row (pivot entry excluded) in stored order and detach
     // the pivot row from the column counts.

@@ -1,10 +1,11 @@
-// The sparse LU factorization: Markowitz/threshold pivoting (the classic
-// SPICE strategy for MNA matrices, which are structurally symmetric,
+// The sparse LU factorization: threshold row pivoting inside a
+// fill-reducing column order (MNA matrices are structurally symmetric,
 // extremely sparse, and benefit enormously from a fill-minimizing pivot
-// order) split into a symbolic analysis and a numeric replay. It is the one
-// sparse factorizer: Newton loops (DC, transient, HB blocks, MPDE) factor
-// once and refactor per iteration; one-shot users (AC, noise, S-parameters,
-// the ROM expansion operator) call factor() and solve()/solveTransposed().
+// order), split into a symbolic analysis and a numeric replay. It is the
+// one sparse factorizer: Newton loops (DC, transient, HB blocks, MPDE)
+// factor once and refactor per iteration; one-shot users (AC, noise,
+// S-parameters, the ROM expansion operator) call factor() and
+// solve()/solveTransposed().
 //
 // factor() chooses the pivots and, while eliminating, records a flat
 // "update program": a workspace slot for every position the elimination
@@ -17,15 +18,17 @@
 // pattern and the pivot order, the replay is bit-for-bit the same arithmetic
 // a fresh factorization with the same pivots would perform.
 //
-// Options::ordering selects the pivot order (see DESIGN.md §13). Natural
-// runs the classic full Markowitz/threshold search (the golden reference);
-// Amd computes an approximate-minimum-degree column pre-order on the
-// symmetrized pattern up front (sparse/ordering.hpp) and restricts the
-// numeric search to threshold row pivoting inside each pre-ordered column —
-// O(nnz)-ish analysis instead of O(n²), which is what makes ≥50k-node
-// meshes tractable. Either way the analysis runs on flat per-row and
-// per-column (index, slot) lists with a dense scatter array — no hashing —
-// and the replay is one serial pass over the recorded program.
+// Options::ordering selects the column order (see DESIGN.md §13). Amd, the
+// default, computes an approximate-minimum-degree order on the symmetrized
+// pattern up front (sparse/ordering.hpp); Natural is the identity order.
+// Either way there is one pivot search: step k eliminates the k-th column
+// of that order and picks its row numerically — the diagonal if it passes
+// the relative threshold, else the shortest active row that does, ties to
+// the larger magnitude. Ordering quality is a pattern property, so the
+// analysis is O(nnz)-ish rather than the O(n²) of a full Markowitz search,
+// which is what makes ≥50k-node meshes tractable. The analysis runs on flat
+// per-row and per-column (index, slot) lists with a dense scatter array —
+// no hashing — and the replay is one serial pass over the recorded program.
 //
 // Replay is guarded: a pivot falling below `pivotFloor · max|A|`, element
 // growth beyond `growthLimit · max|A|`, or any non-finite value aborts the
@@ -58,7 +61,6 @@ class SymbolicLU {
  public:
   struct Options {
     Real pivotThreshold = 1e-3;  ///< relative threshold vs column max (analysis)
-    bool preferDiagonal = true;  ///< MNA matrices nearly always allow it
     Real pivotFloor = 1e-12;     ///< replay aborts if |pivot| ≤ floor·max|A|
     Real growthLimit = 1e10;     ///< replay aborts if max|U| > limit·max|A|
     /// Pivot pre-ordering (Auto resolves to the process default / per-job
@@ -127,7 +129,7 @@ class SymbolicLU {
   std::vector<std::size_t> aRowPtr_;
   std::vector<std::uint32_t> aColIdx_;
 
-  // Fill-reducing column pre-order (empty = natural Markowitz search).
+  // Column elimination order (AMD, or the identity under Natural).
   // Survives the repivot fallback: re-analysis keeps the column sequence
   // and re-chooses rows from the new values.
   std::vector<std::uint32_t> colOrder_;

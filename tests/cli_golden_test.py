@@ -6,6 +6,10 @@ client: same stdout, same stderr, same exit codes as the monolithic
 binary. This runs every example netlist and compares against committed
 golden captures, then checks the documented error exit codes.
 
+Every golden must also come out byte-identical under each flag set in
+FLAG_MATRIX: the pivot ordering, the worker-thread count and the scalar
+device walk change how the work is done, never the printed result.
+
 Usage: cli_golden_test.py <rficsim> <examples_dir> <golden_dir>
 """
 
@@ -14,7 +18,19 @@ import sys
 import tempfile
 import os
 
-def run(binary, args, stdin_path=None):
+# Flag sets every golden is checked under (the first is the default run).
+FLAG_MATRIX = (
+    [],
+    ["--ordering", "natural"],
+    ["--ordering", "amd"],
+    ["--threads", "1"],
+    ["--threads", "4"],
+    ["--no-batch-eval"],
+    ["--ordering", "natural", "--threads", "4", "--no-batch-eval"],
+)
+
+
+def run(binary, args):
     return subprocess.run([binary] + args, capture_output=True, timeout=300)
 
 
@@ -26,17 +42,21 @@ def main():
         cir = os.path.join(examples, name + ".cir")
         with open(os.path.join(golden, name + ".out"), "rb") as f:
             want = f.read()
-        p = run(binary, [cir])
-        if p.returncode != 0:
-            failures.append(f"{name}: exit {p.returncode} (want 0); "
-                            f"stderr={p.stderr[:200]!r}")
-        elif p.stdout != want:
-            failures.append(f"{name}: stdout differs from golden "
-                            f"({len(p.stdout)} vs {len(want)} bytes)")
-        elif p.stderr != b"":
-            failures.append(f"{name}: unexpected stderr {p.stderr[:200]!r}")
-        else:
-            print(f"ok   {name}: {len(want)} bytes byte-identical, exit 0")
+        for flags in FLAG_MATRIX:
+            label = " ".join([name] + flags)
+            p = run(binary, flags + [cir])
+            if p.returncode != 0:
+                failures.append(f"{label}: exit {p.returncode} (want 0); "
+                                f"stderr={p.stderr[:200]!r}")
+            elif p.stdout != want:
+                failures.append(f"{label}: stdout differs from golden "
+                                f"({len(p.stdout)} vs {len(want)} bytes)")
+            elif p.stderr != b"":
+                failures.append(f"{label}: unexpected stderr "
+                                f"{p.stderr[:200]!r}")
+            else:
+                print(f"ok   {label}: {len(want)} bytes byte-identical, "
+                      f"exit 0")
 
     # Error-path contract: exit 2 for usage-class mistakes, with a
     # diagnostic naming the offending node (the old code walked off the

@@ -17,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "engine/json.hpp"
 #include "engine/scheduler.hpp"
+#include "sparse/ordering.hpp"
 
 namespace {
 
@@ -314,6 +315,51 @@ TEST(EngineConcurrency, ConcurrentMixedJobsMatchSerialRuns) {
     EXPECT_EQ(res.exitCode, 0) << netlists[k];
     EXPECT_EQ(sink->out(ids[k]), serialOut[k]) << netlists[k];
   }
+}
+
+// ------------------------------------------------------- default ordering
+
+/// k×k RC mesh driven at one corner: big enough that the identity and the
+/// AMD column orders fill differently.
+std::string rcMesh(int k) {
+  std::string s = "V1 n0_0 0 SIN(0 1 1meg)\n";
+  const auto node = [](int i, int j) {
+    return "n" + std::to_string(i) + "_" + std::to_string(j);
+  };
+  for (int i = 0; i < k; ++i)
+    for (int j = 0; j < k; ++j) {
+      const std::string n = node(i, j), tag = std::to_string(i * k + j);
+      if (j + 1 < k) s += "Rh" + tag + " " + n + " " + node(i, j + 1) + " 1k\n";
+      if (i + 1 < k) s += "Rv" + tag + " " + n + " " + node(i + 1, j) + " 1k\n";
+      s += "Cg" + tag + " " + n + " 0 1p\n";
+    }
+  return s + ".print " + node(k - 1, k - 1) + "\n.op\n.tran 0.1u 1u\n";
+}
+
+TEST(EngineOrdering, DefaultIsAmdEndToEnd) {
+  EXPECT_EQ(sparse::orderingDefault(), sparse::Ordering::Amd);
+  // A fresh engine per job, so every job factors a cold context.
+  const auto runWith = [](const std::string& ordering) {
+    engine::Engine eng;
+    CollectSink sink;
+    engine::JobSpec s = spec(rcMesh(8));
+    s.ordering = ordering;
+    const auto res = eng.run(s, sink);
+    EXPECT_EQ(res.exitCode, 0) << ordering;
+    EXPECT_EQ(sink.err(0), "") << ordering;
+    return std::pair{res.perf, sink.out(0)};
+  };
+  const auto [byDefault, defaultOut] = runWith("");
+  const auto [amd, amdOut] = runWith("amd");
+  const auto [natural, naturalOut] = runWith("natural");
+
+  EXPECT_GT(byDefault.orderingNs, 0u);
+  EXPECT_GT(amd.orderingNs, 0u);
+  EXPECT_EQ(natural.orderingNs, 0u);
+  EXPECT_EQ(byDefault.factorFillNnz, amd.factorFillNnz);
+  EXPECT_NE(natural.factorFillNnz, amd.factorFillNnz);
+  EXPECT_EQ(defaultOut, amdOut);
+  EXPECT_EQ(naturalOut, amdOut);  // the ordering never changes the result
 }
 
 // -------------------------------------------------------- cancel lifecycle

@@ -1,4 +1,4 @@
-// Sparse storage, Markowitz LU, and Krylov solvers.
+// Sparse storage, sparse LU, and Krylov solvers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -142,8 +142,9 @@ TEST(SparseLU, TridiagonalHasNoFill) {
 }
 
 TEST(SparseLU, ArrowMatrixMarkowitzAvoidsFill) {
-  // Arrow matrix: dense first row/col. Natural-order elimination fills the
-  // whole matrix; Markowitz should defer the hub and keep the factor O(n).
+  // Arrow matrix: dense first row/col. Identity-order elimination fills
+  // the whole matrix; the default AMD order must defer the hub and keep
+  // the factor O(n).
   const std::size_t n = 60;
   RTriplets t(n, n);
   for (std::size_t i = 0; i < n; ++i) t.add(i, i, 4.0);
