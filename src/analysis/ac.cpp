@@ -20,11 +20,6 @@ void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop) {
   ws.eval(xop, 0.0, true);
 }
 
-CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
-             const CVec& stimulus) {
-  return acSweep(sys, xop, {freqHz}, stimulus).x.front();
-}
-
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus,
                  diag::RunBudget* budget) {

@@ -38,11 +38,6 @@ inline bool nodeInRange(const MnaSystem& sys, int node) {
   return node < 0 || static_cast<std::size_t>(node) < sys.dim();
 }
 
-/// Solve (G + j·2πf·C) x = u at a single frequency, with G, C linearized at
-/// operating point xop.
-CVec acSolve(const MnaSystem& sys, const RVec& xop, Real freqHz,
-             const CVec& stimulus);
-
 /// Sweep a list of frequencies: one linearization, one factorization per
 /// point. The optional budget is polled once per frequency; on a trip the
 /// result holds the points solved so far and status BudgetExceeded.

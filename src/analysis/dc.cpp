@@ -120,13 +120,6 @@ bool dcNewton(circuit::MnaWorkspace& ws, RVec& x, Real sourceScale,
   return false;
 }
 
-bool dcNewton(const MnaSystem& sys, RVec& x, Real sourceScale, Real gshunt,
-              const DCOptions& opts, std::size_t& itersOut,
-              diag::SolverStatus* statusOut) {
-  circuit::MnaWorkspace ws(sys);
-  return dcNewton(ws, x, sourceScale, gshunt, opts, itersOut, statusOut);
-}
-
 namespace {
 
 // The strategy ladder behind dcOperatingPoint, run under its counter scope.

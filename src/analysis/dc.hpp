@@ -48,18 +48,12 @@ struct DCResult {
 /// SolverStatus::BudgetExceeded instead.
 DCResult dcOperatingPoint(const MnaSystem& sys, const DCOptions& opts = {});
 
-/// Newton solve of f(x) = scale·b(0) + gshunt·x-leak starting from x0.
-/// Exposed for the continuation strategies and for tests. `statusOut`
-/// (optional) reports why the loop stopped: Converged, MaxIterations,
-/// Breakdown (singular Jacobian), Diverged (non-finite residual with no
-/// finite damped step), or BudgetExceeded.
-bool dcNewton(const MnaSystem& sys, RVec& x, Real sourceScale, Real gshunt,
-              const DCOptions& opts, std::size_t& itersOut,
-              diag::SolverStatus* statusOut = nullptr);
-
-/// Pattern-cached variant sharing one workspace across calls — the gmin and
-/// source continuation strategies reuse the same factorization pattern for
-/// every ramp point.
+/// Newton solve of f(x) = scale·b(0) + gshunt·x-leak starting from x0, on
+/// a workspace shared across calls — the gmin and source continuation
+/// strategies reuse the same factorization pattern for every ramp point.
+/// `statusOut` (optional) reports why the loop stopped: Converged,
+/// MaxIterations, Breakdown (singular Jacobian), Diverged (non-finite
+/// residual with no finite damped step), or BudgetExceeded.
 bool dcNewton(circuit::MnaWorkspace& ws, RVec& x, Real sourceScale,
               Real gshunt, const DCOptions& opts, std::size_t& itersOut,
               diag::SolverStatus* statusOut = nullptr);

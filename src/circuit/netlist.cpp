@@ -1,6 +1,8 @@
 #include "circuit/netlist.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -369,24 +371,58 @@ NetlistError::NetlistError(int line, std::string card, std::string detail)
 
 Real parseSpiceNumber(const std::string& token) {
   RFIC_REQUIRE(!token.empty(), "parseSpiceNumber: empty token");
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  Real v = std::strtod(begin, &end);
-  if (end == begin) failInvalid("parseSpiceNumber: bad number " + token);
-  const std::string suffix = lower(end);
-  if (suffix.empty()) return v;
-  if (suffix.rfind("meg", 0) == 0) return v * 1e6;
-  switch (suffix[0]) {
-    case 'f': return v * 1e-15;
-    case 'p': return v * 1e-12;
-    case 'n': return v * 1e-9;
-    case 'u': return v * 1e-6;
-    case 'm': return v * 1e-3;
-    case 'k': return v * 1e3;
-    case 'g': return v * 1e9;
-    case 't': return v * 1e12;
-    default: return v;  // trailing units like "ohm", "v", "hz"
+  // Scan the decimal syntax first: strtod alone would also accept nan,
+  // inf/infinity and hex ("0x10" as 16), so it must stop where the scan
+  // does.
+  const auto digitAt = [&](std::size_t i) {
+    return i < token.size() &&
+           std::isdigit(static_cast<unsigned char>(token[i])) != 0;
+  };
+  std::size_t i = (token[0] == '+' || token[0] == '-') ? 1 : 0;
+  const std::size_t intStart = i;
+  while (digitAt(i)) ++i;
+  std::size_t digits = i - intStart;
+  if (i < token.size() && token[i] == '.') {
+    const std::size_t fracStart = ++i;
+    while (digitAt(i)) ++i;
+    digits += i - fracStart;
   }
+  if (digits == 0) failInvalid("parseSpiceNumber: bad number " + token);
+  if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
+    std::size_t j = i + 1;
+    if (j < token.size() && (token[j] == '+' || token[j] == '-')) ++j;
+    if (digitAt(j)) {
+      i = j;
+      while (digitAt(i)) ++i;
+    }
+  }
+  char* end = nullptr;
+  Real v = std::strtod(token.c_str(), &end);
+  const std::string suffix = lower(token.substr(i));
+  const bool lettersOnly =
+      std::all_of(suffix.begin(), suffix.end(), [](char c) {
+        return std::isalpha(static_cast<unsigned char>(c)) != 0;
+      });
+  if (end != token.c_str() + i || !lettersOnly)
+    failInvalid("parseSpiceNumber: bad number " + token);
+  if (suffix.rfind("meg", 0) == 0) {
+    v *= 1e6;
+  } else if (!suffix.empty()) {
+    switch (suffix[0]) {
+      case 'f': v *= 1e-15; break;
+      case 'p': v *= 1e-12; break;
+      case 'n': v *= 1e-9; break;
+      case 'u': v *= 1e-6; break;
+      case 'm': v *= 1e-3; break;
+      case 'k': v *= 1e3; break;
+      case 'g': v *= 1e9; break;
+      case 't': v *= 1e12; break;
+      default: break;  // trailing units like "ohm", "v", "hz"
+    }
+  }
+  if (!std::isfinite(v))
+    failInvalid("parseSpiceNumber: number out of range " + token);
+  return v;
 }
 
 void parseNetlist(const std::string& text, Circuit& ckt) {

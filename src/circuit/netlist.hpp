@@ -44,7 +44,9 @@ class NetlistError : public InvalidArgument {
 void parseNetlist(const std::string& text, Circuit& ckt);
 
 /// Parse a numeric field with SPICE engineering suffixes ("2.2k", "1MEG",
-/// "100n"). Throws InvalidArgument on malformed numbers.
+/// "100n"): a decimal mantissa with an optional exponent, then letters only
+/// (scale factor and/or units). Throws InvalidArgument on anything else —
+/// nan, inf, hex — and on a value that is not finite after scaling.
 Real parseSpiceNumber(const std::string& token);
 
 }  // namespace rfic::circuit

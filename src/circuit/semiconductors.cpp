@@ -14,10 +14,6 @@ namespace {
 constexpr Real kKT = 1.380649e-23 * 300.0;
 }  // namespace
 
-Real pnjLimit(Real vNew, Real vOld, Real vt, Real vcrit) {
-  return kernels::pnjLimit(vNew, vOld, vt, vcrit);
-}
-
 // ---------------------------------------------------------------- Diode
 
 Diode::Diode(std::string name, int anode, int cathode, Params p)

@@ -113,8 +113,4 @@ class MOSFET final : public Device {
   Type type_;
 };
 
-/// SPICE pnjlim: limit a junction-voltage Newton step to the region where
-/// the exponential is well-behaved.
-Real pnjLimit(Real vNew, Real vOld, Real vt, Real vcrit);
-
 }  // namespace rfic::circuit

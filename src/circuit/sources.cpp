@@ -1,6 +1,5 @@
 #include "circuit/sources.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "circuit/device_batch.hpp"
@@ -19,28 +18,6 @@ Real SquareWave::value(Real t) const {
   if (ph < 0.5 + e * 0.5) return mid - half * ((ph - 0.5) / (e * 0.5));
   if (ph < 1.0 - e * 0.5) return low_;
   return mid + half * ((ph - 1.0) / (e * 0.5));
-}
-
-PWLWave::PWLWave(std::vector<std::pair<Real, Real>> points)
-    : pts_(std::move(points)) {
-  RFIC_REQUIRE(!pts_.empty(), "PWLWave: at least one point required");
-  RFIC_REQUIRE(std::is_sorted(pts_.begin(), pts_.end(),
-                              [](const auto& a, const auto& b) {
-                                return a.first < b.first;
-                              }),
-               "PWLWave: points must be sorted by time");
-}
-
-Real PWLWave::value(Real t) const {
-  if (t <= pts_.front().first) return pts_.front().second;
-  if (t >= pts_.back().first) return pts_.back().second;
-  const auto it = std::upper_bound(
-      pts_.begin(), pts_.end(), t,
-      [](Real v, const auto& p) { return v < p.first; });
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
-  const Real w = (t - lo.first) / (hi.first - lo.first);
-  return lo.second + w * (hi.second - lo.second);
 }
 
 PulseWave::PulseWave(Real v1, Real v2, Real delay, Real rise, Real fall,

@@ -83,16 +83,6 @@ class SquareWave final : public Waveform {
   Real low_, high_, f_, rise_;
 };
 
-/// Piecewise-linear waveform; flat extrapolation outside the point range.
-class PWLWave final : public Waveform {
- public:
-  explicit PWLWave(std::vector<std::pair<Real, Real>> points);
-  Real value(Real t) const override;
-
- private:
-  std::vector<std::pair<Real, Real>> pts_;
-};
-
 /// SPICE-style PULSE(v1 v2 delay rise fall width period).
 class PulseWave final : public Waveform {
  public:

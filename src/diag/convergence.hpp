@@ -1,7 +1,7 @@
 // Structured convergence reporting shared by every iterative solver.
 //
 // The project rule (enforced by tools/numerics_lint.py) is that no
-// iterative process may silently return: GMRES, BiCGSTAB, CG, the shooting
+// iterative process may silently return: GMRES, CG, the shooting
 // and HB Newton loops, and DC continuation all classify *why* they stopped,
 // not just whether the residual target was met. Callers that previously
 // read only the `converged` bool keep working; callers that need to
@@ -16,7 +16,7 @@ enum class SolverStatus {
   NotRun = 0,     ///< solver was never entered (default-constructed result)
   Converged,      ///< residual target met
   MaxIterations,  ///< iteration cap hit before the target
-  Breakdown,      ///< recurrence broke down (e.g. rho ≈ 0 in BiCGSTAB);
+  Breakdown,      ///< recurrence broke down (e.g. pᵀAp ≈ 0 in CG);
                   ///< typical of singular or near-singular systems
   Stagnated,      ///< residual stopped improving (Krylov space exhausted)
   Diverged,       ///< residual became non-finite (NaN/Inf)

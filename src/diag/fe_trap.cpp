@@ -16,13 +16,10 @@ ScopedFeTrap::~ScopedFeTrap() {
   if (previousMask_ >= 0) feenableexcept(previousMask_);
 }
 
-bool ScopedFeTrap::supported() { return true; }
-
 #else
 
 ScopedFeTrap::ScopedFeTrap() = default;
 ScopedFeTrap::~ScopedFeTrap() = default;
-bool ScopedFeTrap::supported() { return false; }
 
 #endif
 

@@ -22,9 +22,6 @@ class ScopedFeTrap {
   ScopedFeTrap(const ScopedFeTrap&) = delete;
   ScopedFeTrap& operator=(const ScopedFeTrap&) = delete;
 
-  /// True if trapping is actually supported (and enabled) on this platform.
-  static bool supported();
-
  private:
   int previousMask_ = 0;
 };

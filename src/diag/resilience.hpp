@@ -239,7 +239,7 @@ bool budgetExceeded(const RunBudget* b);
 enum class FaultPoint : int {
   NanInResidual = 0,  ///< poison one assembled residual with a NaN
   SingularJacobian,   ///< make one Jacobian factorization fail as singular
-  KrylovStall,        ///< force one GMRES/BiCGSTAB call to report Stagnated
+  KrylovStall,        ///< force one GMRES/CG call to report Stagnated
   FactorRepivot,      ///< force one numeric refactorization down the
                       ///< repivot (fresh-factorization) fallback
   BudgetExpiry,       ///< make one budgetExceeded() poll return true

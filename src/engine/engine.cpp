@@ -34,15 +34,6 @@ const char* toString(JobState s) {
   return "?";
 }
 
-const char* toString(Priority p) {
-  switch (p) {
-    case Priority::High: return "high";
-    case Priority::Normal: return "normal";
-    case Priority::Batch: return "batch";
-  }
-  return "?";
-}
-
 bool parsePriority(const std::string& s, Priority& out) {
   if (s == "high") {
     out = Priority::High;
@@ -164,29 +155,43 @@ bool isAnalysisHead(const std::string& head) {
          head == ".end";
 }
 
+/// The numeric argument `tok` of an analysis card, or nullopt when it is
+/// not a SPICE number (parseSpiceNumber also rejects nan, inf and values
+/// that overflow, so a value returned here is finite).
+std::optional<Real> cardNumber(const std::string& tok) {
+  try {
+    return circuit::parseSpiceNumber(tok);
+  } catch (const InvalidArgument&) {
+    return std::nullopt;
+  }
+}
+
+/// Diagnostic for a bad argument t[i] of an analysis card (exit 2).
+std::string badArgument(const std::vector<std::string>& t, std::size_t i,
+                        const char* what) {
+  return t[0] + ": " + what + " (got '" + t[i] + "')";
+}
+
 /// The frequency grid of a `.ac`/`.noise` card, whose tokens t[at],
 /// t[at + 1], t[at + 2] are points per decade, start and stop frequency.
 /// Returns "" on success, else a diagnostic naming the card.
 std::string decadeSweep(const std::vector<std::string>& t, std::size_t at,
                         std::vector<Real>& freqs) {
-  const Real pts = circuit::parseSpiceNumber(t[at]);
-  const Real f0 = circuit::parseSpiceNumber(t[at + 1]);
-  const Real f1 = circuit::parseSpiceNumber(t[at + 2]);
-  const auto bad = [&](const char* what, const std::string& tok) {
-    return t[0] + ": " + what + " (got '" + tok + "')";
-  };
+  const auto pts = cardNumber(t[at]);
+  const auto f0 = cardNumber(t[at + 1]);
+  const auto f1 = cardNumber(t[at + 2]);
   // The bound keeps the integer conversion below defined.
-  if (!(pts >= 0 && pts <= 1e9))
-    return bad("points per decade must be a number in [0, 1e9]", t[at]);
-  if (!(f0 > 0) || !std::isfinite(f0))
-    return bad("start frequency must be finite and > 0", t[at + 1]);
-  if (!(f1 > f0) || !std::isfinite(f1))
-    return bad("stop frequency must be finite and above the start",
-               t[at + 2]);
-  const auto perDecade = static_cast<std::size_t>(pts);
-  const Real decades = std::log10(f1 / f0);
+  if (!pts || !(*pts >= 0 && *pts <= 1e9))
+    return badArgument(t, at, "points per decade must be a number in [0, 1e9]");
+  if (!f0 || !(*f0 > 0))
+    return badArgument(t, at + 1, "start frequency must be finite and > 0");
+  if (!f1 || !(*f1 > *f0))
+    return badArgument(t, at + 2,
+                       "stop frequency must be finite and above the start");
+  const auto perDecade = static_cast<std::size_t>(*pts);
+  const Real decades = std::log10(*f1 / *f0);
   freqs = analysis::logspace(
-      f0, f1,
+      *f0, *f1,
       std::max<std::size_t>(
           2, static_cast<std::size_t>(std::lround(perDecade * decades)) + 1));
   return "";
@@ -305,9 +310,15 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
       res.analyses.push_back(a);
       r.analysisDone(a);
     } else if (t[0] == ".tran" && t.size() >= 3) {
+      const auto dt = cardNumber(t[1]);
+      const auto tstop = cardNumber(t[2]);
+      if (!dt || !(*dt > 0))
+        return badCard(badArgument(t, 1, "time step must be finite and > 0"));
+      if (!tstop || !(*tstop > 0))
+        return badCard(badArgument(t, 2, "stop time must be finite and > 0"));
       analysis::TransientOptions to;
-      to.dt = circuit::parseSpiceNumber(t[1]);
-      to.tstop = circuit::parseSpiceNumber(t[2]);
+      to.dt = *dt;
+      to.tstop = *tstop;
       to.workspace = &ws;
       to.budget = budget;
       to.checkpointPath = spec.checkpointPath;
@@ -392,14 +403,25 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
       r.analysisDone(a);
       if (!a.ok) return budgetStop(".noise");
     } else if (t[0] == ".hb" && t.size() >= 3) {
+      // Tokens: f1 h1 [f2 h2]. The harmonic bound keeps the count exact
+      // as an integer, HB's int harmonic indices far from overflow, and
+      // each tone's time grid at most 2^19 samples (oversample 4), so the
+      // two-tone grid m1·m2 stays below 2^38 samples.
+      constexpr Real kMaxHarmonics = 1e5;
       std::vector<hb::Tone> tones;
-      tones.push_back(
-          {circuit::parseSpiceNumber(t[1]),
-           static_cast<std::size_t>(circuit::parseSpiceNumber(t[2]))});
-      if (t.size() >= 5)
-        tones.push_back(
-            {circuit::parseSpiceNumber(t[3]),
-             static_cast<std::size_t>(circuit::parseSpiceNumber(t[4]))});
+      const std::size_t toneCount = t.size() >= 5 ? 2 : 1;
+      for (std::size_t k = 0; k < toneCount; ++k) {
+        const std::size_t i = 1 + 2 * k;
+        const auto f = cardNumber(t[i]);
+        const auto h = cardNumber(t[i + 1]);
+        if (!f || !(*f > 0))
+          return badCard(
+              badArgument(t, i, "tone frequency must be finite and > 0"));
+        if (!h || !(*h >= 1 && *h <= kMaxHarmonics && std::floor(*h) == *h))
+          return badCard(badArgument(
+              t, i + 1, "harmonic count must be a whole number in [1, 1e5]"));
+        tones.push_back({*f, static_cast<std::size_t>(*h)});
+      }
       hb::HBOptions ho;
       ho.continuationSteps = 3;
       ho.budget = budget;

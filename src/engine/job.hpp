@@ -31,9 +31,8 @@ using JobId = std::uint64_t;
 /// preempted — priority acts only at pop time.
 enum class Priority : int { High = 0, Normal = 1, Batch = 2 };
 
-/// Stable wire name: "high", "normal", "batch".
-const char* toString(Priority p);
-/// Parse a wire name; false (out untouched) for anything unrecognized.
+/// Parse a wire name ("high", "normal", "batch"); false (out untouched) for
+/// anything unrecognized.
 bool parsePriority(const std::string& s, Priority& out);
 
 /// One simulation request. The netlist text carries both the element cards

@@ -6,12 +6,6 @@ namespace rfic::extraction {
 
 Real Vec3::norm() const { return std::sqrt(x * x + y * y + z * z); }
 
-Vec3 Vec3::normalized() const {
-  const Real n = norm();
-  RFIC_REQUIRE(n > 0, "Vec3::normalized: zero vector");
-  return {x / n, y / n, z / n};
-}
-
 int PanelMesh::addConductor(std::string name) {
   conductorNames.push_back(std::move(name));
   return static_cast<int>(conductorNames.size()) - 1;

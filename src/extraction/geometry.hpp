@@ -24,7 +24,6 @@ struct Vec3 {
     return {y * o.z - z * o.y, z * o.x - x * o.z, x * o.y - y * o.x};
   }
   Real norm() const;
-  Vec3 normalized() const;
 };
 
 /// Flat rectangular panel: corner + two orthogonal edge vectors.

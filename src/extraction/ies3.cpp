@@ -387,10 +387,6 @@ IES3Matrix::IES3Matrix(const std::vector<Vec3>& positions,
   perf::global().addExtractionCompress(stats_.compressNs);
 }
 
-IES3Matrix::IES3Matrix(const std::vector<Vec3>& positions, KernelFn kernel,
-                       const IES3Options& opts)
-    : IES3Matrix(positions, FunctionKernel(std::move(kernel)), opts) {}
-
 std::unique_ptr<IES3Matrix::Workspace> IES3Matrix::acquireWorkspace() const {
   {
     // rt: allow(rt-lock) uncontended pool handoff — one mutex round-trip

@@ -59,11 +59,6 @@ struct IES3Options {
   bool warmStart = false;
 };
 
-/// Entry generator: kernel(i, j) = matrix entry for panels i, j.
-/// (Legacy callable form — see EntryKernel in kernel.hpp for the batched
-/// interface the build hot path uses.)
-using KernelFn = std::function<Real(std::size_t, std::size_t)>;
-
 /// Build-time statistics: where the assembly wall time went, what the ACA
 /// found, and how much of the dense matrix survived compression.
 struct IES3BuildStats {
@@ -87,9 +82,6 @@ class IES3Matrix final : public sparse::LinearOperator<Real> {
   /// generator. The kernel is only sampled during construction and need
   /// not outlive the matrix.
   IES3Matrix(const std::vector<Vec3>& positions, const EntryKernel& kernel,
-             const IES3Options& opts = {});
-  /// Legacy convenience: wrap a callable (per-entry dispatch; slower build).
-  IES3Matrix(const std::vector<Vec3>& positions, KernelFn kernel,
              const IES3Options& opts = {});
 
   std::size_t dim() const override { return n_; }

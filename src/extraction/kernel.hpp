@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <utility>
 
 #include "common.hpp"
 
@@ -36,19 +34,6 @@ class EntryKernel {
                       Real* out) const {
     for (std::size_t t = 0; t < m; ++t) out[t] = entry(rows[t], j);
   }
-};
-
-/// Adapter for ad-hoc callable kernels (tests, synthetic matrices).
-/// Batches devolve to per-entry calls — use a concrete EntryKernel
-/// subclass where build speed matters.
-class FunctionKernel final : public EntryKernel {
- public:
-  using Fn = std::function<Real(std::size_t, std::size_t)>;
-  explicit FunctionKernel(Fn fn) : fn_(std::move(fn)) {}
-  Real entry(std::size_t i, std::size_t j) const override { return fn_(i, j); }
-
- private:
-  Fn fn_;
 };
 
 }  // namespace rfic::extraction

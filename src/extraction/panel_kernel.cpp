@@ -62,10 +62,6 @@ Real panelPotential(const Panel& panel, const Vec3& point) {
   return panelPotential(makePanelFrame(panel), point);
 }
 
-Real panelPotentialAtCentroid(const Panel& source, const Panel& target) {
-  return panelPotential(source, target.centroid());
-}
-
 PanelPotentialKernel::PanelPotentialKernel(const PanelMesh& mesh) {
   const std::size_t n = mesh.panels.size();
   frames_.reserve(n);

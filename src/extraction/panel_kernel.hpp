@@ -20,10 +20,6 @@ inline constexpr Real kEps0 = 8.8541878128e-12;
 /// the self term).
 Real panelPotential(const Panel& panel, const Vec3& point);
 
-/// Collocation matrix entry helper: potential at the centroid of panel i
-/// from unit total charge on panel j.
-Real panelPotentialAtCentroid(const Panel& source, const Panel& target);
-
 /// Precomputed local frame of a source panel: orthonormal edge directions,
 /// normal, edge lengths, and the 1/(4πε₀·la·lb) charge-density scale. The
 /// frame is everything `panelPotential` derives from the panel itself, so

@@ -99,11 +99,6 @@ Real loopInductance(const std::vector<Segment>& segs) {
   return total;
 }
 
-Real segmentResistanceDC(const Segment& s, Real resistivity) {
-  const Real l = (s.end - s.start).norm();
-  return resistivity * l / (s.width * s.thickness);
-}
-
 Real skinEffectFactor(Real freqHz, Real thickness, Real resistivity) {
   if (freqHz <= 0) return 1.0;
   const Real delta = std::sqrt(resistivity / (kPi * freqHz * kMu0));

@@ -39,9 +39,6 @@ Real partialMutualInductance(const Segment& a, const Segment& b,
 /// L = Σᵢⱼ signᵢ·signⱼ·M(i,j).
 Real loopInductance(const std::vector<Segment>& segs);
 
-/// DC resistance of a segment: ρ·l/(w·t).
-Real segmentResistanceDC(const Segment& s, Real resistivity);
-
 /// Skin-effect multiplier at frequency f for conductor thickness t:
 /// R(f)/Rdc = t/(δ·(1 − e^{−t/δ})), δ = √(ρ/(π f μ₀)); → 1 at low f.
 Real skinEffectFactor(Real freqHz, Real thickness, Real resistivity);

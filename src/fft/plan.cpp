@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "fft/fft.hpp"
 #include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
 
@@ -62,6 +61,17 @@ class ScratchLease {
   std::vector<Complex> fallback_;
 };
 }  // namespace
+
+bool isPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+std::size_t nextPowerOfTwo(std::size_t n) {
+  constexpr std::size_t kLargest =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+  RFIC_REQUIRE(n <= kLargest, "fft::nextPowerOfTwo: no power of two >= n fits");
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
 
 Plan::Plan(std::size_t n) : n_(n) {
   RFIC_REQUIRE(n > 0, "fft::Plan: length must be positive");
@@ -235,11 +245,6 @@ std::uint64_t PlanCache::hits() const {
 std::uint64_t PlanCache::misses() const {
   diag::LockGuard lock(mu_);
   return misses_;
-}
-
-void PlanCache::clear() {
-  diag::LockGuard lock(mu_);
-  plans_.clear();
 }
 
 RFIC_REALTIME void transformColumns(const Plan& plan, Complex* data,

@@ -1,16 +1,23 @@
-// Planned FFTs: precompute once, replay with zero allocation.
+// Fast Fourier transforms: planned, precomputed once, replayed with zero
+// allocation.
 //
-// The matrix-implicit HB/MPDE inner path (Section 2.1) spends its life
-// moving waveforms between time and frequency; what makes that path run at
-// hardware speed is never recomputing what the transform length alone
-// determines. A Plan owns everything a length-n DFT needs — the bit-
-// reversal permutation and per-stage twiddle tables for the radix-2 path,
-// and for arbitrary lengths the Bluestein chirp together with its forward-
-// transformed convolution kernel — so executing a transform is pure data
-// movement and butterflies. Plans are immutable after construction and
-// shared through a process-wide, thread-safe PlanCache (the same
-// "precompute once, replay cheaply" discipline the sparse layer applies
-// with SymbolicLU).
+// The harmonic-balance engine (Section 2.1) and the multi-time MPDE methods
+// (Section 2.2) move circuit waveforms between the time and frequency
+// domains on every residual and Jacobian-vector evaluation; the FFT is what
+// makes the matrix-implicit formulation cheap. Radix-2 handles the
+// power-of-two oversampled grids used by HB; Bluestein covers arbitrary
+// lengths (odd spectral-collocation grids in MMFT); a row-column 2-D
+// transform supports two-tone analysis.
+//
+// What makes that path run at hardware speed is never recomputing what the
+// transform length alone determines. A Plan owns everything a length-n DFT
+// needs — the bit-reversal permutation and per-stage twiddle tables for the
+// radix-2 path, and for arbitrary lengths the Bluestein chirp together with
+// its forward-transformed convolution kernel — so executing a transform is
+// pure data movement and butterflies. Plans are immutable after
+// construction and shared through a process-wide, thread-safe PlanCache
+// (the same "precompute once, replay cheaply" discipline the sparse layer
+// applies with SymbolicLU).
 //
 // Execution never allocates: the radix-2 path is in-place, and the
 // Bluestein path writes through caller scratch (scratchSize() complex
@@ -34,6 +41,13 @@ class Counters;
 }  // namespace rfic::perf
 
 namespace rfic::fft {
+
+/// True if n is a power of two (and nonzero).
+bool isPowerOfTwo(std::size_t n);
+
+/// Smallest power of two ≥ n. Throws InvalidArgument when n > 2⁶³, where no
+/// power of two fits in std::size_t.
+std::size_t nextPowerOfTwo(std::size_t n);
 
 /// Immutable execution plan for length-n DFTs (forward and inverse).
 class Plan {
@@ -91,8 +105,6 @@ class PlanCache {
 
   std::uint64_t hits() const RFIC_EXCLUDES(mu_);
   std::uint64_t misses() const RFIC_EXCLUDES(mu_);
-  /// Drop every cached plan (tests; outstanding shared_ptrs stay valid).
-  void clear() RFIC_EXCLUDES(mu_);
 
  private:
   mutable diag::Mutex mu_;

@@ -5,7 +5,6 @@
 
 #include "circuit/mna_workspace.hpp"
 #include "diag/contracts.hpp"
-#include "fft/fft.hpp"
 #include "fft/plan.hpp"
 #include "hb/hb_jacobian.hpp"
 #include "numeric/lu.hpp"
@@ -23,20 +22,6 @@ Complex HBSolution::at(std::size_t u, int k1, int k2) const {
     if (indices[j][0] == k1 && indices[j][1] == k2) return coeffs(u, j);
   }
   return {0.0, 0.0};
-}
-
-Real HBSolution::evaluate(std::size_t u, Real t1, Real t2) const {
-  // indices[0] is DC by construction; all others count twice via conjugate
-  // symmetry. Each tone combines with its own time variable — the bivariate
-  // form x̂(t1, t2) of Section 2.2; the physical signal is x̂(t, t).
-  Real v = coeffs(u, 0).real();
-  for (std::size_t j = 1; j < indices.size(); ++j) {
-    const Real phase = kTwoPi * (static_cast<Real>(indices[j][0]) * f1_ * t1 +
-                                 static_cast<Real>(indices[j][1]) * f2_ * t2);
-    const Complex e(std::cos(phase), std::sin(phase));
-    v += 2.0 * (coeffs(u, j) * e).real();
-  }
-  return v;
 }
 
 // -------------------------------------------------------- HarmonicBalance
@@ -245,8 +230,6 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   for (std::size_t j = 0; j < indices_.size(); ++j)
     sol.freqs[j] = omega(j) / kTwoPi;
   sol.realUnknowns = n_ * nc_;
-  sol.f1_ = tones_[0].freq;
-  sol.f2_ = dims() == 2 ? tones_[1].freq : 0.0;
 
   // Initial spectrum: DC slots carry the operating point.
   CMat coeffs(n_, indices_.size());

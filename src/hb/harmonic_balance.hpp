@@ -83,16 +83,11 @@ struct HBSolution {
   std::vector<std::array<int, 2>> indices;  ///< retained (k1, k2), canonical
   std::vector<Real> freqs;                  ///< k1·f1 + k2·f2 per index [Hz]
   CMat coeffs;  ///< (#unknowns × #indices) complex Fourier coefficients
-  Real f1_ = 0, f2_ = 0;  ///< tone fundamentals (f2_ = 0 for single tone)
 
   /// Coefficient of unknown `u` at harmonic (k1, k2); conjugate symmetry is
   /// applied automatically for indices stored mirrored. Returns 0 for
   /// indices outside the truncation box.
   Complex at(std::size_t u, int k1, int k2 = 0) const;
-
-  /// Reconstruct the waveform value of unknown `u` at bivariate time
-  /// (t1, t2) — the quasi-periodic signal itself is x(t) = x̂(t, t).
-  Real evaluate(std::size_t u, Real t1, Real t2 = 0) const;
 };
 
 /// Harmonic-balance engine bound to a circuit.

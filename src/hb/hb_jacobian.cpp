@@ -63,13 +63,6 @@ RFIC_REALTIME void HBOperator::apply(const RVec& y, RVec& out) const {
 HBBlockPreconditioner::HBBlockPreconditioner(const HarmonicBalance& engine)
     : eng_(engine), blocks_(engine.indices_.size()) {}
 
-HBBlockPreconditioner::HBBlockPreconditioner(const HarmonicBalance& engine,
-                                             const sparse::RTriplets& gAvg,
-                                             const sparse::RTriplets& cAvg)
-    : HBBlockPreconditioner(engine) {
-  update(gAvg, cAvg);
-}
-
 void HBBlockPreconditioner::update(const sparse::RTriplets& gAvg,
                                    const sparse::RTriplets& cAvg) {
   const std::size_t n = eng_.n_;

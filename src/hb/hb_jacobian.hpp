@@ -61,10 +61,6 @@ class HBBlockPreconditioner final : public sparse::LinearOperator<Real> {
  public:
   /// Persistent form: construct once, update() every Newton iteration.
   explicit HBBlockPreconditioner(const HarmonicBalance& engine);
-  /// One-shot convenience: construct and factor immediately.
-  HBBlockPreconditioner(const HarmonicBalance& engine,
-                        const sparse::RTriplets& gAvg,
-                        const sparse::RTriplets& cAvg);
 
   /// (Re)factor every harmonic block from new time averages. While the
   /// union pattern of Ḡ and C̄ is unchanged, each block is a cheap numeric

@@ -4,12 +4,6 @@
 
 namespace rfic::mpde {
 
-RVec BivariateGrid::state(std::size_t i, std::size_t j) const {
-  RVec x(n_);
-  for (std::size_t u = 0; u < n_; ++u) x[u] = at(u, i, j);
-  return x;
-}
-
 void BivariateGrid::setState(std::size_t i, std::size_t j, const RVec& x) {
   RFIC_REQUIRE(x.size() == n_, "BivariateGrid::setState size mismatch");
   for (std::size_t u = 0; u < n_; ++u) at(u, i, j) = x[u];

@@ -43,8 +43,7 @@ class BivariateGrid {
     return data_[(i * m2_ + j) * n_ + u];
   }
 
-  /// State vector at grid point (i, j).
-  RVec state(std::size_t i, std::size_t j) const;
+  /// Store the state vector x at grid point (i, j).
   void setState(std::size_t i, std::size_t j, const RVec& x);
 
   /// Value of the physical signal x_u(t) = x̂_u(t, t) by bilinear

@@ -9,16 +9,4 @@ CMat toComplex(const RMat& a) {
   return c;
 }
 
-CVec toComplex(const RVec& v) {
-  CVec c(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) c[i] = v[i];
-  return c;
-}
-
-RVec realPart(const CVec& v) {
-  RVec r(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) r[i] = v[i].real();
-  return r;
-}
-
 }  // namespace rfic::numeric

@@ -232,9 +232,7 @@ Real normFro(const Mat<T>& a) {
   return std::sqrt(s);
 }
 
-/// Promote a real matrix/vector to complex.
+/// Promote a real matrix to complex.
 CMat toComplex(const RMat& a);
-CVec toComplex(const RVec& v);
-RVec realPart(const CVec& v);
 
 }  // namespace rfic::numeric

@@ -174,10 +174,4 @@ CVec eigenvectorNear(const RMat& a, Complex shift) {
   return v;
 }
 
-CVec leftEigenvectorNear(const RMat& a, Complex shift) {
-  CVec w = eigenvectorNear(a.transposed(), std::conj(shift));
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] = std::conj(w[i]);
-  return w;
-}
-
 }  // namespace rfic::numeric

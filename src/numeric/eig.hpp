@@ -22,9 +22,4 @@ CVec eigenvalues(const CMat& a);
 /// by inverse iteration. The returned vector is 2-norm normalized.
 CVec eigenvectorNear(const RMat& a, Complex shift);
 
-/// Left eigenvector (vᴴ a = λ vᴴ ⇔ aᵀ v̄ = λ̄ v̄); computed as the right
-/// eigenvector of aᵀ near conj(shift), then conjugated back. For real
-/// matrices and real shifts this reduces to the ordinary left eigenvector.
-CVec leftEigenvectorNear(const RMat& a, Complex shift);
-
 }  // namespace rfic::numeric

@@ -116,20 +116,4 @@ T LU<T>::determinant() const {
 template class LU<Real>;
 template class LU<Complex>;
 
-Real conditionEstimate(const RMat& a) {
-  RFIC_REQUIRE(a.rows() == a.cols(), "conditionEstimate: square required");
-  // ||A||_1 * ||A^{-1}||_1 with the inverse formed explicitly.
-  auto norm1 = [](const RMat& m) {
-    Real best = 0;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      Real s = 0;
-      for (std::size_t i = 0; i < m.rows(); ++i) s += std::abs(m(i, j));
-      best = std::max(best, s);
-    }
-    return best;
-  };
-  RMat inv = inverse(a);
-  return norm1(a) * norm1(inv);
-}
-
 }  // namespace rfic::numeric

@@ -59,8 +59,4 @@ Mat<T> inverse(Mat<T> a) {
   return LU<T>(std::move(a)).solve(Mat<T>::identity(n));
 }
 
-/// 1-norm condition estimate via explicit inverse — for reporting only
-/// (Table 1 bench); O(n³) and fine at the sizes used there.
-Real conditionEstimate(const RMat& a);
-
 }  // namespace rfic::numeric

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "diag/contracts.hpp"
-#include "fft/fft.hpp"
-#include "fft/plan.hpp"
 
 namespace rfic::phasenoise {
 
@@ -91,64 +89,5 @@ PhaseNoiseResult analyzeOscillatorPhaseNoise(const MnaSystem& sys,
   return res;
 }
 
-PsdEstimate periodogramPsd(const std::vector<Real>& samples, Real sampleRate,
-                           std::size_t segmentLength) {
-  RFIC_REQUIRE(samples.size() >= 8, "periodogramPsd: too few samples");
-  RFIC_REQUIRE(sampleRate > 0, "periodogramPsd: bad sample rate");
-  RFIC_REQUIRE(segmentLength == 0 || segmentLength >= 8,
-               "periodogramPsd: segment length must be 0 (auto) or >= 8");
-  const std::size_t n = samples.size();
-  std::size_t seg = segmentLength;
-  if (seg == 0) {
-    // Largest power of two at most n/4 (floor 8): enough segments to
-    // average the periodogram variance down, pow2 for the cheapest plan.
-    seg = 8;
-    while (seg * 2 <= n / 4) seg *= 2;
-  }
-  seg = std::min(seg, n);
-  const std::size_t hop = std::max<std::size_t>(1, seg / 2);
-
-  // Hann window and its power, computed once per call.
-  std::vector<Real> win(seg);
-  Real winPower = 0;
-  for (std::size_t i = 0; i < seg; ++i) {
-    win[i] = 0.5 * (1.0 - std::cos(kTwoPi * static_cast<Real>(i) /
-                                   static_cast<Real>(seg)));
-    winPower += win[i] * win[i];
-  }
-
-  // All segments replay one cached plan through one pair of buffers.
-  const auto plan = fft::PlanCache::global().get(seg);
-  std::vector<Complex> buf(seg);
-  std::vector<Complex> scratch(plan->scratchSize());
-
-  const std::size_t half = seg / 2 + 1;
-  PsdEstimate est;
-  est.freq.resize(half);
-  est.psd.assign(half, 0.0);
-  for (std::size_t k = 0; k < half; ++k)
-    est.freq[k] = sampleRate * static_cast<Real>(k) / static_cast<Real>(seg);
-
-  for (std::size_t start = 0; start + seg <= n; start += hop) {
-    for (std::size_t i = 0; i < seg; ++i)
-      buf[i] = samples[start + i] * win[i];
-    plan->forward(buf.data(), scratch.data());
-    for (std::size_t k = 0; k < half; ++k)
-      est.psd[k] += std::norm(buf[k]);
-    ++est.segments;
-  }
-
-  // One-sided normalization: 1/(fs·Σw²) per segment, averaged over
-  // segments, interior bins doubled (DC and, for even seg, Nyquist are
-  // their own mirror).
-  const Real norm =
-      1.0 / (sampleRate * winPower * static_cast<Real>(est.segments));
-  for (std::size_t k = 0; k < half; ++k) {
-    Real v = est.psd[k] * norm;
-    const bool mirrored = k != 0 && !(seg % 2 == 0 && k == half - 1);
-    est.psd[k] = mirrored ? 2.0 * v : v;
-  }
-  return est;
-}
 
 }  // namespace rfic::phasenoise

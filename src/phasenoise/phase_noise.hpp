@@ -64,21 +64,5 @@ struct PhaseNoiseResult {
 PhaseNoiseResult analyzeOscillatorPhaseNoise(const MnaSystem& sys,
                                              const PSSResult& pss);
 
-/// One-sided Welch periodogram estimate of a sampled waveform's PSD.
-struct PsdEstimate {
-  std::vector<Real> freq;     ///< bin frequencies [Hz], DC .. fs/2
-  std::vector<Real> psd;      ///< power spectral density [units²/Hz]
-  std::size_t segments = 0;   ///< averaged half-overlapping segments
-};
-
-/// Welch-averaged, Hann-windowed periodogram: the empirical counterpart to
-/// the analytic Lorentzian above, for PSDs of simulated noise/jitter
-/// records (e.g. validating lorentzian()/ssbPhaseNoiseDbc against a Monte-
-/// Carlo phase walk). Segments of `segmentLength` samples (0 = auto: the
-/// largest power of two ≤ n/4, floor 8) overlap by half; all transforms
-/// replay one cached fft::Plan and the scratch buffers are reused across
-/// segments, so long records cost no per-segment allocation.
-PsdEstimate periodogramPsd(const std::vector<Real>& samples, Real sampleRate,
-                           std::size_t segmentLength = 0);
 
 }  // namespace rfic::phasenoise

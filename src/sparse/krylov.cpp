@@ -215,118 +215,6 @@ IterativeResult gmres(const LinearOperator<T>& a, const Vec<T>& b, Vec<T>& x,
   return res;
 }
 
-template <class T>
-IterativeResult bicgstab(const LinearOperator<T>& a, const Vec<T>& b,
-                         Vec<T>& x, const LinearOperator<T>* rightPrec,
-                         const IterativeOptions& opts) {
-  const std::size_t n = a.dim();
-  RFIC_REQUIRE(b.size() == n, "bicgstab: rhs size mismatch");
-  if (x.size() != n) x = Vec<T>(n);
-
-  IterativeResult res;
-  if (injectStall(res)) return res;
-  const Real bnorm = numeric::norm2(b);
-  diag::checkFinite(bnorm, "bicgstab: rhs norm");
-  if (diag::exactlyZero(bnorm)) {
-    x.setZero();
-    res.converged = true;
-    res.status = SolverStatus::Converged;
-    return res;
-  }
-  const Real target = opts.tolerance * bnorm;
-
-  Vec<T> r(n), rhat(n), p(n), vv(n), s(n), t(n), phat(n), shat(n);
-  a.apply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  rhat = r;
-  T rho = T(1), alpha = T(1), omega = T(1);
-  p.setZero();
-  vv.setZero();
-
-  // Stagnation detector: the short BiCGSTAB recurrence has no restart
-  // boundary to compare against, so track the best residual seen and bail
-  // once `window` consecutive iterations fail to improve it.
-  const std::size_t window = stagnationWindowOf(opts);
-  Real bestRes = numeric::norm2(r);
-  std::size_t sinceImprovement = 0;
-
-  for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-    if (opts.budget) opts.budget->chargeKrylov();
-    if (diag::budgetExceeded(opts.budget)) {
-      res.status = SolverStatus::BudgetExceeded;
-      return res;  // x holds the partial iterate
-    }
-    const T rhoNew = numeric::dot(rhat, r);
-    if (std::abs(rhoNew) < 1e-300) {
-      res.status = SolverStatus::Breakdown;  // rho ≈ 0: Lanczos breakdown
-      return res;
-    }
-    if (it == 0) {
-      p = r;
-    } else {
-      const T beta = (rhoNew / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i)
-        p[i] = r[i] + beta * (p[i] - omega * vv[i]);
-    }
-    rho = rhoNew;
-    applyOrCopy(rightPrec, p, phat);
-    a.apply(phat, vv);
-    const T rhatv = numeric::dot(rhat, vv);
-    if (std::abs(rhatv) < 1e-300) {
-      res.status = SolverStatus::Breakdown;  // ⟨r̂, A·p̂⟩ ≈ 0
-      return res;
-    }
-    alpha = rho / rhatv;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * vv[i];
-    res.residualNorm = numeric::norm2(s);
-    ++res.iterations;
-    if (!diag::isFinite(res.residualNorm)) {
-      res.status = SolverStatus::Diverged;
-      return res;
-    }
-    if (res.residualNorm <= target) {
-      numeric::axpy(alpha, phat, x);
-      res.converged = true;
-      res.status = SolverStatus::Converged;
-      return res;
-    }
-    applyOrCopy(rightPrec, s, shat);
-    a.apply(shat, t);
-    const Real tn = numeric::norm2(t);
-    if (diag::exactlyZero(tn)) {
-      res.status = SolverStatus::Breakdown;
-      return res;
-    }
-    omega = numeric::dot(t, s) / static_cast<T>(tn * tn);
-    for (std::size_t i = 0; i < n; ++i)
-      x[i] += alpha * phat[i] + omega * shat[i];
-    for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];
-    res.residualNorm = numeric::norm2(r);
-    if (!diag::isFinite(res.residualNorm)) {
-      res.status = SolverStatus::Diverged;
-      return res;
-    }
-    if (res.residualNorm <= target) {
-      res.converged = true;
-      res.status = SolverStatus::Converged;
-      return res;
-    }
-    if (std::abs(omega) < 1e-300) {
-      res.status = SolverStatus::Breakdown;  // omega ≈ 0: stabiliser stalled
-      return res;
-    }
-    if (res.residualNorm < bestRes) {
-      bestRes = res.residualNorm;
-      sinceImprovement = 0;
-    } else if (++sinceImprovement >= window) {
-      res.status = SolverStatus::Stagnated;
-      return res;
-    }
-  }
-  res.status = SolverStatus::MaxIterations;
-  return res;
-}
-
 IterativeResult conjugateGradient(const LinearOperator<Real>& a,
                                   const Vec<Real>& b, Vec<Real>& x,
                                   const IterativeOptions& opts) {
@@ -425,14 +313,6 @@ template IterativeResult gmres<Complex>(const LinearOperator<Complex>&,
                                         const LinearOperator<Complex>*,
                                         const IterativeOptions&,
                                         GmresWorkspace<Complex>*);
-template IterativeResult bicgstab<Real>(const LinearOperator<Real>&,
-                                        const Vec<Real>&, Vec<Real>&,
-                                        const LinearOperator<Real>*,
-                                        const IterativeOptions&);
-template IterativeResult bicgstab<Complex>(const LinearOperator<Complex>&,
-                                           const Vec<Complex>&, Vec<Complex>&,
-                                           const LinearOperator<Complex>*,
-                                           const IterativeOptions&);
 template class JacobiPreconditioner<Real>;
 template class JacobiPreconditioner<Complex>;
 

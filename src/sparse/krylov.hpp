@@ -73,7 +73,7 @@ struct IterativeOptions {
   Real tolerance = 1e-10;      ///< relative residual target ‖r‖/‖b‖
   std::size_t maxIterations = 500;
   std::size_t restart = 60;    ///< GMRES restart length
-  /// BiCGSTAB/CG stagnation window: iterations without any best-residual
+  /// CG stagnation window: iterations without any best-residual
   /// improvement before the solver reports SolverStatus::Stagnated instead
   /// of burning the rest of the iteration cap. 0 = auto,
   /// max(50, maxIterations/10). (GMRES detects stagnation per restart
@@ -111,24 +111,12 @@ IterativeResult gmres(const LinearOperator<T>& a, const Vec<T>& b, Vec<T>& x,
                       const IterativeOptions& opts = {},
                       GmresWorkspace<T>* ws = nullptr);
 
-/// BiCGSTAB with optional right preconditioner.
-template <class T>
-IterativeResult bicgstab(const LinearOperator<T>& a, const Vec<T>& b,
-                         Vec<T>& x,
-                         const LinearOperator<T>* rightPrec = nullptr,
-                         const IterativeOptions& opts = {});
-
-/// Unpreconditioned conveniences (avoids nullptr template-deduction
+/// Unpreconditioned convenience (avoids nullptr template-deduction
 /// friction at call sites).
 template <class T>
 IterativeResult gmres(const LinearOperator<T>& a, const Vec<T>& b, Vec<T>& x,
                       const IterativeOptions& opts) {
   return gmres<T>(a, b, x, nullptr, opts);
-}
-template <class T>
-IterativeResult bicgstab(const LinearOperator<T>& a, const Vec<T>& b,
-                         Vec<T>& x, const IterativeOptions& opts) {
-  return bicgstab<T>(a, b, x, nullptr, opts);
 }
 
 /// Conjugate gradients for symmetric positive definite A (real only).
@@ -159,13 +147,6 @@ extern template IterativeResult gmres<Complex>(const LinearOperator<Complex>&,
                                                const LinearOperator<Complex>*,
                                                const IterativeOptions&,
                                                GmresWorkspace<Complex>*);
-extern template IterativeResult bicgstab<Real>(const LinearOperator<Real>&,
-                                               const Vec<Real>&, Vec<Real>&,
-                                               const LinearOperator<Real>*,
-                                               const IterativeOptions&);
-extern template IterativeResult bicgstab<Complex>(
-    const LinearOperator<Complex>&, const Vec<Complex>&, Vec<Complex>&,
-    const LinearOperator<Complex>*, const IterativeOptions&);
 extern template class JacobiPreconditioner<Real>;
 extern template class JacobiPreconditioner<Complex>;
 

@@ -13,18 +13,6 @@ std::atomic<Ordering> gDefault{Ordering::Amd};
 thread_local Ordering tlOverride = Ordering::Auto;
 }  // namespace
 
-const char* toString(Ordering o) {
-  switch (o) {
-    case Ordering::Auto:
-      return "auto";
-    case Ordering::Natural:
-      return "natural";
-    case Ordering::Amd:
-      return "amd";
-  }
-  return "?";
-}
-
 bool parseOrdering(const std::string& s, Ordering& out) {
   if (s == "natural") {
     out = Ordering::Natural;

@@ -35,8 +35,6 @@ enum class Ordering {
   Amd,      ///< approximate-minimum-degree column pre-order (default)
 };
 
-const char* toString(Ordering o);
-
 /// Parses "natural" or "amd" (the CLI/submit-field vocabulary — Auto is an
 /// internal sentinel and not accepted). Returns false on anything else.
 bool parseOrdering(const std::string& s, Ordering& out);

@@ -350,13 +350,6 @@ RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
 }
 
 template <class T>
-diag::SolverStatus SymbolicLU<T>::refactor(const CSR<T>& a) {
-  RFIC_REQUIRE(a.nnz() == nnz_ && a.rows() == n_,
-               "SymbolicLU::refactor pattern mismatch");
-  return refactor(a.values());
-}
-
-template <class T>
 Vec<T> SymbolicLU<T>::solve(const Vec<T>& b) const {
   Vec<T> x, y, z;
   solve(b, x, y, z);

@@ -83,12 +83,8 @@ class SymbolicLU {
   /// factorization (with new pivots) from the same values. The replay path
   /// is allocation-free; only the Repivoted fallback allocates.
   RFIC_REALTIME diag::SolverStatus refactor(const std::vector<T>& values);
-  /// Convenience: same-pattern matrix (only its values are read).
-  diag::SolverStatus refactor(const CSR<T>& a);
 
   bool analyzed() const { return analyzed_; }
-  std::size_t size() const { return n_; }
-  std::size_t patternNnz() const { return nnz_; }
   /// Stored factor entries, fill-in included.
   std::size_t factorNnz() const { return n_ + lVal_.size() + uVal_.size(); }
   /// Fill-in ratio: factor entries per input pattern entry (≥ 1 in
@@ -109,8 +105,9 @@ class SymbolicLU {
   Vec<T> solveTransposed(const Vec<T>& b) const;
 
   /// Allocation-free solve for hot loops: writes the solution into `x` and
-  /// uses the caller's scratch vectors (all three grow to size() on first
-  /// use and are reused untouched afterwards). `b` must not alias them.
+  /// uses the caller's scratch vectors (all three grow to the system size
+  /// on first use and are reused untouched afterwards). `b` must not alias
+  /// them.
   RFIC_REALTIME void solve(const Vec<T>& b, Vec<T>& x, Vec<T>& scratchY,
                            Vec<T>& scratchZ) const;
 

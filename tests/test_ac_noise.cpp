@@ -34,7 +34,7 @@ TEST_P(RCLowpassFreqs, TransferMatchesAnalytic) {
   MnaSystem sys(c);
   const Real f = GetParam();
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, RVec(sys.dim(), 0.0), f, u);
+  const auto y = acSweep(sys, RVec(sys.dim(), 0.0), {f}, u).x.front();
   const Complex h = y[static_cast<std::size_t>(out)];
   const Complex href = 1.0 / Complex(1.0, kTwoPi * f * 1e-6);
   EXPECT_NEAR(std::abs(h - href), 0.0, 1e-9);
@@ -57,7 +57,7 @@ TEST(AC, RLCResonanceAndQ) {
   const Real f0 = 1.0 / (kTwoPi * std::sqrt(1e-6 * 1e-9));  // ≈ 5.03 MHz
   const Real q = std::sqrt(1e-6 / 1e-9) / 10.0;              // ≈ 3.16
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, RVec(sys.dim(), 0.0), f0, u);
+  const auto y = acSweep(sys, RVec(sys.dim(), 0.0), {f0}, u).x.front();
   EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(out)]), q, 0.02 * q);
 }
 
@@ -76,7 +76,7 @@ TEST(AC, LinearizedDiodeSmallSignalResistance) {
   const Real id = (5.0 - vd) / 10000.0;
   const Real rd = kVt300 / id;
   const auto u = acStimulusVSource(sys, vs);
-  const auto y = acSolve(sys, dc.x, 1.0, u);  // low frequency
+  const auto y = acSweep(sys, dc.x, {1.0}, u).x.front();  // low frequency
   const Real hExp = rd / (rd + 10000.0);
   EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(a)]), hExp, 1e-3 * hExp);
 }

@@ -331,15 +331,6 @@ TEST(Waveforms, SquareWaveLevelsAndPeriodicity) {
   EXPECT_THROW(SquareWave(-1, 1, 1e6, 0.5), InvalidArgument);
 }
 
-TEST(Waveforms, PWLInterpolatesAndClamps) {
-  PWLWave w({{0.0, 0.0}, {1.0, 2.0}, {3.0, -2.0}});
-  EXPECT_NEAR(w.value(-1.0), 0.0, 1e-12);
-  EXPECT_NEAR(w.value(0.5), 1.0, 1e-12);
-  EXPECT_NEAR(w.value(2.0), 0.0, 1e-12);
-  EXPECT_NEAR(w.value(10.0), -2.0, 1e-12);
-  EXPECT_THROW(PWLWave({{1.0, 0.0}, {0.0, 1.0}}), InvalidArgument);
-}
-
 TEST(Waveforms, PulseShape) {
   PulseWave p(0.0, 1.0, 1e-9, 1e-10, 1e-10, 4e-10, 1e-9);
   EXPECT_NEAR(p.value(0.0), 0.0, 1e-12);            // before delay

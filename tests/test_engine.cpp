@@ -145,8 +145,11 @@ TEST(EngineValidation, UnknownNoiseNodeIsExit2) {
   EXPECT_NE(sink.err(0).find(".noise"), std::string::npos);
 }
 
-// A malformed `.ac`/`.noise` sweep (negative or NaN point count, start
-// frequency <= 0, stop <= start) is a usage error naming the card.
+// A malformed analysis card is a usage error naming the card: an
+// `.ac`/`.noise` sweep with a negative or NaN point count, start frequency
+// <= 0 or stop <= start; a `.tran` whose step or stop time is not finite
+// and > 0; an `.hb` whose harmonic count is not a whole number in [1, 1e5]
+// (-3 once wrapped to 2⁶⁴ − 3 and hung the job).
 struct SweepCard {
   const char* name;
   const char* card;
@@ -180,7 +183,15 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCard{"NoiseNegativeCount", ".noise out dec -5 1e2 1e6"},
         SweepCard{"NoiseNanCount", ".noise out dec nan 1 10"},
         SweepCard{"NoiseZeroStart", ".noise out dec 5 0 1e6"},
-        SweepCard{"NoiseStopBelowStart", ".noise out dec 5 1e6 1e2"}));
+        SweepCard{"NoiseStopBelowStart", ".noise out dec 5 1e6 1e2"},
+        SweepCard{"TranInfStop", ".tran 1u inf"},
+        SweepCard{"TranNanStep", ".tran nan 1m"},
+        SweepCard{"TranZeroStep", ".tran 0 1m"},
+        SweepCard{"TranZeroStop", ".tran 1u 0"},
+        SweepCard{"HbNegativeHarmonics", ".hb 1meg -3"},
+        SweepCard{"HbNanHarmonics", ".hb 1meg nan"},
+        SweepCard{"HbFractionalHarmonics", ".hb 1meg 2.7"},
+        SweepCard{"HbHugeHarmonics", ".hb 1meg 1e30"}));
 
 TEST(EngineValidation, NoAnalysisCardsIsExit2) {
   engine::Engine eng;

@@ -1,13 +1,13 @@
-// FFT kernels: roundtrips, reference DFT comparison, Parseval, real packs,
-// the 2-D transform used by two-tone HB, and the Plan/PlanCache layer the
-// hot loops replay.
+// FFT kernels: roundtrips, reference DFT comparison, Parseval, the 2-D
+// transform used by two-tone HB, and the Plan/PlanCache layer the hot loops
+// replay.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <thread>
 
-#include "fft/fft.hpp"
 #include "fft/plan.hpp"
 #include "perf/thread_pool.hpp"
 
@@ -20,6 +20,25 @@ std::vector<Complex> randomSignal(std::size_t n, std::uint64_t seed) {
   std::vector<Complex> x(n);
   for (auto& v : x) v = {u(rng), u(rng)};
   return x;
+}
+
+// One signal through the cached plan and the batched entry point the hot
+// loops use.
+void forwardDFT(std::vector<Complex>& x) {
+  transformColumns(*PlanCache::global().get(x.size()), x.data(), 1,
+                   /*inverse=*/false);
+}
+void inverseDFT(std::vector<Complex>& x) {
+  transformColumns(*PlanCache::global().get(x.size()), x.data(), 1,
+                   /*inverse=*/true);
+}
+
+// A row-major rows×cols grid through the 2-D entry point of two-tone HB.
+void gridDFT(std::vector<Complex>& x, std::size_t rows, std::size_t cols,
+             bool inverse) {
+  auto& cache = PlanCache::global();
+  transformGrid2D(*cache.get(cols), *cache.get(rows), x.data(), rows, cols,
+                  inverse);
 }
 
 std::vector<Complex> referenceDFT(const std::vector<Complex>& x) {
@@ -42,7 +61,7 @@ TEST_P(FFTLengths, MatchesReferenceDFT) {
   const std::size_t n = GetParam();
   auto x = randomSignal(n, 10 + n);
   const auto ref = referenceDFT(x);
-  fft(x);
+  forwardDFT(x);
   for (std::size_t k = 0; k < n; ++k)
     EXPECT_NEAR(std::abs(x[k] - ref[k]), 0.0, 1e-9 * static_cast<Real>(n))
         << "bin " << k << " length " << n;
@@ -52,8 +71,8 @@ TEST_P(FFTLengths, RoundTripIdentity) {
   const std::size_t n = GetParam();
   const auto orig = randomSignal(n, 20 + n);
   auto x = orig;
-  fft(x);
-  ifft(x);
+  forwardDFT(x);
+  inverseDFT(x);
   for (std::size_t k = 0; k < n; ++k)
     EXPECT_NEAR(std::abs(x[k] - orig[k]), 0.0, 1e-11);
 }
@@ -63,7 +82,7 @@ TEST_P(FFTLengths, Parseval) {
   auto x = randomSignal(n, 30 + n);
   Real timeEnergy = 0;
   for (const auto& v : x) timeEnergy += std::norm(v);
-  fft(x);
+  forwardDFT(x);
   Real freqEnergy = 0;
   for (const auto& v : x) freqEnergy += std::norm(v);
   EXPECT_NEAR(freqEnergy / static_cast<Real>(n), timeEnergy,
@@ -81,7 +100,7 @@ TEST(FFT, SingleToneLandsInOneBin) {
   for (std::size_t m = 0; m < n; ++m)
     x[m] = std::exp(Complex(0, kTwoPi * 5.0 * static_cast<Real>(m) /
                                    static_cast<Real>(n)));
-  fft(x);
+  forwardDFT(x);
   for (std::size_t k = 0; k < n; ++k) {
     if (k == 5)
       EXPECT_NEAR(std::abs(x[k]), static_cast<Real>(n), 1e-9);
@@ -96,40 +115,11 @@ TEST(FFT, LinearityHolds) {
   auto b = randomSignal(n, 2);
   std::vector<Complex> sum(n);
   for (std::size_t i = 0; i < n; ++i) sum[i] = 2.0 * a[i] + 3.0 * b[i];
-  fft(a);
-  fft(b);
-  fft(sum);
+  forwardDFT(a);
+  forwardDFT(b);
+  forwardDFT(sum);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(sum[i] - (2.0 * a[i] + 3.0 * b[i])), 0.0, 1e-10);
-}
-
-TEST(RFFT, MatchesComplexTransform) {
-  const std::size_t n = 32;
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<Real> u(-1, 1);
-  std::vector<Real> x(n);
-  for (auto& v : x) v = u(rng);
-  const auto half = rfft(x);
-  ASSERT_EQ(half.size(), n / 2 + 1);
-  std::vector<Complex> full(x.begin(), x.end());
-  fft(full);
-  for (std::size_t k = 0; k <= n / 2; ++k)
-    EXPECT_NEAR(std::abs(half[k] - full[k]), 0.0, 1e-11);
-}
-
-TEST(RFFT, RoundTripThroughIrfft) {
-  const std::size_t n = 40;
-  std::mt19937_64 rng(6);
-  std::uniform_real_distribution<Real> u(-1, 1);
-  std::vector<Real> x(n);
-  for (auto& v : x) v = u(rng);
-  const auto back = irfft(rfft(x), n);
-  for (std::size_t k = 0; k < n; ++k) EXPECT_NEAR(back[k], x[k], 1e-11);
-}
-
-TEST(RFFT, WrongHalfSizeThrows) {
-  std::vector<Complex> half(4);
-  EXPECT_THROW(irfft(half, 10), InvalidArgument);
 }
 
 TEST(FFT2, SeparableToneInOneBin) {
@@ -142,7 +132,7 @@ TEST(FFT2, SeparableToneInOneBin) {
                                             static_cast<Real>(rows) +
                                         3.0 * static_cast<Real>(c) /
                                             static_cast<Real>(cols))));
-  fft2(x, rows, cols);
+  gridDFT(x, rows, cols, /*inverse=*/false);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const Real expected = (r == 2 && c == 3)
@@ -157,8 +147,8 @@ TEST(FFT2, RoundTrip) {
   const std::size_t rows = 12, cols = 10;  // non-pow2 both dims
   auto x = randomSignal(rows * cols, 7);
   const auto orig = x;
-  fft2(x, rows, cols);
-  ifft2(x, rows, cols);
+  gridDFT(x, rows, cols, /*inverse=*/false);
+  gridDFT(x, rows, cols, /*inverse=*/true);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(std::abs(x[i] - orig[i]), 0.0, 1e-10);
 }
@@ -230,13 +220,13 @@ TEST(Plan, TransformColumnsMatchesPerColumnFFT) {
               batch.begin() + static_cast<std::ptrdiff_t>(c * n));
   }
   transformColumns(plan, batch.data(), cols, /*inverse=*/false);
-  for (auto& col : separate) fft(col);
+  for (auto& col : separate) forwardDFT(col);
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t k = 0; k < n; ++k)
       EXPECT_NEAR(std::abs(batch[c * n + k] - separate[c][k]), 0.0, 1e-10);
   // And the inverse restores the batch through the same entry point.
   transformColumns(plan, batch.data(), cols, /*inverse=*/true);
-  for (auto& col : separate) ifft(col);
+  for (auto& col : separate) inverseDFT(col);
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t k = 0; k < n; ++k)
       EXPECT_NEAR(std::abs(batch[c * n + k] - separate[c][k]), 0.0, 1e-10);
@@ -266,7 +256,7 @@ TEST(Plan, BatchedTransformsNestInsidePoolTasks) {
       auto col = randomSignal(n, 900 + t * cols + c);
       std::copy(col.begin(), col.end(),
                 batches[t].begin() + static_cast<std::ptrdiff_t>(c * n));
-      fft(col);  // serial reference, computed before any pool activity
+      forwardDFT(col);  // serial reference, computed before any pool activity
       std::copy(col.begin(), col.end(),
                 expected[t].begin() + static_cast<std::ptrdiff_t>(c * n));
     }
@@ -310,10 +300,10 @@ TEST(Plan, Grid2DNestsInsidePoolTasks) {
 
 TEST(PlanCache, SecondRequestIsASharedHit) {
   auto& cache = PlanCache::global();
-  cache.clear();
   const std::uint64_t h0 = cache.hits(), m0 = cache.misses();
-  const auto a = cache.get(97);
-  const auto b = cache.get(97);
+  const std::size_t n = 977;  // a length no other test plans
+  const auto a = cache.get(n);
+  const auto b = cache.get(n);
   EXPECT_EQ(a.get(), b.get());  // one immutable plan, shared
   EXPECT_EQ(cache.misses(), m0 + 1);
   EXPECT_GE(cache.hits(), h0 + 1);
@@ -324,10 +314,10 @@ TEST(PlanCache, ConcurrentGetsYieldOnePlanPerLength) {
   // must receive a working plan and all callers of one length must agree
   // on the same instance once the cache settles. Run under
   // RFIC_SANITIZE=thread this validates the lock discipline.
+  // Lengths no other test plans, so the first requests race to build.
   auto& cache = PlanCache::global();
-  cache.clear();
   constexpr std::size_t kThreads = 8, kLengths = 4;
-  const std::size_t lengths[kLengths] = {33, 64, 101, 128};
+  const std::size_t lengths[kLengths] = {35, 66, 103, 130};
   std::vector<std::shared_ptr<const Plan>> got(kThreads * kLengths);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -357,6 +347,15 @@ TEST(FFTUtil, PowerOfTwoHelpers) {
   EXPECT_EQ(nextPowerOfTwo(1), 1u);
   EXPECT_EQ(nextPowerOfTwo(17), 32u);
   EXPECT_EQ(nextPowerOfTwo(64), 64u);
+  // The largest representable power of two is still reachable; past it no
+  // power of two fits, which is an error rather than a wrapped shift.
+  constexpr std::size_t kTop =
+      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+  EXPECT_EQ(nextPowerOfTwo(kTop - 1), kTop);
+  EXPECT_EQ(nextPowerOfTwo(kTop), kTop);
+  EXPECT_THROW(nextPowerOfTwo(kTop + 1), InvalidArgument);
+  EXPECT_THROW(nextPowerOfTwo(std::numeric_limits<std::size_t>::max()),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -48,8 +48,9 @@ TEST(CrossMethod, HBAndACAndPSSAgreeOnLinearRLC) {
 
   // AC reference.
   const auto* vs = dynamic_cast<const VSource*>(c.devices().front().get());
-  const auto y = analysis::acSolve(sys, dc.x, 4e6,
-                                   analysis::acStimulusVSource(sys, *vs));
+  const auto y = analysis::acSweep(sys, dc.x, {4e6},
+                                   analysis::acStimulusVSource(sys, *vs))
+                     .x.front();
   const Real ampAC = 0.5 * std::abs(y[out]);
 
   // HB.

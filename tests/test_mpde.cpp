@@ -57,8 +57,8 @@ TEST(Bivariate, GridAccessorsAndStates) {
   BivariateGrid g(2, 4, 8, 1e-3, 1e-6);
   g.at(0, 1, 2) = 5.0;
   g.at(1, 3, 7) = -2.0;
-  EXPECT_DOUBLE_EQ(g.state(1, 2)[0], 5.0);
-  EXPECT_DOUBLE_EQ(g.state(3, 7)[1], -2.0);
+  EXPECT_DOUBLE_EQ(g.at(0, 1, 2), 5.0);
+  EXPECT_DOUBLE_EQ(g.at(1, 3, 7), -2.0);
   EXPECT_DOUBLE_EQ(g.t1(1), 0.25e-3);
   EXPECT_DOUBLE_EQ(g.t2(4), 0.5e-6);
 }

@@ -37,6 +37,10 @@ TEST(SpiceNumber, TrailingUnitsIgnored) {
 TEST(SpiceNumber, MalformedThrows) {
   EXPECT_THROW(parseSpiceNumber(""), InvalidArgument);
   EXPECT_THROW(parseSpiceNumber("abc"), InvalidArgument);
+  // Not decimal syntax, or not finite once scaled.
+  for (const char* tok :
+       {"nan", "inf", "-inf", "infinity", "1e400", "1e308k", "0x10", "0xff"})
+    EXPECT_THROW(parseSpiceNumber(tok), InvalidArgument) << tok;
 }
 
 TEST(Netlist, ParsesPassivesAndSources) {
@@ -168,6 +172,21 @@ TEST(Netlist, ErrorsCarryLineNumbers) {
     FAIL() << "expected InvalidArgument";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+TEST(Netlist, NonFiniteNumbersAreLocatedErrors) {
+  for (const std::string card :
+       {"R1 in out inf", "V1 in 0 nan", "V1 in 0 SIN(0 nan 1k)",
+        ".model dm d n=inf"}) {
+    Circuit c;
+    try {
+      parseNetlist("R0 in 0 1k\n" + card + "\n", c);
+      ADD_FAILURE() << "expected NetlistError for " << card;
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.line(), 2) << card;
+      EXPECT_EQ(e.card(), card);
+    }
   }
 }
 

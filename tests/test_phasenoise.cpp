@@ -206,54 +206,6 @@ TEST_F(VdpPhaseNoise, NodeSensitivityConsistentWithPerSource) {
   EXPECT_NEAR(predicted, cRl, 1e-3 * cRl);
 }
 
-TEST(PeriodogramPsd, SineToneAndParseval) {
-  // A·sin(2πf0t) sampled at fs: the one-sided PSD integrates to the total
-  // power A²/2 (Parseval through the Welch estimate) and concentrates at f0.
-  const Real fs = 65536.0, f0 = 1024.0, A = 0.5;
-  const std::size_t n = 16384;
-  std::vector<Real> x(n);
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = A * std::sin(kTwoPi * f0 * static_cast<Real>(i) / fs);
-  const auto est = periodogramPsd(x, fs);
-  ASSERT_GT(est.segments, 1u);
-  ASSERT_EQ(est.freq.size(), est.psd.size());
-  const Real df = est.freq[1] - est.freq[0];
-  Real power = 0, peakFreq = 0, peak = -1;
-  for (std::size_t k = 0; k < est.psd.size(); ++k) {
-    power += est.psd[k] * df;
-    if (est.psd[k] > peak) {
-      peak = est.psd[k];
-      peakFreq = est.freq[k];
-    }
-  }
-  EXPECT_NEAR(power, 0.5 * A * A, 0.05 * 0.5 * A * A);
-  EXPECT_NEAR(peakFreq, f0, df);
-  // Away from the tone the floor is numerically empty.
-  Real floorMax = 0;
-  for (std::size_t k = 0; k < est.psd.size(); ++k)
-    if (std::abs(est.freq[k] - f0) > 8 * df)
-      floorMax = std::max(floorMax, est.psd[k]);
-  EXPECT_LT(floorMax, 1e-9 * peak);
-}
-
-TEST(PeriodogramPsd, ExplicitSegmentLengthAndGuards) {
-  std::vector<Real> x(256, 1.0);  // DC record
-  const auto est = periodogramPsd(x, 100.0, 64);
-  // 64-sample segments with hop 32 over 256 samples → 7 segments.
-  EXPECT_EQ(est.segments, 7u);
-  EXPECT_EQ(est.freq.size(), 33u);
-  // All power lands at DC (Hann sidelobes aside).
-  std::size_t arg = 1;
-  for (std::size_t k = 1; k < est.psd.size(); ++k)
-    if (est.psd[k] > est.psd[arg]) arg = k;
-  EXPECT_GT(est.psd[0], est.psd[arg]);
-
-  EXPECT_THROW(periodogramPsd(std::vector<Real>(4, 0.0), 100.0),
-               InvalidArgument);
-  EXPECT_THROW(periodogramPsd(x, 0.0), InvalidArgument);
-  EXPECT_THROW(periodogramPsd(x, 100.0, 4), InvalidArgument);
-}
-
 TEST(PhaseNoiseGuards, UnconvergedPSSRejected) {
   Circuit c;
   const int v = c.node("v");

@@ -236,7 +236,8 @@ TEST(DCResilience, DampingNeverAcceptsNonFiniteTrial) {
   std::size_t iters = 0;
   diag::SolverStatus status = diag::SolverStatus::NotRun;
   analysis::DCOptions opts;
-  EXPECT_FALSE(analysis::dcNewton(sys, x, 1.0, 0.0, opts, iters, &status));
+  circuit::MnaWorkspace ws(sys);
+  EXPECT_FALSE(analysis::dcNewton(ws, x, 1.0, 0.0, opts, iters, &status));
   EXPECT_EQ(status, diag::SolverStatus::Diverged);
   // The iterate was never replaced by a NaN trial.
   EXPECT_TRUE(std::isfinite(x[0]));
@@ -413,7 +414,7 @@ TEST(TransientResilience, BudgetTripSavesCheckpointAndReturnsPartial) {
 TEST(TransientResilience, CheckpointResumeIsBitIdentical) {
   for (const sparse::Ordering ord :
        {sparse::Ordering::Natural, sparse::Ordering::Amd}) {
-    SCOPED_TRACE(sparse::toString(ord));
+    SCOPED_TRACE(ord == sparse::Ordering::Amd ? "amd" : "natural");
     const sparse::ScopedOrderingOverride ordering(ord);
     const std::string path = tempPath("ck_resume_tran.bin");
     analysis::TransientOptions to;
@@ -516,21 +517,6 @@ sparse::FunctionOperator<Real> hilbertOperator(std::size_t n) {
       });
 }
 
-TEST(KrylovStagnation, BicgstabWindowTripsOnHilbert) {
-  const std::size_t n = 20;
-  const auto hilb = hilbertOperator(n);
-  numeric::RVec bvec(n, 1.0);
-  numeric::RVec x(n, 0.0);
-  sparse::IterativeOptions opts;
-  opts.tolerance = 1e-14;
-  opts.maxIterations = 5000;
-  opts.stagnationWindow = 25;
-  const auto res = sparse::bicgstab<Real>(hilb, bvec, x, nullptr, opts);
-  EXPECT_FALSE(res.converged);
-  EXPECT_EQ(res.status, diag::SolverStatus::Stagnated) << res.statusName();
-  EXPECT_LT(res.iterations, opts.maxIterations);
-}
-
 TEST(KrylovStagnation, CgWindowTripsOnHilbert) {
   const std::size_t n = 20;
   const auto hilb = hilbertOperator(n);
@@ -552,10 +538,8 @@ TEST(KrylovStagnation, StallInjectionForcesStagnatedStatus) {
   sparse::FunctionOperator<Real> ident(
       n, [](const numeric::RVec& x, numeric::RVec& y) { y = x; });
   numeric::RVec bvec(n, 1.0), x(n, 0.0);
-  diag::FaultInjector::global().arm(diag::FaultPoint::KrylovStall, 3);
+  diag::FaultInjector::global().arm(diag::FaultPoint::KrylovStall, 2);
   EXPECT_EQ(sparse::gmres<Real>(ident, bvec, x, nullptr, {}).status,
-            diag::SolverStatus::Stagnated);
-  EXPECT_EQ(sparse::bicgstab<Real>(ident, bvec, x, nullptr, {}).status,
             diag::SolverStatus::Stagnated);
   EXPECT_EQ(sparse::conjugateGradient(ident, bvec, x, {}).status,
             diag::SolverStatus::Stagnated);
@@ -574,8 +558,6 @@ TEST(KrylovBudget, TrippedBudgetStopsSolve) {
   sparse::IterativeOptions opts;
   opts.budget = &b;
   EXPECT_EQ(sparse::gmres<Real>(ident, bvec, x, nullptr, opts).status,
-            diag::SolverStatus::BudgetExceeded);
-  EXPECT_EQ(sparse::bicgstab<Real>(ident, bvec, x, nullptr, opts).status,
             diag::SolverStatus::BudgetExceeded);
   EXPECT_EQ(sparse::conjugateGradient(ident, bvec, x, opts).status,
             diag::SolverStatus::BudgetExceeded);

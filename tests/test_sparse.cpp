@@ -237,19 +237,6 @@ TEST(GMRES, ZeroRhsReturnsZero) {
   EXPECT_NEAR(numeric::norm2(x), 0.0, 1e-300);
 }
 
-TEST(BiCGSTAB, SolvesNonsymmetricSystem) {
-  const std::size_t n = 60;
-  const auto t = randomSparse(n, 0.1, 110, 5.0);
-  const RCSR a(t);
-  const RVec xref = randomVec(n, 111);
-  const RVec b = a * xref;
-  CSROperator<Real> op(a);
-  RVec x(n);
-  const auto st = bicgstab(op, b, x, {1e-12, 600, 60});
-  EXPECT_TRUE(st.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-6);
-}
-
 TEST(CG, SolvesSPDLaplacian) {
   const std::size_t n = 100;
   RTriplets t(n, n);

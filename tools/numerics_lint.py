@@ -83,16 +83,11 @@ SOLVER_DIRS = (
 # dimension/argument validation within its first VALIDATION_WINDOW lines.
 ENTRY_POINTS = [
     ("src/sparse/krylov.cpp", r"IterativeResult gmres\("),
-    ("src/sparse/krylov.cpp", r"IterativeResult bicgstab\("),
     ("src/sparse/krylov.cpp", r"IterativeResult conjugateGradient\("),
     ("src/analysis/shooting.cpp", r"PSSResult shootingPSS\("),
     ("src/analysis/shooting.cpp", r"PSSResult shootingOscillatorPSS\("),
     ("src/analysis/dc.cpp", r"DCResult dcOperatingPoint\("),
     ("src/hb/harmonic_balance.cpp", r"HBSolution HarmonicBalance::solve\("),
-    ("src/fft/fft.cpp", r"std::vector<Complex> rfft\("),
-    ("src/fft/fft.cpp", r"std::vector<Real> irfft\("),
-    ("src/fft/fft.cpp", r"void fft2\("),
-    ("src/fft/fft.cpp", r"void ifft2\("),
     ("src/phasenoise/phase_noise.cpp",
      r"PhaseNoiseResult analyzeOscillatorPhaseNoise\("),
 ]
