@@ -398,7 +398,7 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
   res.x.push_back(x);
   const Real h = opts.dt;
 
-  RVec q0, r(n);
+  RVec q0, r(n), inoise(n), dx;
   while (t < opts.tstop - 1e-12 * opts.tstop) {
     if (diag::budgetExceeded(opts.budget)) {
       res.status = diag::SolverStatus::BudgetExceeded;
@@ -407,7 +407,7 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
     // Sample device noise at the current operating point (cyclostationary
     // modulation happens automatically through the x-dependence).
     const auto sources = sys.noiseSources(x);
-    RVec inoise(n, 0.0);
+    inoise.setZero();
     for (const auto& src : sources) {
       // One-sided white PSD S → discrete variance S/(2h).
       const Real sigma =
@@ -437,7 +437,7 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
         break;
       }
       ws.factorJacobian(1.0, h);
-      const RVec dx = ws.solve(r);
+      ws.solve(r, dx);
       xIter = x1;
       x1 -= dx;
       if (numeric::norm2(dx) < opts.newtonTol * (1.0 + numeric::norm2(x1))) {

@@ -69,7 +69,7 @@ void MnaWorkspace::growPattern() {
 
   gVals_.assign(pattern_.nnz(), 0.0);
   cVals_.assign(pattern_.nnz(), 0.0);
-  ++growth_;
+  noteGrowth();
   // Memory budget: a grown pattern is this workspace's dominant
   // allocation — charge the CSR index arrays, both value arrays, and the
   // diagonal slot map in full against the owning job's account (charge-
@@ -88,7 +88,7 @@ void MnaWorkspace::maybeCompileBatch(const RVec& x, const RVec* xPrev, Real t1,
   // rt: allow(rt-alloc) once-per-pattern-version batch compile
   batch_.compile(sys_.circuit(), pattern_, n_, x, xPrev, t1, t2);
   batchVersion_ = patternVersion_;
-  ++growth_;
+  noteGrowth();
   diag::memCharge(batch_.bytes());
 }
 
@@ -181,22 +181,22 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
   // whether the chunks run serially or across a pool of any size.
   const std::size_t lanes = std::min<std::size_t>(
       S, sweepPool_ != nullptr ? sweepPool_->concurrency() : 1);
+  // One growth event per lane-pool growth, whatever the lane count, so the
+  // count does not depend on the pool size.
   if (lanes_.size() < lanes) {
+    const std::size_t grown = lanes_.size();
     lanes_.resize(lanes);  // rt: allow(rt-alloc) grow-once lane pool
-    ++growth_;
-  }
-  for (std::size_t k = 0; k < lanes; ++k) {
-    SweepLane& ln = lanes_[k];
-    if (ln.x.size() != n_) {
+    for (std::size_t k = grown; k < lanes; ++k) {
+      SweepLane& ln = lanes_[k];
       ln.x.assign(n_, 0.0);  // rt: allow(rt-alloc) grow-once lane buffers
       ln.f.assign(n_, 0.0);  // rt: allow(rt-alloc) grow-once lane buffers
       ln.q.assign(n_, 0.0);  // rt: allow(rt-alloc) grow-once lane buffers
       ln.b.assign(n_, 0.0);  // rt: allow(rt-alloc) grow-once lane buffers
       ln.gOv.reset(n_, n_);
       ln.cOv.reset(n_, n_);
-      ++growth_;
       diag::memCharge(4 * n_ * sizeof(Real));
     }
+    noteGrowth();
   }
 
   const std::size_t colS = xs.cols();
@@ -226,7 +226,7 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
         !std::equal(waveT2_.begin(), waveT2_.end(), t2);
     if (stale) {
       if (waveVals_.size() != S * nw) {
-        ++growth_;
+        noteGrowth();
         diag::memCharge((S * nw + 2 * S) * sizeof(Real));
       }
       waveVals_.resize(S * nw);  // rt: allow(rt-alloc) grow-once wave cache

@@ -18,11 +18,12 @@
 //    numeric refactorizations until pivot growth forces a repivot
 //    (surfaced as diag::SolverStatus::Repivoted).
 //
-// The workspace bumps perf::global() once per evaluation and solve (the
-// SymbolicLU counts its own factorizations and refactorizations); it keeps
-// no counters of its own. Analyses read their totals from the CounterScope
-// they run under (perf::measured), so a warm workspace reused across calls
-// reports each call's work, not the running sum.
+// The workspace bumps perf::global() once per evaluation, solve and
+// buffer-growth event (the SymbolicLU counts its own factorizations,
+// refactorizations and refactor skips); workspaceGrowth() is the one
+// per-workspace tally it also keeps. Analyses read their totals from the
+// CounterScope they run under (perf::measured), so a warm workspace reused
+// across calls reports each call's work, not the running sum.
 #pragma once
 
 #include <vector>
@@ -98,9 +99,11 @@ class MnaWorkspace {
   }
   sparse::Ordering ordering() const { return ordering_; }
 
-  /// Buffer-growth events (pattern discovery/growth, batch compiles, sweep
-  /// lane pools): stable across steady-state iterations — the counter the
-  /// zero-allocation tests pin.
+  /// Buffer-growth events (pattern discovery/growth, batch compiles, one
+  /// per sweep lane-pool growth whatever its lane count, the sweep waveform
+  /// cache): stable across steady-state iterations — the counter the
+  /// zero-allocation tests pin — and independent of the pool size. Each
+  /// event is also bumped once on perf::global() (the workspaceGrowth row).
   std::uint64_t workspaceGrowth() const { return growth_; }
 
   const RVec& f() const { return f_; }
@@ -120,10 +123,12 @@ class MnaWorkspace {
 
   /// Factor J = cCoeff·C + gCoeff·G + gDiag·I from the current values —
   /// the one shared C/G-combination helper for every Newton loop. The
-  /// first call (and any call after a pattern change) performs a full
-  /// symbolic factorization; subsequent calls are numeric refactorizations.
-  /// Returns Converged (cheap replay) or Repivoted (growth-triggered fresh
-  /// factorization); see diag::SolverStatus.
+  /// first call (and any call after a pattern growth or an ordering change)
+  /// performs a full symbolic factorization; subsequent calls are numeric
+  /// refactorizations, and a J bitwise equal to the last one factored skips
+  /// even that (SymbolicLU's refactor skip; a linear circuit at a fixed
+  /// step factors once). Returns Converged (replay or skip) or Repivoted
+  /// (growth-triggered fresh factorization); see diag::SolverStatus.
   diag::SolverStatus factorJacobian(Real cCoeff, Real gCoeff, Real gDiag = 0);
 
   /// Solve with the most recent factorization.
@@ -136,6 +141,10 @@ class MnaWorkspace {
   RFIC_REALTIME void solve(const RVec& rhs, RVec& x);
 
  private:
+  void noteGrowth() {
+    ++growth_;
+    perf::global().addWorkspaceGrowth();
+  }
   void ensurePattern(const RVec& x, Real t1, Real t2, const RVec* xPrev);
   void growPattern();
   /// (Re)compile the device batch when the pattern changed since the last

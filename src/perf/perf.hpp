@@ -58,8 +58,10 @@ namespace rfic::perf {
   X(factorFillNnz, "factor fill nnz", Max, Count, "")                        \
   X(refactorizations, "refactorizations", Sum, Count, "")                    \
   X(refactorNs, "refactor time", Sum, Ns, "")                                \
+  X(refactorSkips, "refactor skips", Sum, Count, "")                         \
   X(solves, "solves", Sum, Count, "")                                        \
   X(solveNs, "solve time", Sum, Ns, "")                                      \
+  X(workspaceGrowth, "workspace growth", Sum, Count, "")                     \
   X(fftCount, "ffts", Sum, Count, "")                                        \
   X(fftNs, "fft time", Sum, Ns, "")                                          \
   X(planCacheHits, "plan cache hits", Sum, Count, "")                        \
@@ -165,10 +167,16 @@ class Counters {
     add(Id::refactorizations, 1);
     add(Id::refactorNs, ns);
   }
+  /// A refactor that returned at once: its values were bitwise equal to
+  /// the ones the current factors came from, so no replay ran.
+  void addRefactorSkip() { add(Id::refactorSkips, 1); }
   /// Fill-reducing pre-ordering time (the AMD stage of a factorization).
   void addOrdering(std::uint64_t ns) { add(Id::orderingNs, ns); }
   /// One analysis's factor size, fill-in included.
   void noteFactorFill(std::uint64_t nnz) { add(Id::factorFillNnz, nnz); }
+  /// One MnaWorkspace buffer-growth event (pattern growth, batch compile,
+  /// sweep lanes, waveform cache); steady-state iterations bump none.
+  void addWorkspaceGrowth() { add(Id::workspaceGrowth, 1); }
   void addSolve(std::uint64_t ns) {
     add(Id::solves, 1);
     add(Id::solveNs, ns);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -91,6 +92,7 @@ template <class T>
 void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   RFIC_REQUIRE(a.rows() == a.cols(), "SymbolicLU: square matrix required");
   const perf::Timer timer;
+  factoredValid_ = false;
   opts_ = opts;
   n_ = a.rows();
   nnz_ = a.nnz();
@@ -107,6 +109,8 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
     std::iota(colOrder_.begin(), colOrder_.end(), std::uint32_t{0});
   }
   analyzeFromValues(a.values().data());
+  factoredVals_.assign(a.values().begin(), a.values().end());
+  factoredValid_ = true;
   // Counted once the analysis succeeded, so the ordering time of a
   // factorization that threw never shows up without its parent.
   auto& ctr = perf::global();
@@ -248,6 +252,10 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
       const std::size_t i = e.idx;
       if (!rowActive[i]) continue;
       const T m = w_[e.slot] / p;
+      // A zero multiplier updates nothing, as in replay(): skipping its
+      // flops keeps the two bit-identical (0·u could turn a -0.0 target
+      // into +0.0, or an infinite u into NaN).
+      const bool live = m != T{};
       lRow_.push_back(e.idx);
       lSlot_.push_back(e.slot);
       lVal_.push_back(m);
@@ -266,7 +274,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
           cols[c].push_back({static_cast<std::uint32_t>(i), s});
           ++colLen[c];
         }
-        w_[s] -= m * w_[uSlot_[q]];
+        if (live) w_[s] -= m * w_[uSlot_[q]];
         updTarget_.push_back(s);
       }
       for (const Entry& f : row) pos[f.idx] = kNoSlot;
@@ -284,8 +292,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
 // recorded flop sequence. Returns false when the pivots recorded at
 // analysis time are no longer numerically acceptable for these values.
 template <class T>
-bool SymbolicLU<T>::replay(const T* vals, std::size_t nvals) {
-  RFIC_REQUIRE(nvals == nnz_, "SymbolicLU::refactor value count mismatch");
+bool SymbolicLU<T>::replay(const T* vals) {
   w_.assign(w_.size(), T{});  // rt: allow(rt-alloc) same-size overwrite of
   // the analysis-sized slot workspace — never reallocates
   Real maxIn = 0;
@@ -331,12 +338,25 @@ template <class T>
 RFIC_REALTIME diag::SolverStatus SymbolicLU<T>::refactor(
     const std::vector<T>& values) {
   RFIC_REQUIRE(analyzed_, "SymbolicLU::refactor before factor");
-  const perf::Timer timer;
+  RFIC_REQUIRE(values.size() == nnz_,
+               "SymbolicLU::refactor value count mismatch");
   // factor-repivot fault point: pretend the replayed pivots went bad so the
   // fresh-analysis fallback below runs (and callers see Repivoted).
   const bool forceRepivot =
       diag::FaultInjector::global().fire(diag::FaultPoint::FactorRepivot);
-  if (!forceRepivot && replay(values.data(), values.size())) {
+  // Refactor skip: a replay of the values the current factors came from
+  // would recompute the same factors bit for bit.
+  if (!forceRepivot && factoredValid_ &&
+      std::memcmp(values.data(), factoredVals_.data(), nnz_ * sizeof(T)) ==
+          0) {
+    perf::global().addRefactorSkip();
+    return diag::SolverStatus::Converged;
+  }
+  const perf::Timer timer;
+  factoredValid_ = false;
+  if (!forceRepivot && replay(values.data())) {
+    std::copy(values.begin(), values.end(), factoredVals_.begin());
+    factoredValid_ = true;
     perf::global().addRefactorization(timer.ns());
     return diag::SolverStatus::Converged;
   }

@@ -38,11 +38,23 @@
 // through the returned diag::SolverStatus (Converged = cheap replay,
 // Repivoted = fallback).
 //
+// Refactor skip: the LU keeps a copy of the input values its current
+// factors were computed from. refactor() on values bitwise equal to that
+// copy (std::memcmp, so -0.0 and 0.0 differ) returns at once — a replay
+// would recompute the very same factors. A linear circuit at a fixed step
+// therefore factors once per transient, not once per step. The copy is
+// written after a successful factor() or replay and invalidated at the start
+// of every factor()/refactor(), so a throw leaves it invalid, and so does the
+// Repivoted fallback: its fresh pivots have not passed the replay guards, so
+// the next call with the same values replays once to check them. The skip
+// sits after the factor-repivot fault point, which therefore still fires.
+//
 // The factorizer counts its own work on perf::global(), so no caller times
 // or counts it: factor() bumps one factorization (its wall time includes
 // the AMD ordering, which is also reported alone as orderingNs) and the
-// factor fill; refactor() bumps one refactorization, or one factorization
-// when it repivots. Solves are counted by the callers that own them.
+// factor fill; refactor() bumps one refactorization (a replay ran), one
+// refactor skip (it returned at once), or one factorization when it
+// repivots. Solves are counted by the callers that own them.
 #pragma once
 
 #include <cstddef>
@@ -80,8 +92,10 @@ class SymbolicLU {
   /// must follow the CSR position order of the matrix passed to factor().
   /// Returns SolverStatus::Converged when the replay succeeded, or
   /// SolverStatus::Repivoted when pivot growth forced a fresh full
-  /// factorization (with new pivots) from the same values. The replay path
-  /// is allocation-free; only the Repivoted fallback allocates.
+  /// factorization (with new pivots) from the same values. Values bitwise
+  /// equal to the ones the current factors came from skip the replay
+  /// (Converged). The replay path is allocation-free; only the Repivoted
+  /// fallback allocates.
   RFIC_REALTIME diag::SolverStatus refactor(const std::vector<T>& values);
 
   bool analyzed() const { return analyzed_; }
@@ -113,7 +127,7 @@ class SymbolicLU {
 
  private:
   void analyzeFromValues(const T* vals);
-  bool replay(const T* vals, std::size_t nvals);
+  bool replay(const T* vals);
 
   Options opts_;
   Ordering resolved_ = Ordering::Natural;
@@ -148,6 +162,11 @@ class SymbolicLU {
   std::vector<std::uint32_t> updTarget_;
 
   std::vector<T> w_;  ///< slot workspace (one entry per touched position)
+
+  // Input values the current factors were computed from (nnz_ entries,
+  // sized by factor()); refactor() skips the replay on a bitwise match.
+  std::vector<T> factoredVals_;
+  bool factoredValid_ = false;
 };
 
 using RSymbolicLU = SymbolicLU<Real>;

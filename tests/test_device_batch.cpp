@@ -1,8 +1,8 @@
 // Batched SoA device evaluation engine: the bitwise contract against the
 // scalar virtual-stamp walk (single evals, multi-sample sweeps across
 // thread counts, end-to-end DC/transient/HB), the zero-steady-state-
-// allocation contract, overflow self-healing, the MOSFET Newton limiting,
-// and the eval counters.
+// allocation contract, overflow self-healing, the refactor skip's
+// invalidation, the MOSFET Newton limiting, and the eval counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,8 +16,11 @@
 #include "circuit/mna_workspace.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "diag/resilience.hpp"
 #include "hb/harmonic_balance.hpp"
+#include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
+#include "sparse/ordering.hpp"
 
 namespace rfic::circuit {
 namespace {
@@ -357,6 +360,86 @@ TEST(DeviceBatch, OverflowSelfHealsIdentically) {
   }
 }
 
+// The counters `f` bumps, read through a CounterScope of its own.
+template <class F>
+perf::Snapshot countedBy(F&& f) {
+  perf::Counters c;
+  {
+    const perf::CounterScope scope(c);
+    f();
+  }
+  return c.snapshot();
+}
+
+TEST(WorkspaceRefactorSkip, EveryInvalidationReplaysTheSameValues) {
+  // A Jacobian bitwise equal to the last one factored skips the refactor.
+  // Pattern growth, an ordering change, a singular throw and a Repivoted
+  // fallback each invalidate the stored copy: the next call with the
+  // same values must factor or replay, never skip.
+  diag::FaultInjector::global().reset();
+  Circuit c;
+  const int p = c.node("p");
+  const int q = c.node("q");
+  c.add<Resistor>("R1", p, -1, 1e3);
+  c.add<SwitchedConductance>("S1", p, q, 1e-3, 0.5);
+  c.add<Resistor>("R2", q, -1, 2e3);
+  c.add<Capacitor>("C1", q, -1, 1e-9);
+  MnaSystem sys(c);
+  MnaWorkspace ws(sys);
+  const RVec off(sys.dim(), 0.0);
+  RVec on(sys.dim(), 0.0);
+  on[static_cast<std::size_t>(p)] = 2.0;
+  const auto factorCounts = [&](Real cCoeff) {
+    return countedBy([&] { (void)ws.factorJacobian(cCoeff, 1.0); });
+  };
+  const auto expectSkip = [&](const char* after) {
+    const perf::Snapshot s = factorCounts(1.0);
+    EXPECT_EQ(s.refactorSkips, 1u) << after;
+    EXPECT_EQ(s.refactorizations + s.factorizations, 0u) << after;
+  };
+  const auto expectNoSkip = [&](const char* after) {
+    const perf::Snapshot s = factorCounts(1.0);
+    EXPECT_EQ(s.refactorSkips, 0u) << after;
+    EXPECT_EQ(s.refactorizations + s.factorizations, 1u) << after;
+  };
+
+  ws.eval(off, 0.0, true);
+  EXPECT_EQ(factorCounts(1.0).factorizations, 1u);
+  expectSkip("first factor");
+
+  // Pattern growth: S1 turns on, then off again, so the values match the
+  // inactive ones on a larger pattern. Each growth is one ledger event.
+  const std::uint64_t grown = ws.workspaceGrowth();
+  const perf::Snapshot growth = countedBy([&] { ws.eval(on, 0.0, true); });
+  EXPECT_GT(ws.workspaceGrowth(), grown);
+  EXPECT_EQ(growth.workspaceGrowth, ws.workspaceGrowth() - grown);
+  ws.eval(off, 0.0, true);
+  expectNoSkip("pattern growth");
+  expectSkip("refactor after growth");
+
+  ws.setOrdering(ws.ordering() == sparse::Ordering::Amd
+                     ? sparse::Ordering::Natural
+                     : sparse::Ordering::Amd);
+  expectNoSkip("ordering change");
+  expectSkip("refactor after ordering change");
+
+  EXPECT_THROW(ws.factorJacobian(0.0, 0.0), NumericalError);
+  expectNoSkip("singular throw");
+  expectSkip("refactor after singular throw");
+
+  diag::FaultInjector::global().arm(diag::FaultPoint::FactorRepivot, 1);
+  const perf::Snapshot forced = factorCounts(1.0);
+  diag::FaultInjector::global().reset();
+  EXPECT_EQ(forced.factorizations, 1u);
+  EXPECT_EQ(forced.refactorSkips, 0u);
+  expectNoSkip("Repivoted fallback");
+  expectSkip("replay after Repivoted fallback");
+
+  // Other values replay; their return to the first values replays too.
+  EXPECT_EQ(factorCounts(2.0).refactorizations, 1u);
+  expectNoSkip("other values");
+}
+
 TEST(DeviceBatch, MosfetHardTurnOnConverges) {
   // Regression for the shared SPICE-style fetLimit/vdsLimit damping: a
   // stiff common-source stage driven far past threshold from a cold start.
@@ -390,17 +473,6 @@ TEST(DeviceBatch, MosfetHardTurnOnConverges) {
   EXPECT_EQ(kernels::vdsLimit(20.0, 0.1), 4.0);
   EXPECT_EQ(kernels::vdsLimit(0.2, 0.1), 0.2);
   EXPECT_EQ(kernels::vdsLimit(20.0, 4.0), 3.0 * 4.0 + 2.0);
-}
-
-// The counters `f` bumps, read through a CounterScope of its own.
-template <class F>
-perf::Snapshot countedBy(F&& f) {
-  perf::Counters c;
-  {
-    const perf::CounterScope scope(c);
-    f();
-  }
-  return c.snapshot();
 }
 
 TEST(DeviceBatch, CountersTrackBatchedSubset) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "diag/resilience.hpp"
 #include "engine/engine.hpp"
 #include "engine/json.hpp"
 #include "engine/scheduler.hpp"
@@ -371,6 +372,54 @@ TEST(EngineOrdering, DefaultIsAmdEndToEnd) {
   EXPECT_NE(natural.factorFillNnz, amd.factorFillNnz);
   EXPECT_EQ(defaultOut, amdOut);
   EXPECT_EQ(naturalOut, amdOut);  // the ordering never changes the result
+}
+
+// ---------------------------------------------------------- refactor skip
+
+TEST(EngineCache, WarmLinearMeshTransientMatchesCold) {
+  // The warm context's LU still holds the previous job's last Jacobian;
+  // skipping refactors against it must not change a byte of the output.
+  engine::Engine eng;
+  CollectSink cold, warm;
+  const auto r1 = eng.run(spec(rcMesh(24)), cold);
+  const auto r2 = eng.run(spec(rcMesh(24)), warm);
+  ASSERT_EQ(r1.exitCode, 0);
+  ASSERT_EQ(r2.exitCode, 0);
+  EXPECT_EQ(r2.perf.ctxHits, 1u);
+  EXPECT_EQ(warm.out(0), cold.out(0));
+  // The DC point (zero source at t = 0) converges without a solve, and the
+  // fixed-step transient has one Jacobian: the cold job factors it on the
+  // first of its 10 steps, the warm job finds it already factored.
+  EXPECT_EQ(r1.perf.factorizations, 1u);
+  EXPECT_EQ(r1.perf.refactorizations, 0u);
+  EXPECT_EQ(r1.perf.refactorSkips, 9u);
+  EXPECT_EQ(r2.perf.factorizations + r2.perf.refactorizations, 0u);
+  EXPECT_EQ(r2.perf.refactorSkips, 10u);
+}
+
+TEST(EngineFaults, FactorRepivotFiresOnLinearTransient) {
+  // The skip sits behind the factor-repivot fault point, so a linear
+  // transient still takes every forced repivot (1 + 5 factorizations) and
+  // prints what the unfaulted run prints.
+  auto& faults = diag::FaultInjector::global();
+  faults.reset();
+  const auto run = [] {
+    engine::Engine eng;
+    CollectSink sink;
+    const auto res = eng.run(spec(rcMesh(24)), sink);
+    EXPECT_EQ(res.exitCode, 0);
+    return std::pair{res.perf, sink.out(0)};
+  };
+  const auto [clean, cleanOut] = run();
+  faults.arm(diag::FaultPoint::FactorRepivot, 5);
+  const auto [faulted, faultedOut] = run();
+  const std::uint64_t fired =
+      faults.firedCount(diag::FaultPoint::FactorRepivot);
+  faults.reset();
+  EXPECT_EQ(fired, 5u);
+  EXPECT_EQ(clean.factorizations, 1u);
+  EXPECT_EQ(faulted.factorizations, 6u);
+  EXPECT_EQ(faultedOut, cleanOut);
 }
 
 // -------------------------------------------------------- cancel lifecycle

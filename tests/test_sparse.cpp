@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
+#include "diag/resilience.hpp"
 #include "numeric/lu.hpp"
+#include "perf/perf.hpp"
 #include "sparse/krylov.hpp"
+#include "sparse/ordering.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -348,6 +352,202 @@ TEST(SymbolicLU, SingularRefactorThrowsAndClearsAnalysis) {
 TEST(SymbolicLU, RefactorBeforeFactorThrows) {
   RSymbolicLU lu;
   EXPECT_THROW(lu.refactor(std::vector<Real>{1.0}), InvalidArgument);
+}
+
+// ------------------------------------------------------------ refactor skip
+
+// The counters `f` bumps, read through a CounterScope of its own.
+template <class F>
+perf::Snapshot countedBy(F&& f) {
+  perf::Counters c;
+  {
+    const perf::CounterScope scope(c);
+    f();
+  }
+  return c.snapshot();
+}
+
+template <class T>
+bool sameBits(const Vec<T>& a, const Vec<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <class T>
+T randomValue(std::mt19937_64& rng) {
+  std::uniform_real_distribution<Real> u(-1, 1);
+  if constexpr (std::is_same_v<T, Complex>) {
+    const Real re = u(rng);
+    return Complex(re, u(rng));
+  } else {
+    return u(rng);
+  }
+}
+
+// Diagonally dominant random pattern, each position stored once; about a
+// quarter of the off-diagonal entries hold an exact zero of either sign, so
+// the elimination meets zero multipliers and signed-zero targets.
+template <class T>
+CSR<T> randomWithZeros(std::size_t n, Real density, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> coin(0, 1);
+  Triplets<T> t(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) {
+        t.add(i, i, T(Real(6)) + randomValue<T>(rng));
+      } else if (coin(rng) < density) {
+        const Real z = coin(rng);
+        t.add(i, j, z < 0.125 ? T(-0.0) : z < 0.25 ? T(0.0) : randomValue<T>(rng));
+      }
+    }
+  return CSR<T>(t);
+}
+
+// Solves that read every factor entry, on random right-hand sides and on
+// ones made of signed zeros (where a flipped zero sign in the factors shows).
+template <class T>
+std::vector<Vec<T>> probeRhs(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Vec<T>> out(3, Vec<T>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    out[0][i] = randomValue<T>(rng);
+    out[1][i] = T(-0.0);
+    out[2][i] = i % 3 == 0 ? randomValue<T>(rng) : T(-0.0);
+  }
+  return out;
+}
+
+// The skip is exact only if a skipped refactor(V) leaves the factors a
+// replay of V computes: `skipped` keeps the analysis factors of V, `twin`
+// replays V after refactoring W in between. Their solves must agree bit
+// for bit.
+template <class T>
+void expectSkipMatchesReplay(const CSR<T>& a, const std::vector<T>& w,
+                             std::uint64_t seed) {
+  SymbolicLU<T> skipped(a);
+  const perf::Snapshot skip = countedBy([&] {
+    EXPECT_EQ(skipped.refactor(a.values()), diag::SolverStatus::Converged);
+  });
+  EXPECT_EQ(skip.refactorSkips, 1u);
+  EXPECT_EQ(skip.refactorizations, 0u);
+
+  SymbolicLU<T> twin(a);
+  const perf::Snapshot replay = countedBy([&] {
+    EXPECT_EQ(twin.refactor(w), diag::SolverStatus::Converged);
+    EXPECT_EQ(twin.refactor(a.values()), diag::SolverStatus::Converged);
+  });
+  EXPECT_EQ(replay.refactorizations, 2u);
+  EXPECT_EQ(replay.refactorSkips, 0u);
+  EXPECT_EQ(replay.factorizations, 0u);
+
+  for (const Vec<T>& b : probeRhs<T>(a.rows(), seed)) {
+    EXPECT_TRUE(sameBits(skipped.solve(b), twin.solve(b)));
+    EXPECT_TRUE(sameBits(skipped.solveTransposed(b), twin.solveTransposed(b)));
+  }
+}
+
+template <class T>
+void expectSkipMatchesReplayOnRandom(std::uint64_t seed) {
+  const std::size_t n = 30 + seed % 11;
+  const CSR<T> a = randomWithZeros<T>(n, 0.15, seed);
+  std::mt19937_64 rng(seed + 1);
+  std::uniform_real_distribution<Real> scale(0.8, 1.25);
+  std::vector<T> w = a.values();
+  for (T& v : w) v *= scale(rng);
+  expectSkipMatchesReplay(a, w, seed + 2);
+}
+
+TEST(RefactorSkip, SkipMatchesReplayBitwiseReal) {
+  for (std::uint64_t seed = 900; seed < 912; ++seed) {
+    SCOPED_TRACE(seed);
+    expectSkipMatchesReplayOnRandom<Real>(seed);
+  }
+}
+
+TEST(RefactorSkip, SkipMatchesReplayBitwiseComplex) {
+  for (std::uint64_t seed = 950; seed < 962; ++seed) {
+    SCOPED_TRACE(seed);
+    expectSkipMatchesReplayOnRandom<Complex>(seed);
+  }
+}
+
+TEST(RefactorSkip, ExactZeroMultiplierMatchesReplay) {
+  // Column 0 stores an exact zero below its pivot, so step 0 has a zero
+  // multiplier for row 1, whose target (1,2) holds -0.0 and whose update
+  // source u(0,2) is -1. Subtracting 0·(-1) = -0.0 would turn the target
+  // into +0.0; replay() skips the row and keeps -0.0. An all -0.0 right-hand
+  // side carries that sign into x(1).
+  const ScopedOrderingOverride natural(Ordering::Natural);
+  RTriplets t(3, 3);
+  t.add(0, 0, 2.0);
+  t.add(0, 2, -1.0);
+  t.add(1, 0, 0.0);
+  t.add(1, 1, 3.0);
+  t.add(1, 2, -0.0);
+  t.add(2, 0, 1.0);
+  t.add(2, 2, 4.0);
+  const RCSR a(t);
+  ASSERT_TRUE(std::signbit(a.values()[4]));  // (1,2) kept its -0.0
+  std::vector<Real> w = a.values();
+  for (Real& v : w) v *= 1.5;
+  expectSkipMatchesReplay(a, w, 7);
+}
+
+TEST(RefactorSkip, InvalidatedByRepivotThrowAndFactor) {
+  RTriplets t(3, 3);
+  t.add(0, 0, 4.0);
+  t.add(0, 1, 1.0);
+  t.add(1, 0, 1.0);
+  t.add(1, 1, 4.0);
+  t.add(1, 2, 1.0);
+  t.add(2, 1, 1.0);
+  t.add(2, 2, 4.0);
+  const RCSR a(t);
+  RSymbolicLU lu(a);
+  const auto refactorCounts = [&](const std::vector<Real>& v) {
+    return countedBy([&] { (void)lu.refactor(v); });
+  };
+  EXPECT_EQ(refactorCounts(a.values()).refactorSkips, 1u);
+
+  // The value count is checked before the comparison.
+  EXPECT_THROW(lu.refactor(std::vector<Real>(a.nnz() + 1, 1.0)),
+               InvalidArgument);
+
+  // A Repivoted fallback's fresh pivots have not passed the replay guards:
+  // the same values replay once more before they skip.
+  std::vector<Real> bad = a.values();
+  bad[0] = 1e-30;
+  const perf::Snapshot repivot = refactorCounts(bad);
+  EXPECT_EQ(repivot.factorizations, 1u);
+  EXPECT_EQ(repivot.refactorSkips, 0u);
+  const perf::Snapshot again = refactorCounts(bad);
+  EXPECT_EQ(again.refactorizations, 1u);
+  EXPECT_EQ(again.refactorSkips, 0u);
+  EXPECT_EQ(refactorCounts(bad).refactorSkips, 1u);
+
+  // The factor-repivot fault point fires ahead of the comparison.
+  {
+    diag::FaultInjector::global().reset();
+    diag::FaultInjector::global().arm(diag::FaultPoint::FactorRepivot, 1);
+    const perf::Snapshot forced = refactorCounts(bad);
+    diag::FaultInjector::global().reset();
+    EXPECT_EQ(forced.factorizations, 1u);
+    EXPECT_EQ(forced.refactorSkips, 0u);
+  }
+  EXPECT_EQ(refactorCounts(bad).refactorizations, 1u);
+
+  // A throwing factorization leaves nothing to skip to: after a fresh
+  // factor() of other values, the old values replay.
+  const std::vector<Real> singular(a.nnz(), 0.0);
+  EXPECT_THROW(lu.refactor(singular), NumericalError);
+  EXPECT_FALSE(lu.analyzed());
+  RCSR a2 = a;
+  for (Real& v : a2.values()) v *= 2.0;
+  lu.factor(a2);
+  const perf::Snapshot after = refactorCounts(bad);
+  EXPECT_EQ(after.refactorSkips, 0u);
+  EXPECT_EQ(after.refactorizations + after.factorizations, 1u);
 }
 
 TEST(Krylov, MatrixFreeOperatorWorks) {

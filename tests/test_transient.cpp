@@ -1,10 +1,13 @@
 // Transient integration: analytic RC/RLC references, method convergence
-// orders, adaptive stepping, sensitivity propagation, and the stochastic
-// (noisy) integrator.
+// orders, adaptive stepping, sensitivity propagation, the refactor skip on
+// a linear circuit, and the stochastic (noisy) integrator.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/dc.hpp"
 #include "analysis/transient.hpp"
@@ -204,6 +207,58 @@ TEST(Transient, InvalidOptionsThrow) {
                InvalidArgument);
 }
 
+TEST(Transient, LinearMeshFactorsOnceAndWarmMatchesColdBitwise) {
+  // A linear circuit at a fixed step has one Jacobian: the first step
+  // factors it and every later one skips the refactor. A warm workspace
+  // (the engine's pooled context) starts from the previous run's factors
+  // and must reproduce the cold run's waveforms bit for bit.
+  Circuit c;
+  const std::size_t k = 12;
+  std::vector<int> node(k * k);
+  for (std::size_t i = 0; i < k * k; ++i)
+    node[i] = c.node("n" + std::to_string(i));
+  c.add<VSource>("V1", node[0], -1, c.allocBranch("V1"),
+                 std::make_shared<SineWave>(1.0, 1e6));
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t a = i * k + j;
+      const std::string tag = std::to_string(a);
+      if (j + 1 < k)
+        c.add<Resistor>("Rh" + tag, node[a], node[a + 1], 90.0 + j);
+      if (i + 1 < k)
+        c.add<Resistor>("Rv" + tag, node[a], node[a + k], 110.0 - i);
+      c.add<Capacitor>("Cg" + tag, node[a], -1, 1e-12 * (1.0 + 0.01 * j));
+    }
+  const MnaSystem sys(c);
+  TransientOptions o;
+  o.tstop = 2e-6;
+  o.dt = 1e-7;
+  const RVec x0(sys.dim(), 0.0);
+
+  const TransientResult cold = runTransient(sys, x0, o);
+  ASSERT_TRUE(cold.ok);
+  EXPECT_EQ(cold.steps, 20u);
+  EXPECT_EQ(cold.perf.factorizations, 1u);
+  EXPECT_EQ(cold.perf.refactorizations, 0u);
+  EXPECT_EQ(cold.perf.refactorSkips, cold.steps - 1);
+
+  MnaWorkspace ws(sys);
+  o.workspace = &ws;
+  (void)runTransient(sys, x0, o);
+  const TransientResult warm = runTransient(sys, x0, o);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(warm.perf.factorizations + warm.perf.refactorizations, 0u);
+  EXPECT_EQ(warm.perf.refactorSkips, warm.steps);
+  ASSERT_EQ(warm.x.size(), cold.x.size());
+  for (std::size_t s = 0; s < cold.x.size(); ++s) {
+    ASSERT_EQ(warm.x[s].size(), cold.x[s].size());
+    EXPECT_EQ(std::memcmp(warm.x[s].data(), cold.x[s].data(),
+                          cold.x[s].size() * sizeof(Real)),
+              0)
+        << "step " << s;
+  }
+}
+
 TEST(NoisyTransient, ZeroNoiseMatchesDeterministic) {
   // A purely reactive circuit (no resistor noise sources): the stochastic
   // integrator must reproduce the deterministic BE trajectory.
@@ -247,6 +302,12 @@ TEST(NoisyTransient, ResistorNoiseProducesExpectedVariance) {
   const Real kTC = 1.380649e-23 * 300.0 / 1e-15;
   EXPECT_GT(var, 0.5 * kTC);
   EXPECT_LT(var, 1.6 * kTC);
+  // Bit-exact pins of this seed's trajectory, recorded when the Newton loop
+  // still allocated its update and noise vectors every iteration: the
+  // allocation-free loop must reproduce them exactly.
+  EXPECT_EQ(var, 0x1.0cadd48c5ec5cp-18);
+  EXPECT_EQ(tr.x.back()[0], 0x1.bc02ea2331748p-11);
+  EXPECT_EQ(tr.newtonIterations, 159499u);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@ artifacts). Numeric keys are diffed; wall-clock keys (ending in `_s` or
 the threshold (default 25%).
 
 Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations,
-factorizations, Newton/GMRES iterations, transforms, fill — which depends
+factorizations, refactorizations and refactor skips, Newton/GMRES
+iterations, transforms, workspace growth events, fill — which depends
 only on the pattern and the pivots) are
 machine-independent, so they GATE: the exit code is 1 when one differs
 from its baseline while both files ran in the same quick mode. Benches in
@@ -32,8 +33,8 @@ from pathlib import Path
 
 
 WORK_COUNT_SUFFIXES = (".evals", ".factorizations", ".refactorizations",
-                       ".newton", ".gmres", ".fft_count", ".fill",
-                       ".factor_fill_nnz")
+                       ".refactor_skips", ".newton", ".gmres", ".fft_count",
+                       ".fill", ".factor_fill_nnz", ".workspace_growth")
 SCHEDULING_DEPENDENT = {"BENCH_daemon_throughput.json"}
 
 
