@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
 #include "sparse/sparse_matrix.hpp"
 #include "sparse/symbolic_lu.hpp"
@@ -74,6 +75,7 @@ struct CaseResult {
   Real factorMs = 0;    ///< full analysis (ordering included)
   Real refactorMs = 0;  ///< replay, per refactor
   Real solveMs = 0;     ///< per solve
+  bool timedReplays = false;  ///< every timed refactor ran a replay
 };
 
 CaseResult runCase(const char* label, const sparse::RCSR& a,
@@ -90,15 +92,25 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   res.factorNnz = lu.factorNnz();
   res.fill = lu.fillRatio();
 
-  // Perturbed values over the same pattern — the Newton-loop steady state.
+  // Two perturbed value sets over the same pattern — the Newton-loop
+  // steady state. They alternate, so no refactor meets the values it
+  // factored last and every rep replays instead of skipping.
   std::mt19937_64 rng(4242);
   std::uniform_real_distribution<Real> u(0.9, 1.1);
-  std::vector<Real> vals = a.values();
-  for (auto& v : vals) v *= u(rng);
+  std::vector<Real> vals[2] = {a.values(), a.values()};
+  for (auto& set : vals)
+    for (auto& v : set) v *= u(rng);
 
-  sw.reset();
-  for (std::size_t r = 0; r < reps; ++r) (void)lu.refactor(vals);
-  res.refactorMs = sw.seconds() * 1e3 / static_cast<Real>(reps);
+  perf::Counters counters;
+  {
+    const perf::CounterScope scope(counters);
+    sw.reset();
+    for (std::size_t r = 0; r < reps; ++r) (void)lu.refactor(vals[r % 2]);
+    res.refactorMs = sw.seconds() * 1e3 / static_cast<Real>(reps);
+  }
+  const perf::Snapshot c = counters.snapshot();
+  res.timedReplays = c.refactorizations == reps && c.refactorSkips == 0 &&
+                     c.factorizations == 0;
 
   numeric::RVec b(res.n), x, y, z;
   std::uniform_real_distribution<Real> ub(-1, 1);
@@ -140,6 +152,12 @@ int main() {
   const auto ladAmd = runCase("ladder/amd", lad, sparse::Ordering::Amd, reps);
 
   rule();
+  for (const CaseResult* c : {&amd, &amdBig, &ladAmd})
+    if (!c->timedReplays) {
+      std::fprintf(stderr, "a timed refactor skipped or repivoted (n=%zu)\n",
+                   c->n);
+      return 1;
+    }
 
   // Wall-clock keys end in _s so tools/bench_compare.py ratio-checks them.
   json.count("mesh.n", amd.n);

@@ -4,14 +4,35 @@
 
 namespace rfic::analysis {
 
-sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
+namespace {
+
+void acValues(const circuit::MnaWorkspace& ws, Real freqHz,
+              std::vector<Complex>& vals) {
   const auto& g = ws.gValues();
   const auto& c = ws.cValues();
   const Real w = kTwoPi * freqHz;
-  std::vector<Complex> vals(g.size());
+  vals.resize(g.size());
   for (std::size_t p = 0; p < vals.size(); ++p)
     vals[p] = Complex(g[p], w * c[p]);
+}
+
+}  // namespace
+
+sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz) {
+  std::vector<Complex> vals;
+  acValues(ws, freqHz, vals);
   return {ws.pattern(), std::move(vals)};
+}
+
+void factorAt(sparse::CSymbolicLU& lu, const circuit::MnaWorkspace& ws,
+              Real freqHz, std::vector<Complex>& vals) {
+  if (!lu.analyzed()) {
+    lu.factor(acMatrix(ws, freqHz));
+    return;
+  }
+  acValues(ws, freqHz, vals);
+  // Either outcome is usable; the LU counts the replay or the repivot.
+  (void)lu.refactor(vals);
 }
 
 void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop) {
@@ -29,12 +50,13 @@ ACResult acSweep(const MnaSystem& sys, const RVec& xop,
   ACResult out;
   out.x.reserve(freqs.size());
   sparse::CSymbolicLU lu;
+  std::vector<Complex> vals;
   for (const Real f : freqs) {
     if (diag::budgetExceeded(budget)) {
       out.status = diag::SolverStatus::BudgetExceeded;
       break;
     }
-    lu.factor(acMatrix(ws, f));
+    factorAt(lu, ws, f, vals);
     out.x.push_back(lu.solve(stimulus));
   }
   out.freq.assign(freqs.begin(), freqs.begin() + out.x.size());

@@ -33,14 +33,23 @@ void linearizeAt(circuit::MnaWorkspace& ws, const RVec& xop);
 /// The pattern always holds the diagonal.
 sparse::CCSR acMatrix(const circuit::MnaWorkspace& ws, Real freqHz);
 
+/// Factor G + j·2πf·C into `lu` for one point of a sweep over a workspace
+/// evaluated by linearizeAt(). The first call analyses (pivots, fill);
+/// later calls replay those pivots on the new values, with the Repivoted
+/// fallback as the numeric backstop. `vals` is the caller's reused value
+/// buffer.
+void factorAt(sparse::CSymbolicLU& lu, const circuit::MnaWorkspace& ws,
+              Real freqHz, std::vector<Complex>& vals);
+
 /// True for ground (any negative index) or an unknown index below sys.dim().
 inline bool nodeInRange(const MnaSystem& sys, int node) {
   return node < 0 || static_cast<std::size_t>(node) < sys.dim();
 }
 
-/// Sweep a list of frequencies: one linearization, one factorization per
-/// point. The optional budget is polled once per frequency; on a trip the
-/// result holds the points solved so far and status BudgetExceeded.
+/// Sweep a list of frequencies: one linearization, one analysis at the
+/// first point and a replay per later point (factorAt). The optional
+/// budget is polled once per frequency; on a trip the result holds the
+/// points solved so far and status BudgetExceeded.
 ACResult acSweep(const MnaSystem& sys, const RVec& xop,
                  const std::vector<Real>& freqs, const CVec& stimulus,
                  diag::RunBudget* budget = nullptr);

@@ -25,12 +25,13 @@ NoiseResult noiseAnalysis(const MnaSystem& sys, const RVec& xop, int outNode,
   numeric::CVec rhs(n);
   rhs[static_cast<std::size_t>(outNode)] = 1.0;
   sparse::CSymbolicLU lu;
+  std::vector<Complex> vals;
   for (const Real f : freqs) {
     if (diag::budgetExceeded(budget)) {
       out.status = diag::SolverStatus::BudgetExceeded;
       break;
     }
-    lu.factor(acMatrix(ws, f));
+    factorAt(lu, ws, f, vals);
     const numeric::CVec adj = lu.solveTransposed(rhs);
 
     Real total = 0;

@@ -143,7 +143,7 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
               diag::FaultPoint::SingularJacobian))
         failNumerical("integrateStep: injected singular Jacobian");
       // First call factors symbolically; later iterations (and steps)
-      // replay the recorded elimination on the new values, and the solve
+      // replay the stored pivots on the new values, and the solve
       // writes into loop-scoped scratch — no per-iteration allocation.
       ws.factorJacobian(jacQ, jacG);
       ws.solve(r, dx);
@@ -309,7 +309,11 @@ TransientResult transientSweep(const MnaSystem& sys, const RVec& x0,
       saveCk();
       sinceSave = perf::Timer();
     }
-    h = std::min(h, opts.tstop - t);
+    // Clamp the step to tstop, but keep h when the remainder is h within
+    // the loop's own 1e-12·tstop slack: rounding in t would otherwise cut
+    // a fixed-step run's last step a few ulps short, and a new step is a
+    // new Jacobian to factor.
+    if (opts.tstop - t < h - 1e-12 * opts.tstop) h = opts.tstop - t;
     RVec x1;
     const std::size_t newtonBefore = res.newtonIterations;
     bool ok = integrateStep(ws, opts.method, t, h, x,
@@ -398,7 +402,9 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
   res.x.push_back(x);
   const Real h = opts.dt;
 
-  RVec q0, r(n), inoise(n), dx;
+  // Per-step buffers, grown on the first step and reused after it.
+  RVec q0, r(n), inoise(n), dx, x1, xIter;
+  std::vector<circuit::NoiseSource> sources;
   while (t < opts.tstop - 1e-12 * opts.tstop) {
     if (diag::budgetExceeded(opts.budget)) {
       res.status = diag::SolverStatus::BudgetExceeded;
@@ -406,7 +412,7 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
     }
     // Sample device noise at the current operating point (cyclostationary
     // modulation happens automatically through the x-dependence).
-    const auto sources = sys.noiseSources(x);
+    sys.noiseSources(x, sources);
     inoise.setZero();
     for (const auto& src : sources) {
       // One-sided white PSD S → discrete variance S/(2h).
@@ -420,8 +426,8 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
     // One BE Newton solve with the noise current on the RHS.
     ws.eval(x, t, false);
     q0 = ws.q();
-    RVec x1 = x;
-    RVec xIter = x;
+    x1 = x;
+    xIter = x;
     bool converged = false;
     for (std::size_t it = 0; it < opts.maxNewton; ++it) {
       ++res.newtonIterations;

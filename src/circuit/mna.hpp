@@ -24,6 +24,9 @@ class MnaSystem {
 
   /// Collect all device noise generators at operating point x.
   std::vector<NoiseSource> noiseSources(const RVec& x) const;
+  /// The same into `out` (cleared first), so a per-step caller reuses its
+  /// capacity.
+  void noiseSources(const RVec& x, std::vector<NoiseSource>& out) const;
 
  private:
   const Circuit& ckt_;

@@ -85,7 +85,7 @@ class MnaWorkspace {
   /// Thread pool used by evalSamples (nullptr = serial). The chunking is
   /// over a fixed lane count, so results do not depend on the pool size.
   /// factorJacobian does not use it: its refactorization is one serial
-  /// replay of the recorded program.
+  /// row replay over the stored factors.
   void setSweepPool(perf::ThreadPool* pool) { sweepPool_ = pool; }
 
   /// Pivot pre-ordering for factorJacobian (sparse/ordering.hpp). Defaults

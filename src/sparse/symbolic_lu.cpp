@@ -22,20 +22,14 @@ struct Entry {
   std::uint32_t slot;
 };
 
-/// Factor size and update-program length if every pivot lands on the
-/// diagonal: the Cholesky factor of the symmetrized pattern eliminated in
-/// `order`, counted with one row-subtree walk per row over the elimination
-/// tree as it grows (O(factor size)). Column r has c_r entries below the
-/// diagonal, so the factor holds n + 2·Σc_r entries and step r replays
-/// c_r² updates. The analysis only uses it to reserve its two large arrays
-/// up front: in a cold process their growth copies and first-touch page
-/// faults cost as much as the elimination itself.
-struct DiagonalPivotCounts {
-  std::size_t factorNnz = 0;
-  std::size_t flops = 0;
-};
-
-DiagonalPivotCounts diagonalPivotCounts(
+/// Factor size if every pivot lands on the diagonal: the Cholesky factor of
+/// the symmetrized pattern eliminated in `order`, counted with one
+/// row-subtree walk per row over the elimination tree as it grows
+/// (O(factor size)). Column r has c_r entries below the diagonal, so the
+/// factor holds n + 2·Σc_r entries. The analysis only uses it to reserve
+/// its slot workspace up front: in a cold process its growth copies and
+/// first-touch page faults cost as much as the elimination itself.
+std::size_t diagonalPivotFactorNnz(
     std::size_t n, const std::vector<std::size_t>& rowPtr,
     const std::vector<std::uint32_t>& colIdx,
     const std::vector<std::uint32_t>& order) {
@@ -73,12 +67,9 @@ DiagonalPivotCounts diagonalPivotCounts(
         if (parent[r] == kNoSlot) parent[r] = kk;
       }
   }
-  DiagonalPivotCounts out{n, 0};
-  for (const std::size_t c : below) {
-    out.factorNnz += 2 * c;
-    out.flops += c * c;
-  }
-  return out;
+  std::size_t factorNnz = n;
+  for (const std::size_t c : below) factorNnz += 2 * c;
+  return factorNnz;
 }
 
 }  // namespace
@@ -118,19 +109,21 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   ctr.addFactorization(timer.ns());
 }
 
-// Full elimination recording the slot-level update program for later
-// replay. Columns are eliminated in the colOrder_ sequence (AMD's
+// Full right-looking elimination that picks the pivots and computes the
+// factors. Columns are eliminated in the colOrder_ sequence (AMD's
 // fill-reducing order, or the identity under Natural); only the pivot
 // *row* is chosen numerically: the diagonal if it passes the relative
 // threshold, else the shortest active row that does (the Markowitz count
 // with the column fixed), ties to the larger magnitude.
 //
 // The active submatrix lives in flat per-row (col, slot) and per-column
-// (row, slot) lists. Slots [0, nnz_) are the input CSR positions in
-// order; fill-in appends. Eliminated rows stay in the column lists until a
-// scan compacts them out (rowActive marks the live rows, colLen counts a
-// column's live entries); a row is compacted each time it is scattered for
-// an update, so an active row's list holds exactly its live entries.
+// (row, slot) lists over a slot workspace `w`. Slots [0, nnz_) are the
+// input CSR positions in order; fill-in appends. Eliminated rows stay in
+// the column lists until a scan compacts them out (rowActive marks the live
+// rows, colLen counts a column's live entries); a row is compacted each
+// time it is scattered for an update, so an active row's list holds
+// exactly its live entries. All of it is local: what outlives the analysis
+// is the factors and the row-wise L index replay() walks.
 template <class T>
 void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   analyzed_ = false;
@@ -141,7 +134,10 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   std::vector<std::uint32_t> diagSlot(n_, kNoSlot);
   // Column -> slot of the row being scattered (kNoSlot elsewhere).
   std::vector<std::uint32_t> pos(n_, kNoSlot);
-  w_.assign(nnz_, T{});
+  std::vector<T> w;
+  // Every slot ends as one factor entry.
+  w.reserve(diagonalPivotFactorNnz(n_, aRowPtr_, aColIdx_, colOrder_));
+  w.assign(vals, vals + nnz_);
   for (std::size_t r = 0; r < n_; ++r) {
     rows[r].reserve(aRowPtr_[r + 1] - aRowPtr_[r]);
     for (std::size_t p = aRowPtr_[r]; p < aRowPtr_[r + 1]; ++p) {
@@ -153,30 +149,20 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
       cols[c].push_back({static_cast<std::uint32_t>(r), slot});
       ++colLen[c];
       if (c == r) diagSlot[r] = slot;
-      w_[p] = vals[p];
     }
     for (const Entry& e : rows[r]) pos[e.idx] = kNoSlot;
   }
-
-  const DiagonalPivotCounts est =
-      diagonalPivotCounts(n_, aRowPtr_, aColIdx_, colOrder_);
-  w_.reserve(est.factorNnz);  // every slot ends as one factor entry
-  updTarget_.reserve(est.flops);
 
   std::vector<char> rowActive(n_, 1);
   pivRow_.resize(n_);
   pivCol_.resize(n_);
   pivVal_.resize(n_);
-  pivSlot_.resize(n_);
   lPtr_.assign(n_ + 1, 0);
   uPtr_.assign(n_ + 1, 0);
   lRow_.clear();
   uCol_.clear();
   lVal_.clear();
   uVal_.clear();
-  lSlot_.clear();
-  uSlot_.clear();
-  updTarget_.clear();
 
   // Live entries of column c, in insertion order (input rows ascending,
   // then fill in creation order); drops eliminated rows on the way.
@@ -188,7 +174,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   };
   const auto columnMax = [&](std::size_t c) {
     Real m = 0;
-    for (const Entry& e : liveCol(c)) m = std::max(m, std::abs(w_[e.slot]));
+    for (const Entry& e : liveCol(c)) m = std::max(m, std::abs(w[e.slot]));
     return m;
   };
 
@@ -202,7 +188,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     if (cmax > 0) {
       const Real tol = opts_.pivotThreshold * cmax;
       if (rowActive[pc] && diagSlot[pc] != kNoSlot) {
-        const Real mag = std::abs(w_[diagSlot[pc]]);
+        const Real mag = std::abs(w[diagSlot[pc]]);
         if (mag > 0 && mag >= tol) {
           pr = pc;
           pivSlot = diagSlot[pc];
@@ -212,7 +198,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         std::size_t bestLen = std::numeric_limits<std::size_t>::max();
         Real bestMag = 0;
         for (const Entry& e : liveCol(pc)) {
-          const Real mag = std::abs(w_[e.slot]);
+          const Real mag = std::abs(w[e.slot]);
           if (mag < tol) continue;
           const std::size_t len = rows[e.idx].size();
           if (len < bestLen || (len == bestLen && mag > bestMag)) {
@@ -226,10 +212,9 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     }
     if (pr == n_) failNumerical("SymbolicLU: matrix is singular");
 
-    const T p = w_[pivSlot];
+    const T p = w[pivSlot];
     pivRow_[k] = static_cast<std::uint32_t>(pr);
     pivCol_[k] = static_cast<std::uint32_t>(pc);
-    pivSlot_[k] = pivSlot;
     pivVal_[k] = p;
     rowActive[pr] = 0;
 
@@ -239,25 +224,23 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
       if (e.idx == pc) continue;
       --colLen[e.idx];
       uCol_.push_back(e.idx);
-      uSlot_.push_back(e.slot);
-      uVal_.push_back(w_[e.slot]);
+      uVal_.push_back(w[e.slot]);
     }
     uPtr_[k + 1] = uVal_.size();
 
-    // Eliminate below the pivot, recording L entries and the flattened
-    // (target -= m·source) program. The numeric update runs here too so
-    // later pivot choices see the true partial values.
+    // Eliminate below the pivot, recording the L entries. The pivot row
+    // is never a target, so its U values are final: the update reads them
+    // from uVal_, as replay() does.
     const std::size_t u0 = uPtr_[k], u1 = uPtr_[k + 1];
     for (const Entry& e : cols[pc]) {
       const std::size_t i = e.idx;
       if (!rowActive[i]) continue;
-      const T m = w_[e.slot] / p;
+      const T m = w[e.slot] / p;
       // A zero multiplier updates nothing, as in replay(): skipping its
       // flops keeps the two bit-identical (0·u could turn a -0.0 target
       // into +0.0, or an infinite u into NaN).
       const bool live = m != T{};
       lRow_.push_back(e.idx);
-      lSlot_.push_back(e.slot);
       lVal_.push_back(m);
       // Scatter row i, dropping its entry in the pivot column.
       auto& row = rows[i];
@@ -267,15 +250,14 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         const std::uint32_t c = uCol_[q];
         std::uint32_t& s = pos[c];
         if (s == kNoSlot) {
-          s = static_cast<std::uint32_t>(w_.size());
+          s = static_cast<std::uint32_t>(w.size());
           if (c == i) diagSlot[i] = s;  // diagonal fill-in
-          w_.push_back(T{});
+          w.push_back(T{});
           row.push_back({c, s});
           cols[c].push_back({static_cast<std::uint32_t>(i), s});
           ++colLen[c];
         }
-        if (live) w_[s] -= m * w_[uSlot_[q]];
-        updTarget_.push_back(s);
+        if (live) w[s] -= m * uVal_[q];
       }
       for (const Entry& f : row) pos[f.idx] = kNoSlot;
     }
@@ -284,52 +266,129 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     rows[pr] = std::vector<Entry>();
   }
 
+  // Row-wise L index: the L entries of the row pivoted at step s, in
+  // ascending step — the order in which the elimination updated that row.
+  std::vector<std::uint32_t> stepOfRow(n_);
+  for (std::size_t k = 0; k < n_; ++k)
+    stepOfRow[pivRow_[k]] = static_cast<std::uint32_t>(k);
+  rowLPtr_.assign(n_ + 1, 0);
+  for (const std::uint32_t r : lRow_) ++rowLPtr_[stepOfRow[r] + 1];
+  for (std::size_t s = 0; s < n_; ++s) rowLPtr_[s + 1] += rowLPtr_[s];
+  rowL_.resize(lRow_.size());
+  std::vector<std::size_t> next(rowLPtr_.begin(), rowLPtr_.end() - 1);
+  for (std::size_t k = 0; k < n_; ++k)
+    for (std::size_t li = lPtr_[k]; li < lPtr_[k + 1]; ++li)
+      rowL_[next[stepOfRow[lRow_[li]]]++] = {
+          pivCol_[k], static_cast<std::uint32_t>(k),
+          static_cast<std::uint32_t>(li)};
+  // replay() leaves the accumulator all-zero, so keeping what it holds is
+  // the same as clearing it.
+  acc_.resize(n_);
+
   analyzed_ = true;
   perf::global().noteFactorFill(factorNnz());
+  // Memory budget: charge the stored factorization grow-only, like the
+  // workspace that owns it (charge-only contract; no-op without an
+  // account). The analysis scratch above is released on return.
+  const std::size_t bytes = storedBytes();
+  if (bytes > chargedBytes_) {
+    diag::memCharge(bytes - chargedBytes_);
+    chargedBytes_ = bytes;
+  }
 }
 
-// Pure numeric pass: zero the workspace, scatter the new values, replay the
-// recorded flop sequence. Returns false when the pivots recorded at
+template <class T>
+std::size_t SymbolicLU<T>::programFlops() const {
+  std::size_t flops = 0;
+  for (std::size_t k = 0; k < n_; ++k)
+    flops += (lPtr_[k + 1] - lPtr_[k]) * (uPtr_[k + 1] - uPtr_[k]);
+  return flops;
+}
+
+template <class T>
+std::size_t SymbolicLU<T>::storedBytes() const {
+  constexpr std::size_t kIdx = sizeof(std::uint32_t);
+  constexpr std::size_t kPtr = sizeof(std::size_t);
+  return (aRowPtr_.size() + lPtr_.size() + uPtr_.size() + rowLPtr_.size()) *
+             kPtr +
+         (aColIdx_.size() + colOrder_.size() + pivRow_.size() +
+          pivCol_.size() + lRow_.size() + uCol_.size()) *
+             kIdx +
+         rowL_.size() * sizeof(RowL) +
+         // factoredVals_ holds one value per input position.
+         (pivVal_.size() + lVal_.size() + uVal_.size() + acc_.size() + nnz_) *
+             sizeof(T);
+}
+
+// Row-by-row (up-looking) numeric pass over the stored pattern. Row s —
+// input row pivRow_[s] — is scattered into the n-entry accumulator, then
+// takes its L entries in ascending step k: m = acc[pivCol_[k]] / pivVal_[k],
+// and acc -= m·(U row of step k). Every factor entry thus receives the
+// analysis's updates in the analysis's order, so a replay equals a fresh
+// factorization with the same pivots bit for bit. Row s ends with its
+// pivot and U values, which later rows read. Every entry a row touches is
+// zeroed as it is read, so the accumulator is all-zero again on return,
+// also when the guards abort. Returns false when the pivots chosen at
 // analysis time are no longer numerically acceptable for these values.
 template <class T>
 bool SymbolicLU<T>::replay(const T* vals) {
-  w_.assign(w_.size(), T{});  // rt: allow(rt-alloc) same-size overwrite of
-  // the analysis-sized slot workspace — never reallocates
-  Real maxIn = 0;
-  for (std::size_t p = 0; p < nnz_; ++p) {
-    w_[p] = vals[p];
-    maxIn = std::max(maxIn, std::abs(vals[p]));
-  }
+  // max|A| over four lanes: the max of magnitudes is exact and ignores a
+  // NaN whatever the order, so the lanes give the serial result without
+  // its loop-carried latency.
+  Real lane[4] = {0, 0, 0, 0};
+  std::size_t p = 0;
+  for (; p + 4 <= nnz_; p += 4)
+    for (std::size_t j = 0; j < 4; ++j)
+      lane[j] = std::max(lane[j], std::abs(vals[p + j]));
+  for (; p < nnz_; ++p) lane[0] = std::max(lane[0], std::abs(vals[p]));
+  const Real maxIn =
+      std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
   if (!(maxIn > 0) || !std::isfinite(maxIn)) return false;
   const Real floor = opts_.pivotFloor * maxIn;
   const Real cap = opts_.growthLimit * maxIn;
 
+  T* const acc = acc_.data();
   Real maxU = 0;
-  std::size_t up = 0;  // cursor into updTarget_
-  for (std::size_t k = 0; k < n_; ++k) {
-    const T p = w_[pivSlot_[k]];
+  for (std::size_t s = 0; s < n_; ++s) {
+    const std::uint32_t r = pivRow_[s];
+    for (std::size_t q = aRowPtr_[r]; q < aRowPtr_[r + 1]; ++q)
+      acc[aColIdx_[q]] = vals[q];
+    for (std::size_t e = rowLPtr_[s]; e < rowLPtr_[s + 1]; ++e) {
+      const RowL& l = rowL_[e];
+      T& num = acc[l.col];
+      const T m = num / pivVal_[l.step];
+      num = T{};
+      lVal_[l.l] = m;
+      if (m == T{}) continue;
+      // acc -= m·(U row of step l.step), unrolled by four: a row replay
+      // runs one short loop per L entry, so loop overhead is a large share
+      // of each update. The targets are distinct, so order is immaterial.
+      const std::uint32_t* uc = uCol_.data() + uPtr_[l.step];
+      const T* uv = uVal_.data() + uPtr_[l.step];
+      const T* const uvEnd = uVal_.data() + uPtr_[l.step + 1];
+      for (; uvEnd - uv >= 4; uv += 4, uc += 4) {
+        acc[uc[0]] -= m * uv[0];
+        acc[uc[1]] -= m * uv[1];
+        acc[uc[2]] -= m * uv[2];
+        acc[uc[3]] -= m * uv[3];
+      }
+      for (; uv != uvEnd; ++uv, ++uc) acc[*uc] -= m * *uv;
+    }
+    T& piv = acc[pivCol_[s]];
+    const T p = piv;
+    piv = T{};
+    pivVal_[s] = p;
+    Real rowMax = maxU;
+    for (std::size_t q = uPtr_[s]; q < uPtr_[s + 1]; ++q) {
+      T& u = acc[uCol_[q]];
+      uVal_[q] = u;
+      rowMax = std::max(rowMax, std::abs(u));
+      u = T{};
+    }
     const Real pm = std::abs(p);
     if (!(pm > floor)) return false;  // tiny, zero, or NaN pivot
-    pivVal_[k] = p;
-    const std::size_t u0 = uPtr_[k], u1 = uPtr_[k + 1];
-    for (std::size_t q = u0; q < u1; ++q) {
-      const T u = w_[uSlot_[q]];
-      uVal_[q] = u;
-      maxU = std::max(maxU, std::abs(u));
-    }
-    maxU = std::max(maxU, pm);
+    maxU = std::max(rowMax, pm);
     if (!(maxU <= cap)) return false;  // growth or non-finite
-    const std::size_t ulen = u1 - u0;
-    for (std::size_t li = lPtr_[k]; li < lPtr_[k + 1]; ++li) {
-      const T m = w_[lSlot_[li]] / p;
-      lVal_[li] = m;
-      if (m == T{}) {
-        up += ulen;
-        continue;
-      }
-      for (std::size_t q = u0; q < u1; ++q)
-        w_[updTarget_[up++]] -= m * w_[uSlot_[q]];
-    }
   }
   return true;
 }

@@ -3,20 +3,27 @@
 // extremely sparse, and benefit enormously from a fill-minimizing pivot
 // order), split into a symbolic analysis and a numeric replay. It is the
 // one sparse factorizer: Newton loops (DC, transient, HB blocks, MPDE)
-// factor once and refactor per iteration; one-shot users (AC, noise,
-// S-parameters, the ROM expansion operator) call factor() and
-// solve()/solveTransposed().
+// factor once and refactor per iteration, and so do the AC and noise
+// sweeps per frequency; one-shot users (S-parameters, the ROM expansion
+// operator) call factor() and solve()/solveTransposed().
 //
-// factor() chooses the pivots and, while eliminating, records a flat
-// "update program": a workspace slot for every position the elimination
-// ever touches (inputs and fill-in), the pivot/L/U slots per step, and the
-// (target, source) slot pairs of every elimination flop.
+// factor() chooses the pivots by a right-looking elimination over a slot
+// workspace and keeps only the result: the pivots, the L factor by step
+// (column), the U factor by step (row), and a row-wise index of L (each
+// row's L entries in ascending step). The workspace is local to the
+// analysis, so a factorization stores O(factor nnz + n), not one slot per
+// flop.
 //
-// refactor(values) then replays that program on new numeric values — no
-// ordering, no search, no allocation — in time proportional to the flop
-// count of the original factorization. Because fill depends only on the
-// pattern and the pivot order, the replay is bit-for-bit the same arithmetic
-// a fresh factorization with the same pivots would perform.
+// refactor(values) then recomputes the factors on new numeric values — no
+// ordering, no search, no allocation — by a row-by-row ("up-looking", row
+// Doolittle) pass: row s is scattered into an n-entry accumulator, takes
+// its L entries in ascending step (m = acc[pivot column] / pivot, then
+// acc -= m·that step's U row), and leaves its pivot and U values for the
+// rows after it, zeroing every entry it read. Its time is proportional to
+// the flop count of the original factorization. Every factor entry
+// receives the same updates in the same order as in the analysis, so the
+// replay is bit-for-bit the arithmetic a fresh factorization with the same
+// pivots would perform.
 //
 // Options::ordering selects the column order (see DESIGN.md §13). Amd, the
 // default, computes an approximate-minimum-degree order on the symmetrized
@@ -28,7 +35,7 @@
 // analysis is O(nnz)-ish rather than the O(n²) of a full Markowitz search,
 // which is what makes ≥50k-node meshes tractable. The analysis runs on flat
 // per-row and per-column (index, slot) lists with a dense scatter array —
-// no hashing — and the replay is one serial pass over the recorded program.
+// no hashing — and the replay is one serial pass over the stored factors.
 //
 // Replay is guarded: a pivot falling below `pivotFloor · max|A|`, element
 // growth beyond `growthLimit · max|A|`, or any non-finite value aborts the
@@ -48,6 +55,10 @@
 // Repivoted fallback: its fresh pivots have not passed the replay guards, so
 // the next call with the same values replays once to check them. The skip
 // sits after the factor-repivot fault point, which therefore still fires.
+//
+// Memory: the analysis charges the stored factorization (storedBytes())
+// grow-only to the calling thread's diag::MemAccount, like the workspace
+// that owns it, so a job's memory budget sees it.
 //
 // The factorizer counts its own work on perf::global(), so no caller times
 // or counts it: factor() bumps one factorization (its wall time includes
@@ -84,8 +95,8 @@ class SymbolicLU {
   explicit SymbolicLU(const CSR<T>& a, const Options& opts = {});
 
   /// Full analysis: pivot ordering + fill discovery + numeric values, and
-  /// records the replay program. Throws
-  /// NumericalError on singularity.
+  /// the row-wise L index the replay walks. Throws NumericalError on
+  /// singularity.
   void factor(const CSR<T>& a, const Options& opts = {});
 
   /// Cheap numeric pass on new values over the analyzed pattern. `values`
@@ -107,8 +118,15 @@ class SymbolicLU {
     return nnz_ == 0 ? Real(0)
                      : static_cast<Real>(factorNnz()) / static_cast<Real>(nnz_);
   }
-  /// Flops replayed per refactor (size of the recorded update program).
-  std::size_t programFlops() const { return updTarget_.size(); }
+  /// Multiply-subtract updates per refactor, Σ_k |L(k)|·|U(k)| (zero
+  /// multipliers included).
+  std::size_t programFlops() const;
+  /// Bytes of the stored factorization (pattern, order, factors, L index,
+  /// accumulator, factored-value copy): what the analysis charges.
+  std::size_t storedBytes() const;
+  /// Original row index of each step's pivot. The column sequence is a
+  /// pattern property; these are the numeric choices.
+  const std::vector<std::uint32_t>& pivotRows() const { return pivRow_; }
   /// The ordering the last factor() resolved to (Natural or Amd).
   Ordering orderingUsed() const { return resolved_; }
 
@@ -155,13 +173,20 @@ class SymbolicLU {
   std::vector<std::uint32_t> lRow_, uCol_;
   std::vector<T> lVal_, uVal_;
 
-  // Replay program. Workspace slot of the pivot / each L numerator / each U
-  // entry, plus the flattened (target -= m·source) slot pairs in execution
-  // order: for step k, for each L entry, one target per U entry of step k.
-  std::vector<std::uint32_t> pivSlot_, lSlot_, uSlot_;
-  std::vector<std::uint32_t> updTarget_;
+  // Row-wise L index: the L entries of the row pivoted at step s are
+  // rowL_[rowLPtr_[s], rowLPtr_[s+1]), in ascending step. Each holds its
+  // step's pivot column and step, and its position in lVal_.
+  struct RowL {
+    std::uint32_t col;
+    std::uint32_t step;
+    std::uint32_t l;
+  };
+  std::vector<std::size_t> rowLPtr_;
+  std::vector<RowL> rowL_;
 
-  std::vector<T> w_;  ///< slot workspace (one entry per touched position)
+  std::vector<T> acc_;  ///< replay row accumulator (n entries, all-zero
+                        ///< between replays)
+  std::size_t chargedBytes_ = 0;  ///< storedBytes() charged so far
 
   // Input values the current factors were computed from (nnz_ entries,
   // sized by factor()); refactor() skips the replay on a bitwise match.

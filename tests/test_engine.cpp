@@ -13,12 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/mna.hpp"
+#include "circuit/mna_workspace.hpp"
 #include "circuit/netlist.hpp"
 #include "diag/resilience.hpp"
 #include "engine/engine.hpp"
 #include "engine/json.hpp"
 #include "engine/scheduler.hpp"
 #include "sparse/ordering.hpp"
+#include "sparse/symbolic_lu.hpp"
 
 namespace {
 
@@ -420,6 +423,56 @@ TEST(EngineFaults, FactorRepivotFiresOnLinearTransient) {
   EXPECT_EQ(clean.factorizations, 1u);
   EXPECT_EQ(faulted.factorizations, 6u);
   EXPECT_EQ(faultedOut, cleanOut);
+}
+
+// ----------------------------------------------------------- memory budget
+
+TEST(EngineMemory, FactorStorageIsChargedToTheJob) {
+  // The sparse LU is a mesh job's largest allocation, and its analysis
+  // charges the stored factorization to the job's memory account. The
+  // orderings differ in nothing else a job charges, so natural ordering's
+  // extra fill must show in its peak, and a budget between the two peaks
+  // must stop the natural job only. The stored bytes come from factoring
+  // the same Jacobian pattern (G + C/dt) outside any job.
+  const std::string net = rcMesh(24);
+  circuit::Circuit ckt;
+  circuit::parseNetlist(net, ckt);
+  const circuit::MnaSystem sys(ckt);
+  circuit::MnaWorkspace ws(sys);
+  ws.eval(numeric::RVec(sys.dim(), 0.0), 0.0, true);
+  std::vector<Real> jac(ws.gValues().size());
+  for (std::size_t p = 0; p < jac.size(); ++p)
+    jac[p] = ws.gValues()[p] + ws.cValues()[p] / 0.1e-6;
+  const sparse::RCSR j(ws.pattern(), jac);
+  const std::uint64_t amdBytes =
+      sparse::RSymbolicLU(j, {.ordering = sparse::Ordering::Amd}).storedBytes();
+  const std::uint64_t naturalBytes =
+      sparse::RSymbolicLU(j, {.ordering = sparse::Ordering::Natural})
+          .storedBytes();
+  ASSERT_GT(naturalBytes, amdBytes);
+
+  const auto run = [&](const char* ordering, std::uint64_t maxBytes) {
+    engine::Engine eng;
+    CollectSink sink;
+    engine::JobSpec s = spec(net);
+    s.ordering = ordering;
+    s.maxBytes = maxBytes;
+    const auto res = eng.run(s, sink);
+    return std::pair{res, sink.err(0)};
+  };
+  const auto [amd, amdErr] = run("amd", 0);
+  const auto [natural, naturalErr] = run("natural", 0);
+  ASSERT_EQ(amd.exitCode, 0);
+  ASSERT_EQ(natural.exitCode, 0);
+  EXPECT_GE(amd.peakBytes, amdBytes);
+  EXPECT_GE(natural.peakBytes, amd.peakBytes + (naturalBytes - amdBytes) / 2);
+
+  const std::uint64_t budget =
+      amd.peakBytes + (natural.peakBytes - amd.peakBytes) / 2;
+  EXPECT_EQ(run("amd", budget).first.exitCode, 0);
+  const auto [tripped, trippedErr] = run("natural", budget);
+  EXPECT_EQ(tripped.exitCode, 6);
+  EXPECT_NE(trippedErr.find("memory-bytes"), std::string::npos);
 }
 
 // -------------------------------------------------------- cancel lifecycle

@@ -550,6 +550,145 @@ TEST(RefactorSkip, InvalidatedByRepivotThrowAndFactor) {
   EXPECT_EQ(after.refactorizations + after.factorizations, 1u);
 }
 
+// ------------------------------------------------------------- row replay
+
+// Unsymmetric random matrix whose rows are rotated by one: the strong
+// entries sit just off the diagonal, so the threshold search picks
+// off-diagonal pivots. About a quarter of the off-diagonal entries hold an
+// exact zero of either sign.
+template <class T>
+CSR<T> rotatedWithZeros(std::size_t n, Real density, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> coin(0, 1);
+  Triplets<T> t(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = (i + 1) % n;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) {
+        t.add(row, j, T(Real(6)) + randomValue<T>(rng));
+      } else if (coin(rng) < density) {
+        const Real z = coin(rng);
+        t.add(row, j,
+              z < 0.125 ? T(-0.0) : z < 0.25 ? T(0.0) : randomValue<T>(rng));
+      }
+    }
+  }
+  return CSR<T>(t);
+}
+
+// refactor(V') replays the pivots chosen for V; a fresh factor(V') picks
+// its own. When the two agree on the pivots, the replay must reproduce the
+// fresh factors bit for bit — every entry takes the same updates in the
+// same order — which the solves (reading every factor entry, signed zeros
+// included) show. V' scales each column of V by its own factor: the pivot
+// search compares magnitudes within a column, so it keeps its choices,
+// while every factor entry is rounded anew.
+template <class T>
+void expectReplayMatchesFresh(std::uint64_t seed, Ordering ord) {
+  const std::size_t n = 25 + seed % 17;
+  const CSR<T> a = rotatedWithZeros<T>(n, 0.15, seed);
+  std::mt19937_64 rng(seed + 1);
+  std::uniform_real_distribution<Real> scale(0.8, 1.25);
+  std::vector<Real> colScale(n);
+  for (Real& c : colScale) c = scale(rng);
+  CSR<T> next = a;
+  for (std::size_t p = 0; p < next.nnz(); ++p)
+    next.values()[p] *= colScale[next.colIdx()[p]];
+
+  const typename SymbolicLU<T>::Options opts{.ordering = ord};
+  SymbolicLU<T> replayed(a, opts);
+  if (ord == Ordering::Natural) {  // step k eliminates column k
+    std::size_t offDiagonal = 0;
+    for (std::size_t k = 0; k < n; ++k)
+      offDiagonal += replayed.pivotRows()[k] != k;
+    EXPECT_GT(offDiagonal, n / 2);
+  }
+  const perf::Snapshot c = countedBy([&] {
+    EXPECT_EQ(replayed.refactor(next.values()), diag::SolverStatus::Converged);
+  });
+  ASSERT_EQ(c.refactorizations, 1u);
+  const SymbolicLU<T> fresh(next, opts);
+  ASSERT_EQ(replayed.pivotRows(), fresh.pivotRows());
+  for (const Vec<T>& b : probeRhs<T>(n, seed + 2)) {
+    EXPECT_TRUE(sameBits(replayed.solve(b), fresh.solve(b)));
+    EXPECT_TRUE(
+        sameBits(replayed.solveTransposed(b), fresh.solveTransposed(b)));
+  }
+}
+
+TEST(RowReplay, MatchesFreshFactorBitwiseReal) {
+  for (const Ordering ord : {Ordering::Natural, Ordering::Amd})
+    for (std::uint64_t seed = 1000; seed < 1012; ++seed) {
+      SCOPED_TRACE(seed);
+      expectReplayMatchesFresh<Real>(seed, ord);
+    }
+}
+
+TEST(RowReplay, MatchesFreshFactorBitwiseComplex) {
+  for (const Ordering ord : {Ordering::Natural, Ordering::Amd})
+    for (std::uint64_t seed = 1050; seed < 1062; ++seed) {
+      SCOPED_TRACE(seed);
+      expectReplayMatchesFresh<Complex>(seed, ord);
+    }
+}
+
+TEST(RowReplay, ReplayAfterAbortMatchesTwin) {
+  // With pivotFloor 0.5, a replay aborts at the first pivot below half of
+  // max|A|. `bad` shrinks the diagonal of row 20 of 40, so its replay
+  // stops there, after rows 0-19 and the L part of row 20 have run; the
+  // Repivoted analysis keeps the same (diagonal) pivots. The next replay
+  // must then give the bits of a twin that analysed `bad` and replays the
+  // same values with no aborted replay behind it.
+  const ScopedOrderingOverride natural(Ordering::Natural);
+  const std::size_t n = 40;
+  const RCSR a(randomSparse(n, 0.12, 77, 10.0));
+  const RSymbolicLU::Options opts{.pivotFloor = 0.5};
+  std::vector<Real> bad = a.values(), good = a.values();
+  for (std::size_t p = a.rowPtr()[20]; p < a.rowPtr()[21]; ++p)
+    if (a.colIdx()[p] == 20) bad[p] = 1.0;
+  std::mt19937_64 rng(78);
+  std::uniform_real_distribution<Real> scale(0.95, 1.05);
+  for (Real& v : good) v *= scale(rng);
+
+  RSymbolicLU lu(a, opts);
+  const perf::Snapshot aborted = countedBy([&] {
+    EXPECT_EQ(lu.refactor(bad), diag::SolverStatus::Repivoted);
+  });
+  EXPECT_EQ(aborted.factorizations, 1u);
+  EXPECT_EQ(lu.refactor(good), diag::SolverStatus::Converged);
+
+  RSymbolicLU twin(RCSR(a, bad), opts);
+  EXPECT_EQ(twin.refactor(good), diag::SolverStatus::Converged);
+  ASSERT_EQ(lu.pivotRows(), twin.pivotRows());
+  for (const RVec& b : probeRhs<Real>(n, 79)) {
+    EXPECT_TRUE(sameBits(lu.solve(b), twin.solve(b)));
+    EXPECT_TRUE(sameBits(lu.solveTransposed(b), twin.solveTransposed(b)));
+  }
+}
+
+TEST(RowReplay, AnalysisChargesStoredBytesGrowOnly) {
+  // The analysis charges the stored factorization, O(factor nnz + n), to
+  // the thread's memory account once per growth; replays and re-analyses
+  // that fit in what was charged add nothing.
+  const RCSR a(randomSparse(60, 0.08, 81, 6.0));
+  diag::MemAccount account;
+  RSymbolicLU lu;
+  {
+    const diag::MemScope scope(account);
+    lu.factor(a);
+    EXPECT_EQ(account.currentBytes(), lu.storedBytes());
+    std::vector<Real> v = a.values();
+    for (Real& x : v) x *= 1.1;
+    EXPECT_EQ(lu.refactor(v), diag::SolverStatus::Converged);
+    lu.factor(a);
+  }
+  EXPECT_EQ(account.peakBytes(), lu.storedBytes());
+  const std::size_t minimum =
+      lu.factorNnz() * sizeof(Real) + a.nnz() * (sizeof(Real) + 4);
+  EXPECT_GE(lu.storedBytes(), minimum);
+  EXPECT_LT(lu.storedBytes(), 4 * minimum);
+}
+
 TEST(Krylov, MatrixFreeOperatorWorks) {
   // Operator defined purely as a function: scaled shift  y = 2x + S x.
   const std::size_t n = 30;

@@ -259,6 +259,45 @@ TEST(Transient, LinearMeshFactorsOnceAndWarmMatchesColdBitwise) {
   }
 }
 
+TEST(Transient, LastStepKeepsTheFixedStep) {
+  // 199 additions of 1e-7 leave t a few ulps below 1.99e-5, so clamping
+  // the last step to tstop − t would give it a new step, hence a new
+  // Jacobian to replay. Kept at dt, the whole run has one Jacobian: a cold
+  // run factors it once and skips every other step, a warm rerun skips
+  // all 200.
+  Circuit c;
+  std::vector<int> node;
+  for (int i = 0; i < 5; ++i) node.push_back(c.node("n" + std::to_string(i)));
+  c.add<VSource>("V1", node[0], -1, c.allocBranch("V1"),
+                 std::make_shared<SineWave>(1.0, 1e5));
+  for (int i = 0; i < 4; ++i) {
+    const std::string tag = std::to_string(i);
+    c.add<Resistor>("R" + tag, node[i], node[i + 1], 1e3);
+    c.add<Capacitor>("C" + tag, node[i + 1], -1, 1e-9);
+  }
+  const MnaSystem sys(c);
+  TransientOptions o;
+  o.tstop = 2e-5;
+  o.dt = 1e-7;
+  const RVec x0(sys.dim(), 0.0);
+  MnaWorkspace ws(sys);
+  o.workspace = &ws;
+
+  const TransientResult cold = runTransient(sys, x0, o);
+  ASSERT_TRUE(cold.ok);
+  EXPECT_EQ(cold.steps, 200u);
+  EXPECT_EQ(cold.perf.factorizations, 1u);
+  EXPECT_EQ(cold.perf.refactorizations, 0u);
+  EXPECT_EQ(cold.perf.refactorSkips, 199u);
+
+  const TransientResult warm = runTransient(sys, x0, o);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(warm.steps, 200u);
+  EXPECT_EQ(warm.perf.factorizations, 0u);
+  EXPECT_EQ(warm.perf.refactorizations, 0u);
+  EXPECT_EQ(warm.perf.refactorSkips, 200u);
+}
+
 TEST(NoisyTransient, ZeroNoiseMatchesDeterministic) {
   // A purely reactive circuit (no resistor noise sources): the stochastic
   // integrator must reproduce the deterministic BE trajectory.
