@@ -21,6 +21,11 @@ bool MnaWorkspace::batchedEvalDefault() {
   return gBatchedDefault.load(std::memory_order_relaxed);
 }
 
+void MnaWorkspace::chargeGrowth(std::uint64_t bytes) {
+  diag::memCharge(bytes);
+  charged_ += bytes;
+}
+
 // First-time pattern discovery is ordinary growth from a diagonal-only
 // pattern (analyses add gshunt/gDiag terms on the diagonal, and a
 // structurally present diagonal keeps the factorization robust): one scalar
@@ -74,8 +79,8 @@ void MnaWorkspace::growPattern() {
   // allocation — charge the CSR index arrays, both value arrays, and the
   // diagonal slot map in full against the owning job's account (charge-
   // only contract; no-op without one).
-  diag::memCharge(pattern_.nnz() * (2 * sizeof(Real) + sizeof(std::size_t)) +
-                  (2 * n_ + 1) * sizeof(std::size_t));
+  chargeGrowth(pattern_.nnz() * (2 * sizeof(Real) + sizeof(std::size_t)) +
+               (2 * n_ + 1) * sizeof(std::size_t));
 }
 
 // (Re)compile the SoA device batch against the current pattern. The compile
@@ -89,7 +94,7 @@ void MnaWorkspace::maybeCompileBatch(const RVec& x, const RVec* xPrev, Real t1,
   batch_.compile(sys_.circuit(), pattern_, n_, x, xPrev, t1, t2);
   batchVersion_ = patternVersion_;
   noteGrowth();
-  diag::memCharge(batch_.bytes());
+  chargeGrowth(batch_.bytes());
 }
 
 void MnaWorkspace::evalBivariate(const RVec& x, Real t1, Real t2,
@@ -194,7 +199,7 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
       ln.b.assign(n_, 0.0);  // rt: allow(rt-alloc) grow-once lane buffers
       ln.gOv.reset(n_, n_);
       ln.cOv.reset(n_, n_);
-      diag::memCharge(4 * n_ * sizeof(Real));
+      chargeGrowth(4 * n_ * sizeof(Real));
     }
     noteGrowth();
   }
@@ -227,7 +232,7 @@ void MnaWorkspace::evalSamples(const numeric::RMat& xs, const Real* t1,
     if (stale) {
       if (waveVals_.size() != S * nw) {
         noteGrowth();
-        diag::memCharge((S * nw + 2 * S) * sizeof(Real));
+        chargeGrowth((S * nw + 2 * S) * sizeof(Real));
       }
       waveVals_.resize(S * nw);  // rt: allow(rt-alloc) grow-once wave cache
       waveT1_.assign(t1, t1 + S);  // rt: allow(rt-alloc) grow-once wave cache
@@ -352,7 +357,7 @@ diag::SolverStatus MnaWorkspace::factorJacobian(Real cCoeff, Real gCoeff,
                "MnaWorkspace::factorJacobian before matrix evaluation");
   const std::size_t nnz = pattern_.nnz();
   if (jVals_.size() < nnz)
-    diag::memCharge((nnz - jVals_.size()) * sizeof(Real));
+    chargeGrowth((nnz - jVals_.size()) * sizeof(Real));
   jVals_.resize(nnz);  // rt: allow(rt-alloc) grow-once — nnz only changes
                        // when the pattern grows
   for (std::size_t p = 0; p < nnz; ++p)

@@ -106,6 +106,11 @@ class MnaWorkspace {
   /// event is also bumped once on perf::global() (the workspaceGrowth row).
   std::uint64_t workspaceGrowth() const { return growth_; }
 
+  /// Bytes this workspace and its SymbolicLU have charged to the memory
+  /// budget over their lifetime (counted whether or not an account was
+  /// installed): the footprint a pooled engine context keeps pinned.
+  std::uint64_t chargedBytes() const { return charged_ + lu_.chargedBytes(); }
+
   const RVec& f() const { return f_; }
   const RVec& q() const { return q_; }
   const RVec& b() const { return b_; }
@@ -145,6 +150,8 @@ class MnaWorkspace {
     ++growth_;
     perf::global().addWorkspaceGrowth();
   }
+  /// diag::memCharge(bytes), also tallied into chargedBytes().
+  void chargeGrowth(std::uint64_t bytes);
   void ensurePattern(const RVec& x, Real t1, Real t2, const RVec* xPrev);
   void growPattern();
   /// (Re)compile the device batch when the pattern changed since the last
@@ -180,6 +187,7 @@ class MnaWorkspace {
   std::vector<Real> waveT1_, waveT2_;    ///< sample times the cache is for
   std::size_t waveVersion_ = 0;          ///< batchVersion_ the cache is for
   std::uint64_t growth_ = 0;             ///< buffer-growth events
+  std::uint64_t charged_ = 0;            ///< bytes passed to chargeGrowth
 
   std::vector<Real> jVals_;              ///< combined Jacobian values
   sparse::Ordering ordering_ = sparse::effectiveOrdering();

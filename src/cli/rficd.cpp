@@ -24,6 +24,8 @@
 //   {"cmd":"stats"}             → {"event":"stats","queued":0,"running":1,
 //                                  "queueDepth":64,"highWater":48,
 //                                  "degraded":false,"shed":0,...,
+//                                  "pooled":5,"probation":4,
+//                                  "poolEvictions":12,"poolBytes":...,
 //                                  "evals":...,"memPeakBytes":...,
 //                                  "text":"..."}  (process perf totals)
 //   {"cmd":"shutdown"}          → {"event":"bye"}, daemon drains and exits
@@ -386,6 +388,14 @@ void handleConnection(engine::Scheduler& sched,
             static_cast<unsigned long long>(st.rejectedInvalid),
             static_cast<unsigned long long>(st.promoted));
         std::string line = head;
+        const engine::Engine::PoolStats pool = sched.engine().poolStats();
+        std::snprintf(head, sizeof head,
+                      ",\"pooled\":%zu,\"probation\":%zu,"
+                      "\"poolEvictions\":%llu,\"poolBytes\":%llu",
+                      pool.pooled, pool.probation,
+                      static_cast<unsigned long long>(pool.poolEvictions),
+                      static_cast<unsigned long long>(pool.poolBytes));
+        line += head;
         appendCounters(line, snap);
         sink->writeLine(line + ",\"text\":" +
                         engine::jsonString(perf::format(snap)) + "}");

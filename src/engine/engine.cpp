@@ -542,9 +542,16 @@ std::string preflightCheck(const std::string& netlist,
   return "";
 }
 
-std::size_t Engine::pooledContexts() {
+Engine::PoolStats Engine::poolStats() {
   diag::LockGuard lock(mu_);
-  return pool_.size();
+  PoolStats st;
+  st.pooled = probation_.size() + protected_.size();
+  st.probation = probation_.size();
+  st.poolEvictions = poolEvictions_;
+  for (const auto* seg : {&probation_, &protected_})
+    for (const auto& c : *seg)
+      st.poolBytes += c->netlistBytes + c->ws->chargedBytes();
+  return st;
 }
 
 std::unique_ptr<Engine::Context> Engine::acquireContext(const std::string& netlist) {
@@ -552,12 +559,15 @@ std::unique_ptr<Engine::Context> Engine::acquireContext(const std::string& netli
   const std::uint64_t h = topologyHash(key);
   {
     diag::LockGuard lock(mu_);
-    for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-      if ((*it)->hash == h && (*it)->key == key) {
-        auto ctx = std::move(*it);
-        pool_.erase(it);
-        perf::global().addCtxHit();
-        return ctx;
+    for (auto* seg : {&protected_, &probation_}) {
+      for (auto it = seg->begin(); it != seg->end(); ++it) {
+        if ((*it)->hash == h && (*it)->key == key) {
+          auto ctx = std::move(*it);
+          seg->erase(it);
+          ctx->reused = true;
+          perf::global().addCtxHit();
+          return ctx;
+        }
       }
     }
   }
@@ -565,6 +575,7 @@ std::unique_ptr<Engine::Context> Engine::acquireContext(const std::string& netli
   auto ctx = std::make_unique<Context>();
   ctx->key = key;
   ctx->hash = h;
+  ctx->netlistBytes = netlist.size();
   circuit::parseNetlist(netlist, ctx->ckt);
   ctx->sys = std::make_unique<circuit::MnaSystem>(ctx->ckt);
   ctx->ws = std::make_unique<circuit::MnaWorkspace>(*ctx->sys);
@@ -572,14 +583,31 @@ std::unique_ptr<Engine::Context> Engine::acquireContext(const std::string& netli
   // netlist text size (device and node tables scale with it); the
   // workspace's pattern memory is charged precisely at its grow sites.
   // A warm checkout charges nothing — reuse is the cheap path.
-  diag::memCharge(netlist.size());
+  diag::memCharge(ctx->netlistBytes);
   return ctx;
 }
 
 void Engine::releaseContext(std::unique_ptr<Context> ctx) {
   if (ctx == nullptr) return;
+  const std::size_t cap = opts_.contextCacheCap;
+  const std::size_t probationCap = std::max<std::size_t>(1, cap / 4);
+  const std::size_t protectedCap =
+      cap > probationCap ? cap - probationCap : 1;
+  // Evicted contexts are freed after the lock is released.
+  std::vector<std::unique_ptr<Context>> evicted;
   diag::LockGuard lock(mu_);
-  if (pool_.size() < opts_.contextCacheCap) pool_.push_back(std::move(ctx));
+  (ctx->reused ? protected_ : probation_).push_back(std::move(ctx));
+  if (protected_.size() > protectedCap) {
+    probation_.push_back(std::move(protected_.front()));
+    protected_.erase(protected_.begin());
+  }
+  while (probation_.size() > probationCap ||
+         probation_.size() + protected_.size() > cap) {
+    auto& seg = probation_.empty() ? protected_ : probation_;
+    evicted.push_back(std::move(seg.front()));
+    seg.erase(seg.begin());
+    ++poolEvictions_;
+  }
 }
 
 JobResult Engine::run(const JobSpec& spec, EventSink& sink,

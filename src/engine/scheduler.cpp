@@ -208,6 +208,11 @@ void Scheduler::shutdown() {
 void Scheduler::finalize(Entry& e, JobResult result, diag::UniqueLock& lock,
                          const std::string& stderrText) {
   e.result = std::move(result);
+  // The entry outlives its job (status and result read it); the netlist
+  // need not. Kept, it grew a daemon by each job's netlist (51 KB for a
+  // 576-node mesh) forever. No worker reads the spec of an entry being
+  // finalized.
+  std::string().swap(e.spec.netlist);
   std::shared_ptr<EventSink> sink = std::move(e.sink);
   Event fin;
   fin.kind = Event::Kind::Finished;

@@ -169,7 +169,7 @@ class Scheduler {
 
  private:
   struct Entry {
-    JobSpec spec;
+    JobSpec spec;  ///< its netlist is freed once the job is finalized
     std::shared_ptr<EventSink> sink;
     JobState state = JobState::Queued;
     diag::RunBudget budget;  ///< armed at submit; cancel() trips it

@@ -124,6 +124,8 @@ class SymbolicLU {
   /// Bytes of the stored factorization (pattern, order, factors, L index,
   /// accumulator, factored-value copy): what the analysis charges.
   std::size_t storedBytes() const;
+  /// Bytes the analyses charged to the memory budget so far (grow-only).
+  std::size_t chargedBytes() const { return chargedBytes_; }
   /// Original row index of each step's pivot. The column sequence is a
   /// pattern property; these are the numeric choices.
   const std::vector<std::uint32_t>& pivotRows() const { return pivRow_; }

@@ -4,7 +4,7 @@
 Starts rficd on a temporary unix socket, then over real connections:
 submits the example netlists (one with --wait streaming, checking the
 streamed bytes against a direct rficsim-equivalent run), exercises
-status / cancel / result / stats, checks that a repeat-topology job
+status / cancel / result / stats (and its context-pool gauges), checks that a repeat-topology job
 reports a context-cache hit, and finally shuts the daemon down cleanly.
 
 Usage: rficd_smoke.py <rficd> <examples_dir>
@@ -159,6 +159,10 @@ def main():
             msg = cli.recv()
             if msg.get("event") == "stats":
                 assert msg.get("text"), msg
+                for key in ("pooled", "probation", "poolEvictions",
+                            "poolBytes"):
+                    assert key in msg, (key, msg)
+                assert msg["probation"] <= msg["pooled"] <= 16, msg
                 break
         job4 = cli.submit(lpf, label="lpf")
         fin4, out4, _, _ = cli.wait_finished(job4)

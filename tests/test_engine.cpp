@@ -3,7 +3,9 @@
 // serial runs byte-for-byte, context-cache hit counters — plus the
 // .print unknown-node regression and NetlistError structured diagnostics.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -274,6 +276,115 @@ TEST(EngineCache, SchedulerRepeatJobsHitCache) {
   EXPECT_GE(rb.perf.ctxHits, 1u);
 }
 
+// ----------------------------------------------- context pool under churn
+
+/// A one-off topology: the resistor value makes each k a new key.
+std::string oneOff(int k) {
+  return "V1 in 0 DC 1\nR1 in out " + std::to_string(1000 + k) +
+         "\nR2 out 0 1k\n.print out\n.op\n";
+}
+
+/// Runs `before` one-off topologies through an engine with the given cap,
+/// then kRcNetlist twice, then kRcNetlist after each of `rounds` further
+/// one-offs. The repeat topology's second and every later run must hit and
+/// print the cold run's bytes; the pool never holds more than `cap`, nor
+/// more than max(1, cap / 4) never-hit contexts.
+void expectRepeatSurvivesFlood(std::size_t cap, int before, int rounds) {
+  SCOPED_TRACE("contextCacheCap " + std::to_string(cap));
+  engine::Engine::Options o;
+  o.contextCacheCap = cap;
+  engine::Engine eng(o);
+  const std::size_t probationCap = std::max<std::size_t>(1, cap / 4);
+  const auto checkPool = [&] {
+    const auto st = eng.poolStats();
+    EXPECT_LE(st.pooled, cap);
+    EXPECT_LE(st.probation, probationCap);
+  };
+  int next = 0;
+  const auto runOneOff = [&] {
+    CollectSink sink;
+    EXPECT_EQ(eng.run(spec(oneOff(next++)), sink).exitCode, 0);
+    checkPool();
+  };
+  for (int i = 0; i < before; ++i) runOneOff();
+
+  CollectSink cold;
+  const auto r1 = eng.run(spec(kRcNetlist), cold);
+  ASSERT_EQ(r1.exitCode, 0);
+  EXPECT_EQ(r1.perf.ctxMisses, 1u);
+  checkPool();
+  for (int i = 0; i <= rounds; ++i) {
+    if (i > 0) runOneOff();
+    CollectSink warm;
+    const auto r = eng.run(spec(kRcNetlist), warm);
+    ASSERT_EQ(r.exitCode, 0);
+    EXPECT_EQ(r.perf.ctxHits, 1u) << "repeat run " << i + 2;
+    EXPECT_EQ(warm.out(0), cold.out(0));
+    checkPool();
+  }
+}
+
+TEST(EngineCache, RepeatTopologyHitsAfterOneOffFlood) {
+  // More one-offs than the default cap first, then 100 interleaved ones:
+  // a pool that never evicts is full of one-offs before the repeat
+  // topology arrives, so its second run misses.
+  expectRepeatSurvivesFlood(engine::Engine::Options{}.contextCacheCap, 20,
+                            100);
+}
+
+TEST(EngineCache, SmallPoolsKeepTheRepeatTopology) {
+  // Caps 1-3 have a one-entry probation segment; at cap 1 it is the
+  // protected context that keeps the only slot.
+  for (std::size_t cap = 1; cap <= 3; ++cap)
+    expectRepeatSurvivesFlood(cap, 8, 20);
+}
+
+TEST(EngineCache, ZeroCapParksNothing) {
+  engine::Engine::Options o;
+  o.contextCacheCap = 0;
+  engine::Engine eng(o);
+  CollectSink s1, s2, s3;
+  const auto r1 = eng.run(spec(kRcNetlist), s1);
+  const auto r2 = eng.run(spec(oneOff(0)), s2);
+  const auto r3 = eng.run(spec(kRcNetlist), s3);
+  for (const auto* r : {&r1, &r2, &r3}) {
+    EXPECT_EQ(r->exitCode, 0);
+    EXPECT_EQ(r->perf.ctxHits, 0u);
+    EXPECT_EQ(r->perf.ctxMisses, 1u);
+  }
+  EXPECT_EQ(s1.out(0), s3.out(0));
+  const auto st = eng.poolStats();
+  EXPECT_EQ(st.pooled, 0u);
+  EXPECT_EQ(st.poolBytes, 0u);
+  EXPECT_EQ(st.poolEvictions, 3u);
+}
+
+TEST(EngineCache, LateRepeatTopologyStillGetsIn) {
+  // Cap 4: one probation slot, three protected. Four topologies that each
+  // repeat overflow the protected segment; its least recently used entry
+  // goes back to probation instead of holding its slot, so a fifth
+  // topology that starts repeating afterwards is still kept and hits.
+  engine::Engine::Options o;
+  o.contextCacheCap = 4;
+  engine::Engine eng(o);
+  const auto run = [&](int k) {
+    CollectSink sink;
+    const auto r = eng.run(spec(oneOff(k)), sink);
+    EXPECT_EQ(r.exitCode, 0);
+    return r.perf.ctxHits;
+  };
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(run(k), 0u);
+    EXPECT_EQ(run(k), 1u);
+  }
+  EXPECT_EQ(run(4), 0u);
+  EXPECT_EQ(run(4), 1u);
+  const auto st = eng.poolStats();
+  EXPECT_EQ(st.pooled, 4u);
+  EXPECT_EQ(st.probation, 1u);
+  EXPECT_EQ(st.poolEvictions, 1u);
+}
+
 // ------------------------------------------------------------ event stream
 
 TEST(EngineEvents, OrderedStreamPerJob) {
@@ -475,6 +586,30 @@ TEST(EngineMemory, FactorStorageIsChargedToTheJob) {
   EXPECT_NE(trippedErr.find("memory-bytes"), std::string::npos);
 }
 
+TEST(EngineMemory, PooledContextKeepsWhatItsJobCharged) {
+  // A cold .op/.tran job charges only its context (parse estimate,
+  // workspace growth, stored factors), so the parked context pins exactly
+  // the job's peak. A warm rerun charges nothing and leaves the figure be.
+  engine::Engine eng;
+  CollectSink cold, warm;
+  const auto r1 = eng.run(spec(rcMesh(24)), cold);
+  ASSERT_EQ(r1.exitCode, 0);
+  auto st = eng.poolStats();
+  EXPECT_EQ(st.pooled, 1u);
+  EXPECT_EQ(st.probation, 1u);
+  EXPECT_EQ(st.poolBytes, r1.peakBytes);
+  EXPECT_GT(st.poolBytes, rcMesh(24).size());
+
+  const auto r2 = eng.run(spec(rcMesh(24)), warm);
+  ASSERT_EQ(r2.exitCode, 0);
+  EXPECT_EQ(r2.peakBytes, 0u);
+  st = eng.poolStats();
+  EXPECT_EQ(st.pooled, 1u);
+  EXPECT_EQ(st.probation, 0u);
+  EXPECT_EQ(st.poolBytes, r1.peakBytes);
+  EXPECT_EQ(st.poolEvictions, 0u);
+}
+
 // -------------------------------------------------------- cancel lifecycle
 
 TEST(SchedulerCancel, RunningJobCancelsPromptly) {
@@ -623,6 +758,34 @@ TEST(SchedulerShutdown, CancelsQueuedJobs) {
   EXPECT_EQ(sched->info(queued)->state, engine::JobState::Cancelled);
   EXPECT_EQ(sched->submit(spec(kRcNetlist), sink), 0u);  // no post-stop admits
   sched.reset();
+}
+
+TEST(SchedulerMemory, FinishedJobsReleaseTheirNetlists) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "needs glibc's own allocator statistics (mallinfo2)";
+#else
+  // Each job's record stays for status and result, but not its netlist.
+  // 200 jobs on one topology (the padding is comment lines, so they share
+  // one context) with 64 KiB netlists would otherwise keep 12.5 MiB.
+  std::string netlist = kDiodeNetlist;
+  while (netlist.size() < 64 * 1024)
+    netlist += "* padding comment line, stripped from the topology key\n";
+  engine::Scheduler::Options o;
+  o.workers = 1;
+  engine::Scheduler sched(o);
+  auto sink = std::make_shared<engine::NullSink>();
+  const auto runOne = [&] {
+    const JobId id = sched.submit(spec(netlist), sink);
+    ASSERT_NE(id, 0u);
+    EXPECT_EQ(sched.wait(id).exitCode, 0);
+  };
+  runOne();
+  const std::size_t before = mallinfo2().uordblks;
+  for (int i = 0; i < 200; ++i) runOne();
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_LT(after, before + 200 * netlist.size() / 4);
+#endif
 }
 
 // ------------------------------------------------------------------- JSON
