@@ -2,12 +2,14 @@
 
 namespace rfic::circuit {
 
-int Circuit::node(const std::string& name) {
+int Circuit::node(std::string_view name) {
   if (name == "0" || name == "gnd" || name == "GND") return -1;
-  const auto [it, inserted] =
-      nodeIndex_.try_emplace(name, static_cast<int>(unknownNames_.size()));
-  if (inserted) unknownNames_.push_back("V(" + name + ")");
-  return it->second;
+  if (const auto it = nodeIndex_.find(name); it != nodeIndex_.end())
+    return it->second;
+  const int idx = static_cast<int>(unknownNames_.size());
+  nodeIndex_.emplace(std::string(name), idx);
+  unknownNames_.push_back("V(" + std::string(name) + ")");
+  return idx;
 }
 
 int Circuit::allocBranch(const std::string& label) {
@@ -22,7 +24,7 @@ int Circuit::findNode(const std::string& name) const {
   return idx;
 }
 
-int Circuit::lookupNode(const std::string& name) const {
+int Circuit::lookupNode(std::string_view name) const {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
   const auto it = nodeIndex_.find(name);
   return it != nodeIndex_.end() ? it->second : kNoSuchNode;

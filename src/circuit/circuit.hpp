@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -173,7 +174,7 @@ class Device {
 class Circuit {
  public:
   /// Get-or-create a named node. "0", "gnd", and "GND" map to ground (-1).
-  int node(const std::string& name);
+  int node(std::string_view name);
   /// Allocate an anonymous branch-current unknown (inductors, V-sources).
   int allocBranch(const std::string& label);
 
@@ -187,7 +188,7 @@ class Circuit {
   /// ground aliases, or kNoSuchNode (-2) when absent. Validation layers
   /// (the engine's .print/.noise checks) use this to reject unknown nodes
   /// with a diagnostic instead of an exception or an out-of-bounds index.
-  int lookupNode(const std::string& name) const;
+  int lookupNode(std::string_view name) const;
 
   static constexpr int kGround = -1;
   static constexpr int kNoSuchNode = -2;
@@ -207,7 +208,15 @@ class Circuit {
 
  private:
   std::vector<std::string> unknownNames_;
-  std::unordered_map<std::string, int> nodeIndex_;  ///< node name -> unknown
+  /// Lets nodeIndex_ look a string_view up without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  /// node name -> unknown
+  std::unordered_map<std::string, int, NameHash, std::equal_to<>> nodeIndex_;
   std::vector<std::unique_ptr<Device>> devices_;
 };
 

@@ -1,175 +1,124 @@
 #include "circuit/netlist.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "circuit/devices.hpp"
+#include "circuit/lexer.hpp"
 #include "circuit/semiconductors.hpp"
 #include "circuit/sources.hpp"
+#include "perf/perf.hpp"
 
 namespace rfic::circuit {
 
 namespace {
 
-std::string lower(std::string s) {
-  for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-// Tokenize a card, treating '(' ')' '=' ',' as separators but keeping
-// function-style groups attached: "SIN(0 1 1k)" -> "sin" "(" "0" "1" "1k" ")".
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> toks;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      toks.push_back(cur);
-      cur.clear();
-    }
-  };
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',') {
-      flush();
-    } else if (c == '(' || c == ')' || c == '=') {
-      flush();
-      toks.emplace_back(1, c);
-    } else {
-      cur += c;
-    }
-  }
-  flush();
-  return toks;
-}
+using lex::iequals;
+using lex::lowered;
+using Tokens = std::vector<std::string_view>;
 
 struct ModelCard {
   std::string type;  // "d", "npn", "pnp", "nmos", "pmos"
-  std::map<std::string, Real> params;
+  std::map<std::string, Real, std::less<>> params;
 };
 
-Real getParam(const ModelCard& m, const std::string& key, Real dflt) {
+Real getParam(const ModelCard& m, std::string_view key, Real dflt) {
   const auto it = m.params.find(key);
   return it == m.params.end() ? dflt : it->second;
 }
 
 class Parser {
  public:
-  Parser(const std::string& text, Circuit& ckt) : ckt_(ckt) {
-    std::istringstream in(text);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line)) {
-      // Strip comments before joining so a trailing ';' comment cannot
-      // swallow a '+' continuation.
-      line = stripComment(line);
-      if (!line.empty() && line[0] == '+' && !lines.empty()) {
-        lines.back() += " " + line.substr(1);
-      } else {
-        lines.push_back(line);
-      }
-    }
+  Parser(std::string_view text, Circuit& ckt) : ckt_(ckt) {
     // Two passes: models first so element cards can reference them in any
-    // order. Every per-card parse — including nested throws from
-    // parseSpiceNumber and device-constructor validation — is converted to
-    // a structured NetlistError carrying the line number and card text, so
-    // no malformed input can escape as an unlocated exception.
-    int num = 0;
-    for (const auto& l : lines) {
-      ++num;
-      const auto toks = tokenize(stripComment(l));
-      if (toks.empty()) continue;
-      if (lower(toks[0]) == ".model") guarded(num, l, [&] { parseModel(toks, num); });
+    // order. Each card is tokenized once, in the pass that parses it. Every
+    // per-card parse — including nested throws from parseSpiceNumber and
+    // device-constructor validation — is converted to a structured
+    // NetlistError carrying the card's first physical line and its text,
+    // so no malformed input can escape as an unlocated exception.
+    lex::Card card;
+    for (lex::CardReader cards(text); cards.next(card);) {
+      if (lex::firstTokenChar(card) != '.') continue;
+      lex::spiceTokens(card, toks_);
+      if (iequals(toks_[0], ".model")) guarded(card, [&] { parseModel(); });
     }
-    num = 0;
-    for (const auto& l : lines) {
-      ++num;
-      const auto toks = tokenize(stripComment(l));
-      if (toks.empty()) continue;
-      const std::string head = lower(toks[0]);
-      if (head[0] == '.' || head[0] == '*') continue;
-      guarded(num, l, [&] { parseElement(toks, num); });
+    for (lex::CardReader cards(text); cards.next(card);) {
+      const int first = lex::firstTokenChar(card);
+      if (first < 0 || first == '.' || first == '*') continue;
+      lex::spiceTokens(card, toks_);
+      guarded(card, [&] { parseElement(); });
     }
   }
 
  private:
-  static std::string stripComment(const std::string& l) {
-    if (!l.empty() && (l[0] == '*')) return {};
-    const auto pos = l.find(';');
-    return pos == std::string::npos ? l : l.substr(0, pos);
-  }
-
   /// Run one card's parse; rethrow anything that is not already a
   /// NetlistError as one, attaching this card's location and text.
   template <class F>
-  void guarded(int lineNum, const std::string& cardText, F&& f) {
-    curCard_ = &cardText;
+  void guarded(const lex::Card& card, F&& f) {
+    card_ = &card;
     try {
       f();
     } catch (const NetlistError&) {
-      curCard_ = nullptr;
       throw;
     } catch (const std::exception& e) {
-      curCard_ = nullptr;
-      throw NetlistError(lineNum, cardText, e.what());
+      fail(e.what());
     }
-    curCard_ = nullptr;
   }
 
-  [[noreturn]] void fail(int lineNum, const std::string& msg) const {
-    throw NetlistError(lineNum, curCard_ != nullptr ? *curCard_ : std::string(),
-                       msg);
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw NetlistError(static_cast<int>(card_->line), card_->joined(), msg);
   }
 
-  void parseModel(const std::vector<std::string>& toks, int lineNum) {
-    if (toks.size() < 3) fail(lineNum, ".model needs a name and a type");
+  void parseModel() {
+    const Tokens& toks = toks_;
+    if (toks.size() < 3) fail(".model needs a name and a type");
     ModelCard m;
-    m.type = lower(toks[2]);
+    m.type = lowered(toks[2]);
     // Parameters appear as NAME = VALUE triples (with '(' ')' noise).
     for (std::size_t i = 3; i + 2 < toks.size(); ++i) {
       if (toks[i] == "(" || toks[i] == ")") continue;
       if (toks[i + 1] == "=") {
-        m.params[lower(toks[i])] = parseSpiceNumber(toks[i + 2]);
+        m.params[lowered(toks[i])] = parseSpiceNumber(toks[i + 2]);
         i += 2;
       }
     }
-    models_[lower(toks[1])] = std::move(m);
+    models_[lowered(toks[1])] = std::move(m);
   }
 
-  const ModelCard& findModel(const std::string& name, int lineNum) const {
-    const auto it = models_.find(lower(name));
-    if (it == models_.end()) fail(lineNum, "unknown model " + name);
+  const ModelCard& findModel(std::string_view name) const {
+    const auto it = models_.find(lowered(name));
+    if (it == models_.end()) fail("unknown model " + std::string(name));
     return it->second;
   }
 
-  std::shared_ptr<const Waveform> parseWaveform(
-      const std::vector<std::string>& toks, std::size_t first, int lineNum,
-      TimeAxis& axis) const {
+  std::shared_ptr<const Waveform> parseWaveform(std::size_t first,
+                                                TimeAxis& axis) const {
+    const Tokens& toks = toks_;
     axis = TimeAxis::slow;
     // Scan for AXIS=FAST anywhere in the tail.
     for (std::size_t i = first; i + 2 < toks.size(); ++i) {
-      if (lower(toks[i]) == "axis" && toks[i + 1] == "=" &&
-          lower(toks[i + 2]) == "fast") {
+      if (iequals(toks[i], "axis") && toks[i + 1] == "=" &&
+          iequals(toks[i + 2], "fast")) {
         axis = TimeAxis::fast;
       }
     }
     if (first >= toks.size()) return std::make_shared<DCWave>(0.0);
-    const std::string kind = lower(toks[first]);
+    const std::string kind = lowered(toks[first]);
     auto args = [&](std::size_t count, std::size_t optional) {
       std::vector<Real> vals;
       std::size_t i = first + 1;
       if (i < toks.size() && toks[i] == "(") ++i;
       while (i < toks.size() && toks[i] != ")" && vals.size() < count + optional) {
-        if (lower(toks[i]) == "axis") break;
+        if (iequals(toks[i], "axis")) break;
         vals.push_back(parseSpiceNumber(toks[i]));
         ++i;
       }
       if (vals.size() < count)
-        fail(lineNum, "waveform " + kind + " needs at least " +
-                          std::to_string(count) + " arguments");
+        fail("waveform " + kind + " needs at least " +
+             std::to_string(count) + " arguments");
       return vals;
     };
     if (kind == "dc") {
@@ -204,96 +153,99 @@ class Parser {
     return std::make_shared<DCWave>(parseSpiceNumber(toks[first]));
   }
 
-  void parseElement(const std::vector<std::string>& toks, int lineNum) {
-    const std::string& name = toks[0];
-    const char kind =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(name[0])));
+  void parseElement() {
+    const Tokens& toks = toks_;
+    std::string name(toks[0]);  // moved into the device
+    const char kind = lex::lowerChar(name[0]);
     auto node = [&](std::size_t i) -> int {
-      if (i >= toks.size()) fail(lineNum, "missing node on " + name);
+      if (i >= toks.size()) fail("missing node on " + name);
       return ckt_.node(toks[i]);
     };
     switch (kind) {
       case 'r': {
-        if (toks.size() < 4) fail(lineNum, "R needs 2 nodes and a value");
-        ckt_.add<Resistor>(name, node(1), node(2), parseSpiceNumber(toks[3]));
+        if (toks.size() < 4) fail("R needs 2 nodes and a value");
+        ckt_.add<Resistor>(std::move(name), node(1), node(2),
+                           parseSpiceNumber(toks[3]));
         break;
       }
       case 'c': {
-        if (toks.size() < 4) fail(lineNum, "C needs 2 nodes and a value");
-        ckt_.add<Capacitor>(name, node(1), node(2), parseSpiceNumber(toks[3]));
+        if (toks.size() < 4) fail("C needs 2 nodes and a value");
+        ckt_.add<Capacitor>(std::move(name), node(1), node(2),
+                            parseSpiceNumber(toks[3]));
         break;
       }
       case 'l': {
-        if (toks.size() < 4) fail(lineNum, "L needs 2 nodes and a value");
+        if (toks.size() < 4) fail("L needs 2 nodes and a value");
         const int br = ckt_.allocBranch(name);
-        auto& ind = ckt_.add<Inductor>(name, node(1), node(2), br,
+        auto& ind = ckt_.add<Inductor>(std::move(name), node(1), node(2), br,
                                        parseSpiceNumber(toks[3]));
-        inductors_[lower(name)] = &ind;
+        inductors_[lowered(ind.name())] = &ind;
         break;
       }
       case 'k': {
-        if (toks.size() < 4) fail(lineNum, "K needs 2 inductors and k");
-        const auto l1 = inductors_.find(lower(toks[1]));
-        const auto l2 = inductors_.find(lower(toks[2]));
+        if (toks.size() < 4) fail("K needs 2 inductors and k");
+        const auto l1 = inductors_.find(lowered(toks[1]));
+        const auto l2 = inductors_.find(lowered(toks[2]));
         if (l1 == inductors_.end() || l2 == inductors_.end())
-          fail(lineNum, "K references unknown inductor");
-        ckt_.add<MutualInductance>(name, *l1->second, *l2->second,
+          fail("K references unknown inductor");
+        ckt_.add<MutualInductance>(std::move(name), *l1->second, *l2->second,
                                    parseSpiceNumber(toks[3]));
         break;
       }
       case 'v': {
         const int np = node(1), nm = node(2);
         TimeAxis axis;
-        auto w = parseWaveform(toks, 3, lineNum, axis);
+        auto w = parseWaveform(3, axis);
         const int br = ckt_.allocBranch(name);
-        vsourceBranches_[lower(name)] = br;
-        ckt_.add<VSource>(name, np, nm, br, std::move(w), axis);
+        vsourceBranches_[lowered(name)] = br;
+        ckt_.add<VSource>(std::move(name), np, nm, br, std::move(w), axis);
         break;
       }
       case 'i': {
         const int np = node(1), nm = node(2);
         TimeAxis axis;
-        auto w = parseWaveform(toks, 3, lineNum, axis);
-        ckt_.add<ISource>(name, np, nm, std::move(w), axis);
+        auto w = parseWaveform(3, axis);
+        ckt_.add<ISource>(std::move(name), np, nm, std::move(w), axis);
         break;
       }
       case 'f': {
-        if (toks.size() < 5) fail(lineNum, "F needs 2 nodes, a Vname, gain");
+        if (toks.size() < 5) fail("F needs 2 nodes, a Vname, gain");
         const int op = node(1), om = node(2);
-        const auto it = vsourceBranches_.find(lower(toks[3]));
+        const auto it = vsourceBranches_.find(lowered(toks[3]));
         if (it == vsourceBranches_.end())
-          fail(lineNum, "F references unknown V source " + toks[3]);
-        ckt_.add<CCCS>(name, op, om, it->second,
+          fail("F references unknown V source " + std::string(toks[3]));
+        ckt_.add<CCCS>(std::move(name), op, om, it->second,
                        parseSpiceNumber(toks[4]));
         break;
       }
       case 'h': {
-        if (toks.size() < 5) fail(lineNum, "H needs 2 nodes, a Vname, ohms");
+        if (toks.size() < 5) fail("H needs 2 nodes, a Vname, ohms");
         const int op = node(1), om = node(2);
-        const auto it = vsourceBranches_.find(lower(toks[3]));
+        const auto it = vsourceBranches_.find(lowered(toks[3]));
         if (it == vsourceBranches_.end())
-          fail(lineNum, "H references unknown V source " + toks[3]);
+          fail("H references unknown V source " + std::string(toks[3]));
         const int br = ckt_.allocBranch(name);
-        ckt_.add<CCVS>(name, op, om, it->second, br,
+        ckt_.add<CCVS>(std::move(name), op, om, it->second, br,
                        parseSpiceNumber(toks[4]));
         break;
       }
       case 'e': {
-        if (toks.size() < 6) fail(lineNum, "E needs 4 nodes and a gain");
+        if (toks.size() < 6) fail("E needs 4 nodes and a gain");
         const int op = node(1), om = node(2), cp = node(3), cm = node(4);
         const int br = ckt_.allocBranch(name);
-        ckt_.add<VCVS>(name, op, om, cp, cm, br, parseSpiceNumber(toks[5]));
+        ckt_.add<VCVS>(std::move(name), op, om, cp, cm, br,
+                       parseSpiceNumber(toks[5]));
         break;
       }
       case 'g': {
-        if (toks.size() < 6) fail(lineNum, "G needs 4 nodes and a gm");
-        ckt_.add<VCCS>(name, node(1), node(2), node(3), node(4),
+        if (toks.size() < 6) fail("G needs 4 nodes and a gm");
+        ckt_.add<VCCS>(std::move(name), node(1), node(2), node(3), node(4),
                        parseSpiceNumber(toks[5]));
         break;
       }
       case 'd': {
-        if (toks.size() < 4) fail(lineNum, "D needs 2 nodes and a model");
-        const ModelCard& m = findModel(toks[3], lineNum);
+        if (toks.size() < 4) fail("D needs 2 nodes and a model");
+        const ModelCard& m = findModel(toks[3]);
         Diode::Params p;
         p.is = getParam(m, "is", p.is);
         p.n = getParam(m, "n", p.n);
@@ -303,12 +255,12 @@ class Parser {
         p.tt = getParam(m, "tt", p.tt);
         p.kf = getParam(m, "kf", p.kf);
         p.af = getParam(m, "af", p.af);
-        ckt_.add<Diode>(name, node(1), node(2), p);
+        ckt_.add<Diode>(std::move(name), node(1), node(2), p);
         break;
       }
       case 'q': {
-        if (toks.size() < 5) fail(lineNum, "Q needs c b e and a model");
-        const ModelCard& m = findModel(toks[4], lineNum);
+        if (toks.size() < 5) fail("Q needs c b e and a model");
+        const ModelCard& m = findModel(toks[4]);
         BJT::Params p;
         p.is = getParam(m, "is", p.is);
         p.bf = getParam(m, "bf", p.bf);
@@ -321,12 +273,12 @@ class Parser {
         p.kf = getParam(m, "kf", p.kf);
         p.af = getParam(m, "af", p.af);
         const auto type = (m.type == "pnp") ? BJT::Type::pnp : BJT::Type::npn;
-        ckt_.add<BJT>(name, node(1), node(2), node(3), p, type);
+        ckt_.add<BJT>(std::move(name), node(1), node(2), node(3), p, type);
         break;
       }
       case 'm': {
-        if (toks.size() < 5) fail(lineNum, "M needs d g s and a model");
-        const ModelCard& m = findModel(toks[4], lineNum);
+        if (toks.size() < 5) fail("M needs d g s and a model");
+        const ModelCard& m = findModel(toks[4]);
         MOSFET::Params p;
         p.vt0 = getParam(m, "vto", getParam(m, "vt0", p.vt0));
         p.kp = getParam(m, "kp", p.kp);
@@ -337,16 +289,17 @@ class Parser {
         p.af = getParam(m, "af", p.af);
         const auto type =
             (m.type == "pmos") ? MOSFET::Type::pmos : MOSFET::Type::nmos;
-        ckt_.add<MOSFET>(name, node(1), node(2), node(3), p, type);
+        ckt_.add<MOSFET>(std::move(name), node(1), node(2), node(3), p, type);
         break;
       }
       default:
-        fail(lineNum, "unsupported element " + name);
+        fail("unsupported element " + name);
     }
   }
 
   Circuit& ckt_;
-  const std::string* curCard_ = nullptr;  ///< card under parse (for fail())
+  const lex::Card* card_ = nullptr;  ///< card under parse (for fail())
+  Tokens toks_;                      ///< its tokens, views into the text
   std::map<std::string, ModelCard> models_;
   std::map<std::string, const Inductor*> inductors_;
   std::map<std::string, int> vsourceBranches_;
@@ -369,14 +322,17 @@ NetlistError::NetlistError(int line, std::string card, std::string detail)
       card_(std::move(card)),
       detail_(std::move(detail)) {}
 
-Real parseSpiceNumber(const std::string& token) {
+Real parseSpiceNumber(std::string_view token) {
   RFIC_REQUIRE(!token.empty(), "parseSpiceNumber: empty token");
-  // Scan the decimal syntax first: strtod alone would also accept nan,
-  // inf/infinity and hex ("0x10" as 16), so it must stop where the scan
-  // does.
+  const auto bad = [&](const char* what) {
+    failInvalid(std::string("parseSpiceNumber: ") + what + " " +
+                std::string(token));
+  };
+  // Scan the decimal syntax first: a general float reader would also
+  // accept nan, inf/infinity and (strtod) hex, so the conversion below
+  // sees only the span the scan accepted.
   const auto digitAt = [&](std::size_t i) {
-    return i < token.size() &&
-           std::isdigit(static_cast<unsigned char>(token[i])) != 0;
+    return i < token.size() && token[i] >= '0' && token[i] <= '9';
   };
   std::size_t i = (token[0] == '+' || token[0] == '-') ? 1 : 0;
   const std::size_t intStart = i;
@@ -387,7 +343,7 @@ Real parseSpiceNumber(const std::string& token) {
     while (digitAt(i)) ++i;
     digits += i - fracStart;
   }
-  if (digits == 0) failInvalid("parseSpiceNumber: bad number " + token);
+  if (digits == 0) bad("bad number");
   if (i < token.size() && (token[i] == 'e' || token[i] == 'E')) {
     std::size_t j = i + 1;
     if (j < token.size() && (token[j] == '+' || token[j] == '-')) ++j;
@@ -396,19 +352,28 @@ Real parseSpiceNumber(const std::string& token) {
       while (digitAt(i)) ++i;
     }
   }
-  char* end = nullptr;
-  Real v = std::strtod(token.c_str(), &end);
-  const std::string suffix = lower(token.substr(i));
-  const bool lettersOnly =
-      std::all_of(suffix.begin(), suffix.end(), [](char c) {
-        return std::isalpha(static_cast<unsigned char>(c)) != 0;
-      });
-  if (end != token.c_str() + i || !lettersOnly)
-    failInvalid("parseSpiceNumber: bad number " + token);
-  if (suffix.rfind("meg", 0) == 0) {
+  const std::string_view suffix = token.substr(i);
+  for (const char c : suffix)
+    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))) bad("bad number");
+  // "0x" and a hex digit is a hex number to strtod, not 0 with a unit.
+  if (i == intStart + 1 && token[intStart] == '0' && suffix.size() >= 2 &&
+      lex::lowerChar(suffix[0]) == 'x' && lex::lowerChar(suffix[1]) >= 'a' &&
+      lex::lowerChar(suffix[1]) <= 'f')
+    bad("bad number");
+  // from_chars rounds correctly, as strtod does, but takes no '+' sign and
+  // leaves the value unset when it under- or overflows; strtod decides
+  // those (a NUL-terminated copy, off the hot path).
+  const char* begin = token.data() + (token[0] == '+' ? 1 : 0);
+  Real v = 0.0;
+  const auto [end, ec] = std::from_chars(begin, token.data() + i, v);
+  if (ec == std::errc::result_out_of_range)
+    v = std::strtod(std::string(token.substr(0, i)).c_str(), nullptr);
+  else if (ec != std::errc() || end != token.data() + i)
+    bad("bad number");
+  if (suffix.size() >= 3 && iequals(suffix.substr(0, 3), "meg")) {
     v *= 1e6;
   } else if (!suffix.empty()) {
-    switch (suffix[0]) {
+    switch (lex::lowerChar(suffix[0])) {
       case 'f': v *= 1e-15; break;
       case 'p': v *= 1e-12; break;
       case 'n': v *= 1e-9; break;
@@ -420,12 +385,16 @@ Real parseSpiceNumber(const std::string& token) {
       default: break;  // trailing units like "ohm", "v", "hz"
     }
   }
-  if (!std::isfinite(v))
-    failInvalid("parseSpiceNumber: number out of range " + token);
+  if (!std::isfinite(v)) bad("number out of range");
   return v;
 }
 
-void parseNetlist(const std::string& text, Circuit& ckt) {
+void parseNetlist(std::string_view text, Circuit& ckt) {
+  // Bumped on the throwing path too: a rejected parse is parse time.
+  struct ParseTime {
+    perf::Timer timer;
+    ~ParseTime() { perf::global().add(perf::Id::parseNs, timer.ns()); }
+  } parseTime;
   Parser parser(text, ckt);
 }
 

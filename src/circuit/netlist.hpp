@@ -11,16 +11,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.hpp"
 
 namespace rfic::circuit {
 
 /// Structured netlist diagnostic: every parse failure carries the 1-based
-/// source line number and the offending card's text, so a long-lived server
-/// (rficd) can reject a bad job per-request with an actionable message
-/// instead of a bare string. Derives from InvalidArgument, so existing
-/// catch sites keep working; what() renders
+/// physical line the offending card starts on and the card's text, so a
+/// long-lived server (rficd) can reject a bad job per-request with an
+/// actionable message instead of a bare string. Derives from
+/// InvalidArgument, so existing catch sites keep working; what() renders
 /// "netlist line <N>: <detail> [card: <text>]".
 class NetlistError : public InvalidArgument {
  public:
@@ -37,16 +38,18 @@ class NetlistError : public InvalidArgument {
 };
 
 /// Parse a netlist from text into a Circuit. Throws NetlistError (an
-/// InvalidArgument) with the line number and card text on malformed input.
-/// Never aborts: every malformed card — including nested device-parameter
-/// validation failures (e.g. a non-positive resistance) — surfaces as a
-/// structured NetlistError a caller can catch per-job.
-void parseNetlist(const std::string& text, Circuit& ckt);
+/// InvalidArgument) with the card's first physical line and its text on
+/// malformed input. Never aborts: every malformed card — including nested
+/// device-parameter validation failures (e.g. a non-positive resistance) —
+/// surfaces as a structured NetlistError a caller can catch per-job. Adds
+/// its time to the parseNs ledger row.
+void parseNetlist(std::string_view text, Circuit& ckt);
 
 /// Parse a numeric field with SPICE engineering suffixes ("2.2k", "1MEG",
 /// "100n"): a decimal mantissa with an optional exponent, then letters only
 /// (scale factor and/or units). Throws InvalidArgument on anything else —
-/// nan, inf, hex — and on a value that is not finite after scaling.
-Real parseSpiceNumber(const std::string& token);
+/// nan, inf, hex — and on a value that is not finite after scaling. The
+/// value is bitwise strtod's of the mantissa and exponent, times the scale.
+Real parseSpiceNumber(std::string_view token);
 
 }  // namespace rfic::circuit

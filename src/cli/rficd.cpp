@@ -61,6 +61,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -241,15 +242,18 @@ constexpr std::size_t kMaxRequestLine = 1u << 20;  // 1 MiB
 void handleConnection(engine::Scheduler& sched,
                       std::shared_ptr<ConnectionSink> sink) {
   std::vector<engine::JobId> myJobs;
+  // Bytes received and not yet consumed: the start of one partial request
+  // line. Only the bytes after `scanned` can hold a newline.
   std::string buf;
+  std::size_t scanned = 0;
   char tmp[4096];
   bool bye = false;
   while (!bye) {
     const ssize_t n = ::recv(sink->fd(), tmp, sizeof tmp, 0);
     if (n <= 0) break;
     buf.append(tmp, static_cast<std::size_t>(n));
-    if (buf.find('\n') == std::string::npos &&
-        buf.size() > kMaxRequestLine) {
+    std::size_t pos = buf.find('\n', scanned);
+    if (pos == std::string::npos && buf.size() > kMaxRequestLine) {
       char out[128];
       std::snprintf(out, sizeof out,
                     "{\"event\":\"error\",\"error\":\"request line exceeds "
@@ -258,10 +262,12 @@ void handleConnection(engine::Scheduler& sched,
       sink->writeLine(out);
       break;
     }
-    std::size_t pos;
-    while (!bye && (pos = buf.find('\n')) != std::string::npos) {
-      const std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
+    // Serve every complete line in place, then drop them in one erase.
+    std::size_t start = 0;
+    for (; !bye && pos != std::string::npos;
+         pos = buf.find('\n', start)) {
+      const std::string_view line(buf.data() + start, pos - start);
+      start = pos + 1;
       if (line.empty()) continue;
       std::map<std::string, std::string> req;
       std::string err;
@@ -273,7 +279,7 @@ void handleConnection(engine::Scheduler& sched,
       const std::string cmd = req.count("cmd") ? req["cmd"] : "";
       if (cmd == "submit") {
         engine::JobSpec spec;
-        spec.netlist = req["netlist"];
+        spec.netlist = std::move(req["netlist"]);
         spec.label = req.count("label") ? req["label"] : "";
         if (req.count("timeout"))
           spec.timeoutSeconds = std::atof(req["timeout"].c_str());
@@ -413,6 +419,8 @@ void handleConnection(engine::Scheduler& sched,
                         engine::jsonString("unknown cmd: " + cmd) + "}");
       }
     }
+    buf.erase(0, start);
+    scanned = buf.size();
   }
   // Connection gone: its event stream has no reader, so cancel whatever it
   // submitted that is still queued or running. Finished jobs are untouched.

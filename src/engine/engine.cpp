@@ -1,12 +1,11 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <optional>
-#include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -14,6 +13,7 @@
 #include "analysis/dc.hpp"
 #include "analysis/noise.hpp"
 #include "analysis/transient.hpp"
+#include "circuit/lexer.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/sources.hpp"
 #include "hb/harmonic_balance.hpp"
@@ -23,6 +23,8 @@
 #include "sparse/ordering.hpp"
 
 namespace rfic::engine {
+
+namespace lex = circuit::lex;
 
 const char* toString(JobState s) {
   switch (s) {
@@ -135,24 +137,14 @@ class Renderer {
   std::string pending_;
 };
 
-std::vector<std::string> splitTokens(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> toks;
-  std::string t;
-  while (in >> t) toks.push_back(t);
-  return toks;
-}
-
-std::string lowered(std::string s) {
-  for (auto& ch : s)
-    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  return s;
-}
-
-bool isAnalysisHead(const std::string& head) {
-  return head == ".op" || head == ".tran" || head == ".ac" ||
-         head == ".noise" || head == ".hb" || head == ".print" ||
-         head == ".end";
+/// True when `head`, in any case, names an analysis or output card: the
+/// cards the topology key drops.
+bool isAnalysisHead(std::string_view head) {
+  using lex::iequals;
+  return iequals(head, ".op") || iequals(head, ".tran") ||
+         iequals(head, ".ac") || iequals(head, ".noise") ||
+         iequals(head, ".hb") || iequals(head, ".print") ||
+         iequals(head, ".end");
 }
 
 /// The numeric argument `tok` of an analysis card, or nullopt when it is
@@ -228,20 +220,21 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
     r.errf("%s\n", why.c_str());
     return 2;
   };
-  // Collect analysis and print cards (parseNetlist ignores them).
+  // Collect analysis and print cards (parseNetlist ignores them): the
+  // physical lines that start with '.'.
   struct Card {
     std::vector<std::string> tokens;
   };
   std::vector<Card> cards;
   std::vector<std::string> printNodes;
   {
-    std::istringstream in(spec.netlist);
-    std::string line;
-    while (std::getline(in, line)) {
+    lex::LineReader lines(spec.netlist);
+    for (std::string_view line; lines.next(line);) {
       if (line.empty() || line[0] != '.') continue;
-      auto toks = splitTokens(line);
-      if (toks.empty()) continue;
-      const std::string head = lowered(toks[0]);
+      std::vector<std::string> toks;
+      for (std::string_view rest = line, w; lex::nextWord(rest, w);)
+        toks.emplace_back(w);
+      const std::string head = lex::lowered(toks[0]);
       if (head == ".model" || head == ".end") continue;
       if (head == ".print") {
         printNodes.assign(toks.begin() + 1, toks.end());
@@ -471,19 +464,18 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
 
 }  // namespace
 
-std::string topologyKey(const std::string& netlist) {
+std::string topologyKey(std::string_view netlist) {
   std::string key;
   key.reserve(netlist.size());
-  std::istringstream in(netlist);
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
-      line.pop_back();
+  lex::LineReader lines(netlist);
+  std::string_view line;
+  while (lines.next(line)) {
+    line = lex::trimRight(line);
     if (line.empty() || line[0] == '*') continue;  // blank / comment
     if (line[0] == '.') {
-      const auto toks = splitTokens(line);
-      if (toks.empty() || isAnalysisHead(lowered(toks[0]))) continue;
+      std::string_view rest = line, head;
+      lex::nextWord(rest, head);
+      if (isAnalysisHead(head)) continue;
     }
     key += line;
     key += '\n';
@@ -500,32 +492,35 @@ std::uint64_t topologyHash(const std::string& key) {
   return h;
 }
 
-std::string preflightCheck(const std::string& netlist,
+std::string preflightCheck(std::string_view netlist,
                            const PreflightLimits& limits) {
   if (limits.maxNetlistBytes != 0 && netlist.size() > limits.maxNetlistBytes)
     return "netlist is " + std::to_string(netlist.size()) +
            " bytes (cap " + std::to_string(limits.maxNetlistBytes) + ")";
 
   std::size_t devices = 0;
-  std::unordered_set<std::string> nodes;
-  std::size_t lineNo = 0;
+  // Views into `netlist`; filled only when the node cap is armed.
+  std::unordered_set<std::string_view> nodes;
   bool sawAnything = false;
-  std::istringstream in(netlist);
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
-      line.pop_back();
+  lex::LineReader lines(netlist);
+  std::string_view line;
+  while (lines.next(line)) {
+    line = lex::trimRight(line);
     if (line.empty()) continue;
     sawAnything = true;
     // Comments, control cards, and '+' continuations (value fields of the
     // previous card) carry no new devices or terminals.
     if (line[0] == '*' || line[0] == '.' || line[0] == '+') continue;
-    const auto toks = splitTokens(line);
-    if (toks.size() < 3)
-      return "malformed element card at line " + std::to_string(lineNo) +
-             ": '" + line + "' (expected name + two nodes at least)";
+    // The name and the first two terminals; the rest is never looked at.
+    std::string_view toks[3];
+    std::size_t count = 0;
+    for (std::string_view rest = line;
+         count < 3 && lex::nextWord(rest, toks[count]);)
+      ++count;
+    if (count < 3)
+      return "malformed element card at line " +
+             std::to_string(lines.number()) + ": '" + std::string(line) +
+             "' (expected name + two nodes at least)";
     ++devices;
     if (limits.maxDevices != 0 && devices > limits.maxDevices)
       return "too many devices (> cap " + std::to_string(limits.maxDevices) +

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -57,7 +58,7 @@ namespace rfic::engine {
 /// The topology-defining subset of a netlist: element and .model cards,
 /// with analysis/print/comment lines stripped and line endings normalized.
 /// Two netlists with equal keys build identical circuits.
-std::string topologyKey(const std::string& netlist);
+std::string topologyKey(std::string_view netlist);
 
 /// FNV-1a 64-bit hash of topologyKey(netlist) — the context-cache index.
 std::uint64_t topologyHash(const std::string& key);
@@ -72,12 +73,14 @@ struct PreflightLimits {
 };
 
 /// Cheap parse-only validation run at submit, before a job occupies a
-/// worker: a single line scan counting element cards and node names — no
-/// device construction, no allocation proportional to circuit size beyond
-/// the node-name set. Returns "" when the spec passes, else a diagnostic
-/// suitable for a rejection reply. Violations are the exit-2 class of
-/// error (bad input, not engine failure).
-std::string preflightCheck(const std::string& netlist,
+/// worker: a single scan of the physical lines counting element cards and
+/// node names. It constructs no device and allocates nothing per line; the
+/// node-name set (views into `netlist`) is built only when maxNodes is
+/// armed. A malformed-card diagnostic names the physical line. Returns ""
+/// when the spec passes, else a diagnostic suitable for a rejection reply.
+/// Violations are the exit-2 class of error (bad input, not engine
+/// failure).
+std::string preflightCheck(std::string_view netlist,
                            const PreflightLimits& limits);
 
 /// Executes jobs; owns the cross-job CircuitContext pool. Thread-safe:

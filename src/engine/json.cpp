@@ -13,7 +13,7 @@ void setErr(std::string* err, const char* what, std::size_t pos) {
   *err = buf;
 }
 
-void skipWs(const std::string& s, std::size_t& i) {
+void skipWs(std::string_view s, std::size_t& i) {
   while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
                           s[i] == '\r'))
     ++i;
@@ -39,7 +39,7 @@ void appendUtf8(std::string& out, unsigned cp) {
   }
 }
 
-bool parseString(const std::string& s, std::size_t& i, std::string& out,
+bool parseString(std::string_view s, std::size_t& i, std::string& out,
                  std::string* err) {
   if (i >= s.size() || s[i] != '"') {
     setErr(err, "expected '\"'", i);
@@ -47,63 +47,69 @@ bool parseString(const std::string& s, std::size_t& i, std::string& out,
   }
   ++i;
   out.clear();
-  while (i < s.size()) {
-    const char c = s[i];
-    if (c == '"') {
-      ++i;
-      return true;
+  // Copy the runs between escapes in one append each. The first '"' ends
+  // the string unless an escape comes before it, so it bounds the size.
+  std::size_t quote = s.find('"', i);
+  if (quote != std::string_view::npos) out.reserve(quote - i);
+  for (;;) {
+    const std::size_t end = quote == std::string_view::npos ? s.size() : quote;
+    const std::size_t slash = s.substr(0, end).find('\\', i);
+    const std::size_t stop = slash == std::string_view::npos ? end : slash;
+    out.append(s.data() + i, stop - i);
+    i = stop;
+    if (slash == std::string_view::npos) break;
+    if (i + 1 >= s.size()) {
+      setErr(err, "truncated escape", i);
+      return false;
     }
-    if (c == '\\') {
-      if (i + 1 >= s.size()) {
-        setErr(err, "truncated escape", i);
-        return false;
-      }
-      const char e = s[i + 1];
-      i += 2;
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (i + 4 > s.size()) {
-            setErr(err, "truncated \\u escape", i);
+    const char e = s[i + 1];
+    i += 2;
+    switch (e) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (i + 4 > s.size()) {
+          setErr(err, "truncated \\u escape", i);
+          return false;
+        }
+        unsigned cp = 0;
+        for (int k = 0; k < 4; ++k) {
+          const int v = hexVal(s[i + static_cast<std::size_t>(k)]);
+          if (v < 0) {
+            setErr(err, "bad hex digit in \\u escape", i);
             return false;
           }
-          unsigned cp = 0;
-          for (int k = 0; k < 4; ++k) {
-            const int v = hexVal(s[i + static_cast<std::size_t>(k)]);
-            if (v < 0) {
-              setErr(err, "bad hex digit in \\u escape", i);
-              return false;
-            }
-            cp = cp * 16 + static_cast<unsigned>(v);
-          }
-          i += 4;
-          // Surrogate pairs are out of scope for this protocol (netlists
-          // are ASCII); map any surrogate to U+FFFD instead of garbage.
-          if (cp >= 0xD800 && cp <= 0xDFFF) cp = 0xFFFD;
-          appendUtf8(out, cp);
-          break;
+          cp = cp * 16 + static_cast<unsigned>(v);
         }
-        default:
-          setErr(err, "unknown escape", i - 1);
-          return false;
+        i += 4;
+        // Surrogate pairs are out of scope for this protocol (netlists
+        // are ASCII); map any surrogate to U+FFFD instead of garbage.
+        if (cp >= 0xD800 && cp <= 0xDFFF) cp = 0xFFFD;
+        appendUtf8(out, cp);
+        break;
       }
-      continue;
+      default:
+        setErr(err, "unknown escape", i - 1);
+        return false;
     }
-    out += c;
-    ++i;
+    // An escaped '"' was not the end: look for the next one.
+    if (quote != std::string_view::npos && quote < i) quote = s.find('"', i);
+  }
+  if (i < s.size()) {
+    ++i;  // the closing '"'
+    return true;
   }
   setErr(err, "unterminated string", i);
   return false;
 }
 
-bool parseScalar(const std::string& s, std::size_t& i, std::string& out,
+bool parseScalar(std::string_view s, std::size_t& i, std::string& out,
                  std::string* err) {
   skipWs(s, i);
   if (i >= s.size()) {
@@ -119,7 +125,7 @@ bool parseScalar(const std::string& s, std::size_t& i, std::string& out,
   while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ' ' &&
          s[i] != '\t' && s[i] != '\n' && s[i] != '\r')
     ++i;
-  out = s.substr(start, i - start);
+  out.assign(s.substr(start, i - start));
   if (out.empty()) {
     setErr(err, "expected value", start);
     return false;
@@ -160,7 +166,7 @@ std::string jsonString(const std::string& s) {
   return "\"" + jsonEscape(s) + "\"";
 }
 
-bool parseFlatJson(const std::string& text,
+bool parseFlatJson(std::string_view text,
                    std::map<std::string, std::string>& out,
                    std::string* err) {
   out.clear();

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace rfic::engine {
 
@@ -26,7 +27,7 @@ std::string jsonString(const std::string& s);
 /// (including \uXXXX, encoded as UTF-8); numbers/booleans are stored as
 /// their raw text; null stores an empty string. Returns false (and sets
 /// *err when non-null) on malformed input or nested arrays/objects.
-bool parseFlatJson(const std::string& text,
+bool parseFlatJson(std::string_view text,
                    std::map<std::string, std::string>& out,
                    std::string* err = nullptr);
 

@@ -75,7 +75,8 @@ namespace rfic::perf {
   X(ctxMisses, "engine ctx misses", Sum, Count, "")                          \
   X(memPeakBytes, "mem peak", Max, Bytes, "")                                \
   X(retries, "retries", Sum, Count, "")                                      \
-  X(fallbacks, "fallbacks", Sum, Count, "")
+  X(fallbacks, "fallbacks", Sum, Count, "")                                  \
+  X(parseNs, "parse time", Sum, Ns, "")
 
 /// Row index of each counter.
 enum class Id : std::size_t {

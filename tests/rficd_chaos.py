@@ -214,8 +214,27 @@ def phase_malformed(d):
 
 
 def phase_oversized(d):
-    """A request line over 1 MiB is answered with an error and the
-    connection is dropped; the daemon itself stays up."""
+    """A request line just under 1 MiB is served; one over it is answered
+    with an error and the connection is dropped; the daemon itself stays
+    up."""
+    cap = 1 << 20
+    # A submit padded with a trailing comment to 16 bytes under the cap. It
+    # reaches the daemon in many reads, so the newline search has to carry
+    # over from one read to the next.
+    def submit_line(pad):
+        netlist = DIVIDER + "* " + "x" * pad + "\n"
+        return json.dumps({"cmd": "submit", "netlist": netlist}).encode()
+    line = submit_line(0)
+    line = submit_line(cap - 16 - len(line))
+    assert len(line) == cap - 16, len(line)
+    cli = Client(d.sock_path)
+    cli.send_raw(line + b"\n")
+    msg = cli.wait_for(lambda m: m.get("event") in ("accepted", "rejected"))
+    assert msg.get("event") == "accepted", msg
+    fin = cli.wait_finished(msg["job"])
+    assert fin["exit"] == 0, fin
+    cli.close()
+
     cli = Client(d.sock_path)
     cli.send_raw(b"x" * ((1 << 20) + 8192))  # no newline, > 1 MiB cap
     msg = cli.recv()
@@ -233,7 +252,8 @@ def phase_oversized(d):
     cli2 = Client(d.sock_path)
     assert "queueDepth" in cli2.stats()
     cli2.close()
-    print("ok   oversized line: error + drop, daemon alive")
+    print("ok   line under the cap served; oversized line: error + drop, "
+          "daemon alive")
 
 
 def phase_disconnect(d):

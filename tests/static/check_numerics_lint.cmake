@@ -1,9 +1,9 @@
-# Selftest driver for the numerics-lint scalar-exp, sparse-hash and
-# counter-member rules: runs the lint on the seeded fixture tree and asserts
-# each rule fires on its seeded violation while honoring the justified
-# suppression. (Entry-check / status findings about the fixture's missing
-# solver files are expected noise — the assertions below pin only these
-# three rules.)
+# Selftest of the numerics-lint scalar-exp, sparse-hash,
+# counter-member and text-stream rules: runs the lint on the seeded fixture
+# tree and asserts each rule fires on its seeded violation while honoring
+# the justified suppression. (Entry-check / status findings about the
+# fixture's missing solver files are expected noise — the assertions below
+# pin only these four rules.)
 #
 # Invoked by ctest as:
 #   cmake -DPYTHON=... -DLINT=... -DFIXTURE=... -P check_numerics_lint.cmake
@@ -71,6 +71,23 @@ foreach(line 18 20 26)
   if(NOT pos EQUAL -1)
     message(FATAL_ERROR
             "numerics_lint selftest: seeded_counters.cpp:${line} must not be "
+            "flagged. Output:\n${lint_out}")
+  endif()
+endforeach()
+
+# A stream line loop in the engine must be flagged by the text-stream rule;
+# the justified suppression and a plain character scan must not.
+string(FIND "${lint_out}" "seeded_stream.cpp:9: [text-stream]" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR
+          "numerics_lint selftest: expected text-stream finding at "
+          "seeded_stream.cpp:9. Output:\n${lint_out}")
+endif()
+foreach(line 11 19)
+  string(FIND "${lint_out}" "seeded_stream.cpp:${line}:" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: seeded_stream.cpp:${line} must not be "
             "flagged. Output:\n${lint_out}")
   endif()
 endforeach()

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <random>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -813,6 +814,34 @@ TEST(FlatJson, RoundTripAndErrors) {
   EXPECT_FALSE(engine::parseFlatJson("{\"a\":{\"nested\":1}}", obj, &err));
   EXPECT_FALSE(engine::parseFlatJson("{\"a\":1", obj, &err));
   EXPECT_FALSE(engine::parseFlatJson("{\"a\":1} trailing", obj, &err));
+}
+
+// String values are copied in runs between escapes: every byte, escape and
+// run boundary still round-trips, and the error offsets stay put.
+TEST(FlatJson, StringRunsRoundTripAndLocateErrors) {
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> byte(0, 255), len(0, 200);
+  std::map<std::string, std::string> obj;
+  std::string err;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string value;
+    for (int k = len(rng); k > 0; --k) {
+      // Mostly the bytes a netlist holds, with quotes and escapes mixed in.
+      const int b = byte(rng);
+      value += b < 40 ? "\"\\\n\r\t/"[b % 7] : static_cast<char>(b);
+    }
+    const std::string line =
+        "{\"k\":" + engine::jsonString(value) + ",\"z\":1}";
+    ASSERT_TRUE(engine::parseFlatJson(line, obj, &err)) << err;
+    EXPECT_EQ(obj["k"], value);
+    EXPECT_EQ(obj["z"], "1");
+  }
+  EXPECT_FALSE(engine::parseFlatJson("{\"k\":\"ab\\\"c", obj, &err));
+  EXPECT_EQ(err, "unterminated string at offset 11");
+  EXPECT_FALSE(engine::parseFlatJson("{\"k\":\"ab\\", obj, &err));
+  EXPECT_EQ(err, "truncated escape at offset 8");
+  EXPECT_FALSE(engine::parseFlatJson("{\"k\":\"ab\\q\"}", obj, &err));
+  EXPECT_EQ(err, "unknown escape at offset 9");
 }
 
 }  // namespace

@@ -51,6 +51,12 @@ drifting into silent-wrong-answer territory:
                 perf::global() (and drifts from it); bump perf::global()
                 and read totals from a CounterScope (perf::measured).
                 Locals that a CounterScope installs are fine.
+  text-stream   No std::istringstream / std::stringstream / std::getline
+                in src/circuit or src/engine. Netlist text goes through
+                circuit/lexer.hpp, the one lexer every pass over a job's
+                text shares (preflight, card scan, topology key, parser):
+                a second line loop re-reads the text with its own rules
+                and drifts from the others.
 
 Escape hatch: append  // lint: allow-<rule>  to a flagged line when the
 pattern is intentional (used sparingly; each use is visible in review).
@@ -127,6 +133,10 @@ BY_VALUE_CAPTURE_RE = re.compile(r"(?:^|,)\s*(?:=|\w+\s*(?:,|$))")
 
 SCALAR_EXP_RE = re.compile(r"\bstd::(?:exp|expm1)\s*\(")
 HASH_CONTAINER_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
+TEXT_STREAM_RE = re.compile(
+    r"\bstd::(?:istringstream|stringstream)\b|\bstd::getline\s*\(")
+# Directories whose text handling goes through circuit/lexer.hpp.
+TEXT_DIRS = ("src/circuit/", "src/engine/")
 
 COUNTERS_RE = re.compile(r"\bperf::Counters\b(\s*[*&])?")
 
@@ -219,6 +229,7 @@ class Linter:
         in_device_eval = (rel.startswith("src/circuit/")
                           and not rel.endswith("junction_kernels.hpp"))
         in_sparse = rel.startswith("src/sparse/")
+        in_text = rel.startswith(TEXT_DIRS)
 
         self.lint_pool_dispatches(path, clean, lines)
         if in_library and not in_pool_impl:
@@ -277,6 +288,15 @@ class Linter:
                           "hash container in the sparse layer — use flat "
                           "index arrays (row/column lists, a dense scatter "
                           "array)")
+
+            # text-stream: netlist text goes through the one lexer.
+            if in_text and not allowed(line, "text-stream") \
+                    and TEXT_STREAM_RE.search(line):
+                self.flag(path, num, "text-stream",
+                          "stream line handling in src/circuit or "
+                          "src/engine — split the text with "
+                          "circuit/lexer.hpp (LineReader, CardReader, "
+                          "nextWord, spiceTokens)")
 
             # detached-thread: raw std::thread in library code (src/perf is
             # the sanctioned owner); .detach() everywhere.
