@@ -6,10 +6,17 @@
 // builds the MNA-shaped matrices directly so it measures exactly the
 // factor/refactor/solve pipeline and nothing else.
 //
+// The grid and ladder are node-only matrices, so every pivot is diagonal.
+// Two MNA-shaped meshes carry voltage-source branch rows, which have no
+// diagonal, so the analysis runs its row search: the grid driven by its
+// source, and the same grid with some branches replaced by 0 V sources
+// (ammeters), which forces off-diagonal pivots all through the order.
+//
 // Reported per case: analysis (ordering + factor) wall time, fill-in ratio
 // and factor nnz, refactor time and solve time. Quick mode
 // (RFIC_BENCH_QUICK=1, the CI perf-smoke setting) trims the node counts;
 // the full run goes to ~50k- and ~100k-node meshes.
+#include <array>
 #include <cstdio>
 #include <random>
 #include <vector>
@@ -50,6 +57,54 @@ sparse::RCSR gridMesh(std::size_t k, std::uint64_t seed) {
   return sparse::RCSR(t);
 }
 
+// The MNA matrix G + C/h of a k×k RC grid driven by a voltage source at
+// node 0: one branch unknown per voltage source, whose row and column hold
+// ±1 at its two nodes and nothing on the diagonal. With `ammeterEvery`
+// > 0, every that-many-th horizontal resistor is replaced by a 0 V source
+// (horizontal sources never close a loop). Deterministic values.
+sparse::RCSR mnaMesh(std::size_t k, std::size_t ammeterEvery,
+                     std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> g(0.5, 1.5);
+  const std::size_t nodes = k * k;
+  std::vector<std::pair<std::size_t, std::size_t>> sources = {{0, nodes}};
+  std::vector<std::array<std::size_t, 2>> edges;
+  std::size_t horizontal = 0;
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t u = i * k + j;
+      if (j + 1 < k) {
+        if (ammeterEvery != 0 && ++horizontal % ammeterEvery == 0)
+          sources.emplace_back(u, u + 1);
+        else
+          edges.push_back({u, u + 1});
+      }
+      if (i + 1 < k) edges.push_back({u, u + k});
+    }
+  const std::size_t n = nodes + sources.size();
+  sparse::RTriplets t(n, n);
+  std::vector<Real> diag(nodes, 0.1);  // C/h to ground
+  for (const auto& [a, b] : edges) {
+    const Real gv = g(rng);
+    t.add(a, b, -gv);
+    t.add(b, a, -gv);
+    diag[a] += gv;
+    diag[b] += gv;
+  }
+  for (std::size_t i = 0; i < nodes; ++i) t.add(i, i, diag[i]);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const auto [plus, minus] = sources[s];
+    const std::size_t br = nodes + s;
+    t.add(br, plus, 1.0);
+    t.add(plus, br, 1.0);
+    if (minus < nodes) {  // the driving source's minus node is ground
+      t.add(br, minus, -1.0);
+      t.add(minus, br, -1.0);
+    }
+  }
+  return sparse::RCSR(t);
+}
+
 // n-node RC ladder (tridiagonal): the other extreme — no fill at all, so
 // it isolates the per-step overhead of the replay program.
 sparse::RCSR ladder(std::size_t n, std::uint64_t seed) {
@@ -76,6 +131,7 @@ struct CaseResult {
   Real refactorMs = 0;  ///< replay, per refactor
   Real solveMs = 0;     ///< per solve
   bool timedReplays = false;  ///< every timed refactor ran a replay
+  std::uint64_t factorizations = 0;  ///< analyses, the repivots included
 };
 
 CaseResult runCase(const char* label, const sparse::RCSR& a,
@@ -86,8 +142,13 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   sparse::RSymbolicLU::Options o;
   o.ordering = ord;
 
+  perf::Counters analysis;
   Stopwatch sw;
-  sparse::RSymbolicLU lu(a, o);
+  sparse::RSymbolicLU lu;
+  {
+    const perf::CounterScope scope(analysis);
+    lu.factor(a, o);
+  }
   res.factorMs = sw.seconds() * 1e3;
   res.factorNnz = lu.factorNnz();
   res.fill = lu.fillRatio();
@@ -111,6 +172,8 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   const perf::Snapshot c = counters.snapshot();
   res.timedReplays = c.refactorizations == reps && c.refactorSkips == 0 &&
                      c.factorizations == 0;
+  res.factorizations =
+      analysis.snapshot().factorizations + c.factorizations;
 
   numeric::RVec b(res.n), x, y, z;
   std::uniform_real_distribution<Real> ub(-1, 1);
@@ -151,8 +214,14 @@ int main() {
   const sparse::RCSR lad = ladder(quick ? 10000 : 100000, 3);
   const auto ladAmd = runCase("ladder/amd", lad, sparse::Ordering::Amd, reps);
 
+  const std::size_t kMna = quick ? 24 : 60;  // 577 / 3,601 unknowns
+  const auto mna = runCase("mna-mesh/amd", mnaMesh(kMna, 0, 4),
+                           sparse::Ordering::Amd, reps);
+  const auto ammeter = runCase("ammeter/amd", mnaMesh(kMna, 7, 5),
+                               sparse::Ordering::Amd, reps);
+
   rule();
-  for (const CaseResult* c : {&amd, &amdBig, &ladAmd})
+  for (const CaseResult* c : {&amd, &amdBig, &ladAmd, &mna, &ammeter})
     if (!c->timedReplays) {
       std::fprintf(stderr, "a timed refactor skipped or repivoted (n=%zu)\n",
                    c->n);
@@ -173,5 +242,13 @@ int main() {
   json.metric("ladder.amd.fill", ladAmd.fill);
   json.metric("ladder.amd.refactor_s", ladAmd.refactorMs * 1e-3);
   json.metric("ladder.amd.solve_s", ladAmd.solveMs * 1e-3);
+  json.count("mna_mesh.n", mna.n);
+  json.metric("mna_mesh.amd.fill", mna.fill);
+  json.count("mna_mesh.factorizations", mna.factorizations);
+  json.metric("mna_mesh.amd.factor_s", mna.factorMs * 1e-3);
+  json.count("ammeter_mesh.n", ammeter.n);
+  json.metric("ammeter_mesh.amd.fill", ammeter.fill);
+  json.count("ammeter_mesh.factorizations", ammeter.factorizations);
+  json.metric("ammeter_mesh.amd.factor_s", ammeter.factorMs * 1e-3);
   return 0;
 }

@@ -6,6 +6,8 @@
 //     its '+' continuations, comments stripped, with its first line number.
 //   * nextWord splits on whitespace only (preflight, card scan, topology
 //     key); spiceTokens also on the SPICE separators (the parser).
+//   * skipBlanks gives every pass the parser's classification of a line:
+//     its first non-blank byte says comment ('*') or control card ('.').
 #pragma once
 
 #include <cstring>
@@ -146,6 +148,17 @@ class CardReader {
 /// and are tokens of their own ("SIN(0 1" -> "SIN" "(" "0" "1").
 constexpr bool isSpiceBlank(char c) { return isSpace(c) || c == ','; }
 constexpr bool isSpicePunct(char c) { return c == '(' || c == ')' || c == '='; }
+
+/// `line` without its leading SPICE separators. Every pass classifies a
+/// line by the first byte left, as the parser classifies a card by the
+/// first byte of its first token: '*' makes it a comment and '.' a control
+/// card, wherever the line's indentation puts them. Only a '+' in column 1
+/// continues the card before it.
+constexpr std::string_view skipBlanks(std::string_view line) {
+  std::size_t i = 0;
+  while (i < line.size() && isSpiceBlank(line[i])) ++i;
+  return line.substr(i);
+}
 
 /// Replace `out` with the SPICE tokens of the whole card.
 inline void spiceTokens(const Card& card, std::vector<std::string_view>& out) {

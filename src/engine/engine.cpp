@@ -221,7 +221,7 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
     return 2;
   };
   // Collect analysis and print cards (parseNetlist ignores them): the
-  // physical lines that start with '.'.
+  // physical lines whose first non-blank byte is '.'.
   struct Card {
     std::vector<std::string> tokens;
   };
@@ -230,6 +230,7 @@ int runCards(const JobSpec& spec, circuit::Circuit& ckt,
   {
     lex::LineReader lines(spec.netlist);
     for (std::string_view line; lines.next(line);) {
+      line = lex::skipBlanks(line);
       if (line.empty() || line[0] != '.') continue;
       std::vector<std::string> toks;
       for (std::string_view rest = line, w; lex::nextWord(rest, w);)
@@ -471,9 +472,10 @@ std::string topologyKey(std::string_view netlist) {
   std::string_view line;
   while (lines.next(line)) {
     line = lex::trimRight(line);
-    if (line.empty() || line[0] == '*') continue;  // blank / comment
-    if (line[0] == '.') {
-      std::string_view rest = line, head;
+    const std::string_view text = lex::skipBlanks(line);
+    if (text.empty() || text[0] == '*') continue;  // blank / comment
+    if (text[0] == '.') {
+      std::string_view rest = text, head;
       lex::nextWord(rest, head);
       if (isAnalysisHead(head)) continue;
     }
@@ -506,11 +508,12 @@ std::string preflightCheck(std::string_view netlist,
   std::string_view line;
   while (lines.next(line)) {
     line = lex::trimRight(line);
-    if (line.empty()) continue;
+    const std::string_view text = lex::skipBlanks(line);
+    if (text.empty()) continue;
     sawAnything = true;
     // Comments, control cards, and '+' continuations (value fields of the
     // previous card) carry no new devices or terminals.
-    if (line[0] == '*' || line[0] == '.' || line[0] == '+') continue;
+    if (text[0] == '*' || text[0] == '.' || line[0] == '+') continue;
     // The name and the first two terminals; the rest is never looked at.
     std::string_view toks[3];
     std::size_t count = 0;

@@ -60,13 +60,25 @@ std::string oracleLower(std::string s) {
   return s;
 }
 
+// A line without its leading SPICE separators (whitespace and ','): its
+// first byte left classifies it, as the parser classifies a card by its
+// first token.
+std::string oracleText(const std::string& line) {
+  std::size_t i = 0;
+  while (i < line.size() &&
+         (std::isspace(static_cast<unsigned char>(line[i])) || line[i] == ','))
+    ++i;
+  return line.substr(i);
+}
+
 std::string oracleTopologyKey(const std::string& netlist) {
   std::string key;
   for (std::string line : oracleLines(netlist)) {
     line = oracleTrim(line);
-    if (line.empty() || line[0] == '*') continue;
-    if (line[0] == '.') {
-      const auto toks = oracleWords(line);
+    const std::string text = oracleText(line);
+    if (text.empty() || text[0] == '*') continue;
+    if (text[0] == '.') {
+      const auto toks = oracleWords(text);
       const std::string head = oracleLower(toks[0]);
       if (head == ".op" || head == ".tran" || head == ".ac" ||
           head == ".noise" || head == ".hb" || head == ".print" ||
@@ -90,9 +102,10 @@ std::string oraclePreflight(const std::string& netlist,
   for (std::string line : oracleLines(netlist)) {
     ++lineNo;
     line = oracleTrim(line);
-    if (line.empty()) continue;
+    const std::string text = oracleText(line);
+    if (text.empty()) continue;
     sawAnything = true;
-    if (line[0] == '*' || line[0] == '.' || line[0] == '+') continue;
+    if (text[0] == '*' || text[0] == '.' || line[0] == '+') continue;
     const auto toks = oracleWords(line);
     if (toks.size() < 3)
       return "malformed element card at line " + std::to_string(lineNo) +
@@ -205,11 +218,15 @@ TEST(NetlistLexer, EdgeCorpusThroughAllFourPasses) {
        "V1 in 0 DC 1\r\nR1 in out 1k\r\nR2 out 0 1k\r\n.op\r\n",
        "", "V1 in 0 DC 1\nR1 in out 1k\nR2 out 0 1k\n",
        "V(in) I(V1) V(out) / V1 R1 R2", "exit=0 .op"},
+      // Indentation never changes what a line is: the first non-blank byte
+      // makes "\t.op" a control card and "  * note" a comment in every
+      // pass, as in the parser.
       {"tabs and leading blanks", "\tV1\tin\t0\tDC\t1\n  R1 in 0 1k\n\t.op\n",
-       "malformed element card at line 3: '\t.op' (expected name + two "
-       "nodes at least)",
-       "\tV1\tin\t0\tDC\t1\n  R1 in 0 1k\n\t.op\n", "V(in) I(V1) / V1 R1",
-       "exit=2 error=no analysis cards"},
+       "", "\tV1\tin\t0\tDC\t1\n  R1 in 0 1k\n", "V(in) I(V1) / V1 R1",
+       "exit=0 .op"},
+      {"indented comment and control cards",
+       "V1 a 0 DC 1\n  * note\nR1 a 0 1k\n \t.print a\n , .op\n", "",
+       "V1 a 0 DC 1\nR1 a 0 1k\n", "V(a) I(V1) / V1 R1", "exit=0 .op"},
       {"glued separators",
        "V1 in 0 SIN(0,1,1k)\nR1 in mid 1k\nD1 mid 0 dm\n"
        ".model dm d(is=1e-14,n=1.5)\n.tran 10u 1m\n",

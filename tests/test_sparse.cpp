@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "diag/resilience.hpp"
@@ -687,6 +688,92 @@ TEST(RowReplay, AnalysisChargesStoredBytesGrowOnly) {
       lu.factorNnz() * sizeof(Real) + a.nnz() * (sizeof(Real) + 4);
   EXPECT_GE(lu.storedBytes(), minimum);
   EXPECT_LT(lu.storedBytes(), 4 * minimum);
+}
+
+// --------------------------------------------------------- replay guards
+
+// Values where a complex magnitude's cheap bounds and its hypot can part
+// ways: NaN and ±inf in either part, sums that overflow while the hypot
+// does not (and the other way round), subnormals, signed zeros, near-ties.
+std::vector<Complex> awkwardComplexValues(std::uint64_t seed, std::size_t n) {
+  constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  constexpr Real kMax = std::numeric_limits<Real>::max();
+  constexpr Real kDen = std::numeric_limits<Real>::denorm_min();
+  static const Real kParts[] = {0.0,  -0.0, kNaN,   -kNaN, kInf, -kInf,
+                                kMax, 1e308, 1.5e308, 1.3e308, kDen,
+                                3 * kDen, 1e-300, 1.0, 0.7, 1e-12};
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> u(-1, 1), e(-300, 300);
+  std::vector<Complex> out(n);
+  for (Complex& z : out) {
+    const auto part = [&] {
+      return rng() % 3 == 0 ? kParts[rng() % std::size(kParts)]
+                            : u(rng) * std::pow(10.0, e(rng));
+    };
+    const Real re = part();
+    z = Complex(re, rng() % 5 == 0 ? re : part());
+  }
+  return out;
+}
+
+TEST(ReplayGuards, ComplexMaxMagnitudeIsTheExactFold) {
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 3000; ++seed) {
+    const std::size_t n = seed % 40;
+    std::vector<Complex> v = awkwardComplexValues(seed, n);
+    if (seed % 2 == 0)  // mostly ordinary values, a few awkward ones
+      for (std::size_t p = 0; p < n; ++p)
+        if (p % 7 != 0) v[p] = Complex(1 + 0.01 * Real(p), -0.5);
+    Real fold = 0;
+    for (const Complex& z : v) fold = std::max(fold, std::abs(z));
+    const Real got = detail::maxMagnitude(v.data(), v.size());
+    ASSERT_EQ(std::memcmp(&got, &fold, sizeof(Real)), 0)
+        << "seed " << seed << ": " << got << " vs " << fold;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 3000u);
+  // The cases by name: an infinite part makes |z| infinite even beside a
+  // NaN; two parts of 1.5e308 overflow the hypot, two of 1e308 do not.
+  constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  const std::vector<std::pair<std::vector<Complex>, Real>> named = {
+      {{{kInf, kNaN}, {1, 0}}, kInf},
+      {{{kNaN, -kInf}, {1, 0}}, kInf},
+      {{{kNaN, 1}, {0.5, 0}}, 0.5},
+      {{{1.5e308, 1.5e308}, {1, 0}}, kInf},
+      {{{1e308, 1e308}, {1e308, 0}}, std::hypot(1e308, 1e308)},
+      {{{-0.0, -0.0}}, 0.0},
+      {{}, 0.0}};
+  for (const auto& [v, want] : named)
+    EXPECT_EQ(detail::maxMagnitude(v.data(), v.size()), want);
+}
+
+TEST(ReplayGuards, ComplexMagnitudeAboveMatchesAbs) {
+  constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed)
+    for (const Complex& z : awkwardComplexValues(seed + 5000, 50)) {
+      const Real mag = std::abs(z);
+      for (const Real bound :
+           {0.0, -1.0, 1e-300, 1.0, 1e10, 1e308, kInf, kNaN, mag,
+            std::nextafter(mag, 0.0), std::nextafter(mag, kInf), 0.7 * mag,
+            1.001 * mag, 0.99 * mag, 1.01 * mag}) {
+        ASSERT_EQ(detail::magnitudeAbove(z, bound), mag > bound)
+            << z << " bound " << bound;
+        ++compared;
+      }
+    }
+  EXPECT_EQ(compared, 150000u);
+}
+
+TEST(ReplayGuards, RealGuardsAreAbs) {
+  constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
+  const std::vector<Real> v = {-3.0, kNaN, 2.0, -0.0, 1.0};
+  EXPECT_EQ(detail::maxMagnitude(v.data(), v.size()), 3.0);
+  EXPECT_TRUE(detail::magnitudeAbove(-3.0, 2.0));
+  EXPECT_FALSE(detail::magnitudeAbove(kNaN, 2.0));
 }
 
 TEST(Krylov, MatrixFreeOperatorWorks) {
