@@ -1,8 +1,9 @@
 #include "analysis/dc.hpp"
 
 #include <cmath>
-#include <limits>
 #include <optional>
+
+#include "diag/newton.hpp"
 
 namespace rfic::analysis {
 
@@ -26,98 +27,63 @@ bool dcNewton(circuit::MnaWorkspace& ws, RVec& x, Real sourceScale,
               Real gshunt, const DCOptions& opts, std::size_t& itersOut,
               diag::SolverStatus* statusOut) {
   const std::size_t n = ws.dim();
-  diag::SolverStatus localStatus = diag::SolverStatus::MaxIterations;
-  diag::SolverStatus& status = statusOut ? *statusOut : localStatus;
-  status = diag::SolverStatus::MaxIterations;
   RVec xPrev = x;
   // The componentwise relative test alone is satisfiable by garbage iterates
   // whose device currents are astronomically large (r ≈ f there); require
   // the last Newton update to have settled as well, SPICE-style.
   Real lastUpdate = 1e300;
-  RVec r(n), rTrue(n), rt(n);
-  for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-    itersOut = it + 1;
-    if (opts.budget) opts.budget->chargeNewton();
-    if (diag::budgetExceeded(opts.budget)) {
-      status = diag::SolverStatus::BudgetExceeded;
-      return false;
-    }
-    // Convergence is judged on the TRUE residual (no junction limiting):
-    // the limited evaluation can look perfectly KCL-consistent while the
-    // actual iterate is far from a solution.
-    {
-      ws.eval(x, 0.0, false);
-      for (std::size_t i = 0; i < n; ++i)
-        rTrue[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * x[i];
-      if (residualConverged(rTrue, ws.f(), ws.b(), sourceScale, opts)) {
-        const bool updateSettled =
-            lastUpdate < opts.tolUpdate * (1.0 + numeric::normInf(x));
-        if (updateSettled || numeric::norm2(rTrue) < opts.tolResidual) {
-          status = diag::SolverStatus::Converged;
-          return true;
+  RVec r(n), rTrue(n), rt(n), dx, trial;
+  const diag::NewtonResult res = diag::runNewton(
+      {.maxIterations = opts.maxIterations, .budget = opts.budget},
+      [&](std::size_t it, const diag::NewtonSeams& seams) {
+        // Convergence is judged on the TRUE residual (no junction
+        // limiting): the limited evaluation can look perfectly
+        // KCL-consistent while the actual iterate is far from a solution.
+        ws.eval(x, 0.0, false);
+        for (std::size_t i = 0; i < n; ++i)
+          rTrue[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * x[i];
+        if (residualConverged(rTrue, ws.f(), ws.b(), sourceScale, opts)) {
+          const bool updateSettled =
+              lastUpdate < opts.tolUpdate * (1.0 + numeric::normInf(x));
+          if (updateSettled || numeric::norm2(rTrue) < opts.tolResidual)
+            return diag::NewtonCheck{.stop = diag::SolverStatus::Converged};
         }
-      }
-    }
-    // The Newton step itself uses the limited evaluation.
-    ws.eval(x, 0.0, true, it > 0 ? &xPrev : nullptr);
-    for (std::size_t i = 0; i < n; ++i)
-      r[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * x[i];
-    if (diag::FaultInjector::global().fire(diag::FaultPoint::NanInResidual))
-      r[0] = std::numeric_limits<Real>::quiet_NaN();
-    const Real rnorm = numeric::norm2(r);
-    if (!std::isfinite(rnorm)) {
-      // A NaN/Inf residual at the linearization point means the iterate
-      // left the device models' domain; fail cleanly and let the caller's
-      // continuation ladder restart from a gentler problem.
-      status = diag::SolverStatus::Diverged;
-      return false;
-    }
-
-    // J = G + gshunt·I over the cached pattern; after the first iteration
-    // this is a numeric refactorization (SolverStatus::Repivoted when the
-    // recorded pivots went stale).
-    RVec dx;
-    try {
-      if (diag::FaultInjector::global().fire(
-              diag::FaultPoint::SingularJacobian))
-        failNumerical("dcNewton: injected singular Jacobian");
-      ws.factorJacobian(0.0, 1.0, gshunt);
-      dx = ws.solve(r);
-    } catch (const NumericalError&) {
-      status = diag::SolverStatus::Breakdown;
-      return false;
-    }
-
-    // Damped update: halve the step until the residual stops blowing up.
-    xPrev = x;
-    Real alpha = 1.0;
-    bool accepted = false;
-    for (int damp = 0; damp <= 8; ++damp) {
-      RVec trial = x;
-      numeric::axpy(-alpha, dx, trial);
-      ws.eval(trial, 0.0, false, &xPrev);
-      for (std::size_t i = 0; i < n; ++i)
-        rt[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * trial[i];
-      const Real rtNorm = numeric::norm2(rt);
+        // The Newton step itself uses the limited evaluation.
+        ws.eval(x, 0.0, true, it > 0 ? &xPrev : nullptr);
+        for (std::size_t i = 0; i < n; ++i)
+          r[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * x[i];
+        return diag::NewtonCheck{seams.residual(numeric::norm2(r))};
+      },
+      // J = G + gshunt·I over the cached pattern; after the first iteration
+      // this is a numeric refactorization (SolverStatus::Repivoted when the
+      // recorded pivots went stale).
+      [&](const diag::NewtonSeams& seams) {
+        seams.jacobian();
+        ws.factorJacobian(0.0, 1.0, gshunt);
+        dx = ws.solve(r);
+      },
+      // Damped update: halve the step until the residual stops blowing up.
       // Junction limiting makes the evaluated residual differ from the pure
-      // Newton model, so accept any non-diverging step — but only a FINITE
-      // one. The damp cap used to force-accept whatever trial was last
-      // computed, which could plant a NaN state that every later iteration
-      // inherits; a non-finite trial at the cap is now a clean failure.
-      if (std::isfinite(rtNorm) && (rtNorm <= 2.0 * rnorm || damp == 8)) {
+      // Newton model, so any non-diverging finite trial is accepted.
+      [&](Real rnorm) -> diag::NewtonStop {
+        xPrev = x;
+        const std::optional<Real> alpha =
+            diag::dampedStep(8, rnorm, 2.0, [&](Real a) {
+              trial = x;
+              numeric::axpy(-a, dx, trial);
+              ws.eval(trial, 0.0, false, &xPrev);
+              for (std::size_t i = 0; i < n; ++i)
+                rt[i] = ws.f()[i] - sourceScale * ws.b()[i] + gshunt * trial[i];
+              return numeric::norm2(rt);
+            });
+        if (!alpha) return diag::SolverStatus::Diverged;
         x = trial;
-        lastUpdate = alpha * numeric::normInf(dx);
-        accepted = true;
-        break;
-      }
-      alpha *= 0.5;
-    }
-    if (!accepted) {
-      status = diag::SolverStatus::Diverged;
-      return false;
-    }
-  }
-  return false;
+        lastUpdate = *alpha * numeric::normInf(dx);
+        return std::nullopt;
+      });
+  itersOut = res.iterations;
+  if (statusOut) *statusOut = res.status;
+  return res.status == diag::SolverStatus::Converged;
 }
 
 namespace {

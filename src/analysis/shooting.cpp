@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "diag/contracts.hpp"
+#include "diag/newton.hpp"
 #include "numeric/lu.hpp"
 
 namespace rfic::analysis {
@@ -49,6 +50,39 @@ RVec stateDerivative(circuit::MnaWorkspace& ws, const RVec& x, Real t) {
   return numeric::solveDense(std::move(c), rhs);
 }
 
+// The shooting Newton solve on g(x0) = x(T) − x0 inside its retry ladder:
+// each failed attempt restarts from `init()` with the inner Newton tolerance
+// tightened 100× — integration error contaminating the monodromy is the
+// usual reason the outer Newton breaks down or spins. `solve` (which reads
+// g) and `update` are the kernel phases of the call site.
+template <class Init, class Solve, class Update>
+void shoot(circuit::MnaWorkspace& ws, const ShootingOptions& opts,
+           PSSResult& res, RVec& g, Init&& init, Solve&& solve,
+           Update&& update) {
+  Real innerTol = opts.newtonTol;
+  const auto attempt = [&] {
+    init();
+    const diag::NewtonResult nr = diag::runNewton(
+        {.maxIterations = opts.maxIterations, .budget = opts.budget},
+        [&](std::size_t, const diag::NewtonSeams&) {
+          if (!sweepPeriod(ws, 0.0, res.period, res.x0, opts, innerTol,
+                           res.times, res.trajectory, res.monodromy))
+            return diag::NewtonCheck{.stop = diag::SolverStatus::Breakdown};
+          g = res.trajectory.back();
+          g -= res.x0;
+          const Real gnorm = numeric::norm2(g);
+          return diag::NewtonCheck{
+              gnorm, gnorm < opts.tolerance * (1.0 + numeric::norm2(res.x0))};
+        },
+        solve, update);
+    res.newtonIterations += nr.iterations;
+    return nr.status;
+  };
+  res.status = diag::restartLadder(opts.maxRetries, res.retries, attempt,
+                                   [&] { innerTol *= 0.01; });
+  res.converged = res.status == diag::SolverStatus::Converged;
+}
+
 }  // namespace
 
 PSSResult shootingPSS(const circuit::MnaSystem& sys, Real period,
@@ -61,64 +95,21 @@ PSSResult shootingPSS(const circuit::MnaSystem& sys, Real period,
   res.period = period;
   res.method = opts.method;
 
-  // Retry ladder: each failed attempt restarts from the original guess
-  // with the inner Newton tolerance tightened 100× — integration error
-  // contaminating the monodromy is the usual reason the outer Newton
-  // breaks down or spins.
   circuit::MnaWorkspace ws(sys);
-  Real innerTol = opts.newtonTol;
-  for (std::size_t attempt = 0;; ++attempt) {
-    res.x0 = guess;
-    res.converged = false;
-    res.status = diag::SolverStatus::MaxIterations;
-    for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-      ++res.newtonIterations;
-      if (opts.budget) opts.budget->chargeNewton();
-      if (diag::budgetExceeded(opts.budget)) {
-        res.status = diag::SolverStatus::BudgetExceeded;
-        break;
-      }
-      if (!sweepPeriod(ws, 0.0, period, res.x0, opts, innerTol, res.times,
-                       res.trajectory, res.monodromy)) {
-        res.status = diag::SolverStatus::Breakdown;  // integrator failed
-        break;
-      }
-      RVec g = res.trajectory.back();
-      g -= res.x0;
-      const Real gnorm = numeric::norm2(g);
-      if (!diag::isFinite(gnorm)) {
-        res.status = diag::SolverStatus::Diverged;
-        break;
-      }
-      if (gnorm < opts.tolerance * (1.0 + numeric::norm2(res.x0))) {
-        res.converged = true;
-        res.status = diag::SolverStatus::Converged;
-        return res;
-      }
+  RVec g, dx;
+  shoot(
+      ws, opts, res, g, [&] { res.x0 = guess; },
       // Solve (M − I)·dx = −g. A singular (M − I) — a +1 Floquet
       // multiplier, or an injected singular-jacobian fault — is a clean
       // Breakdown, not an escaping exception.
-      RMat j = res.monodromy;
-      for (std::size_t i = 0; i < n; ++i) j(i, i) -= 1.0;
-      RVec dx;
-      try {
-        if (diag::FaultInjector::global().fire(
-                diag::FaultPoint::SingularJacobian))
-          failNumerical("shootingPSS: injected singular Jacobian");
+      [&](const diag::NewtonSeams& seams) {
+        seams.jacobian();
+        RMat j = res.monodromy;
+        for (std::size_t i = 0; i < n; ++i) j(i, i) -= 1.0;
         dx = numeric::solveDense(std::move(j), g);
-      } catch (const NumericalError&) {
-        res.status = diag::SolverStatus::Breakdown;
-        break;
-      }
-      res.x0 -= dx;
-    }
-    if (res.status == diag::SolverStatus::BudgetExceeded ||
-        attempt >= opts.maxRetries)
-      return res;
-    innerTol *= 0.01;
-    ++res.retries;
-    perf::global().addRetry();
-  }
+      },
+      [&](Real) { res.x0 -= dx; });
+  return res;
 }
 
 PSSResult shootingOscillatorPSS(const circuit::MnaSystem& sys,
@@ -134,46 +125,19 @@ PSSResult shootingOscillatorPSS(const circuit::MnaSystem& sys,
   res.method = opts.method;
 
   circuit::MnaWorkspace ws(sys);
-  Real innerTol = opts.newtonTol;
-  for (std::size_t attempt = 0;; ++attempt) {
-    res.period = periodGuess;
-    res.x0 = guess;
-    res.x0[anchorIndex] = anchorValue;
-    res.converged = false;
-    res.status = diag::SolverStatus::MaxIterations;
-    for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-      ++res.newtonIterations;
-      if (opts.budget) opts.budget->chargeNewton();
-      if (diag::budgetExceeded(opts.budget)) {
-        res.status = diag::SolverStatus::BudgetExceeded;
-        break;
-      }
-      if (!sweepPeriod(ws, 0.0, res.period, res.x0, opts, innerTol,
-                       res.times, res.trajectory, res.monodromy)) {
-        res.status = diag::SolverStatus::Breakdown;  // integrator failed
-        break;
-      }
-      RVec g = res.trajectory.back();
-      g -= res.x0;
-      const Real gnorm = numeric::norm2(g);
-      if (!diag::isFinite(gnorm)) {
-        res.status = diag::SolverStatus::Diverged;
-        break;
-      }
-      if (gnorm < opts.tolerance * (1.0 + numeric::norm2(res.x0))) {
-        res.converged = true;
-        res.status = diag::SolverStatus::Converged;
-        return res;
-      }
-
+  RVec g, d;
+  shoot(
+      ws, opts, res, g,
+      [&] {
+        res.period = periodGuess;
+        res.x0 = guess;
+        res.x0[anchorIndex] = anchorValue;
+      },
       // Augmented Newton system:
       //   [ M − I   ẋ(T) ] [dx]   [ −g ]
       //   [ e_aᵀ      0  ] [dT] = [  0 ]
-      RVec d;
-      try {
-        if (diag::FaultInjector::global().fire(
-                diag::FaultPoint::SingularJacobian))
-          failNumerical("shootingOscillatorPSS: injected singular Jacobian");
+      [&](const diag::NewtonSeams& seams) {
+        seams.jacobian();
         const RVec xdotT =
             stateDerivative(ws, res.trajectory.back(), res.period);
         RMat j(n + 1, n + 1);
@@ -187,31 +151,19 @@ PSSResult shootingOscillatorPSS(const circuit::MnaSystem& sys,
         for (std::size_t i = 0; i < n; ++i) rhs[i] = g[i];
         rhs[n] = res.x0[anchorIndex] - anchorValue;
         d = numeric::solveDense(std::move(j), rhs);
-      } catch (const NumericalError&) {
-        res.status = diag::SolverStatus::Breakdown;
-        break;
-      }
-
-      // Damped update guards against period sign flips far from the orbit.
-      Real alpha = 1.0;
-      if (std::abs(d[n]) > 0.3 * res.period)
-        alpha = 0.3 * res.period / std::abs(d[n]);
-      for (std::size_t i = 0; i < n; ++i) res.x0[i] -= alpha * d[i];
-      res.period -= alpha * d[n];
-      if (!(res.period > 0)) {
-        // A collapsed period means the ladder should restart rather than
-        // the process aborting.
-        res.status = diag::SolverStatus::Diverged;
-        break;
-      }
-    }
-    if (res.status == diag::SolverStatus::BudgetExceeded ||
-        attempt >= opts.maxRetries)
-      return res;
-    innerTol *= 0.01;
-    ++res.retries;
-    perf::global().addRetry();
-  }
+      },
+      // Damped update guards against period sign flips far from the orbit;
+      // a collapsed period restarts the ladder rather than aborting.
+      [&](Real) -> diag::NewtonStop {
+        Real alpha = 1.0;
+        if (std::abs(d[n]) > 0.3 * res.period)
+          alpha = 0.3 * res.period / std::abs(d[n]);
+        for (std::size_t i = 0; i < n; ++i) res.x0[i] -= alpha * d[i];
+        res.period -= alpha * d[n];
+        if (!(res.period > 0)) return diag::SolverStatus::Diverged;
+        return std::nullopt;
+      });
+  return res;
 }
 
 Real estimatePeriod(const TransientResult& tran, std::size_t index,

@@ -1,10 +1,10 @@
 #include "analysis/transient.hpp"
 
 #include "diag/contracts.hpp"
+#include "diag/newton.hpp"
 #include "diag/resilience.hpp"
 
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <random>
 
@@ -52,19 +52,6 @@ void assembleResidual(IntegrationMethod method, Real h, bool haveGearHist,
   }
 }
 
-// A non-finite residual entry fails the step immediately: letting a NaN
-// ride through the linear solve would poison x1 and every later iterate.
-// (Max-based norms can mask a leading NaN — std::max(0, NaN) keeps 0 — so
-// the entries are scanned directly.) The nan-in-residual fault point
-// poisons one entry to exercise exactly this detection.
-bool residualFinite(RVec& r) {
-  if (diag::FaultInjector::global().fire(diag::FaultPoint::NanInResidual))
-    r[0] = std::numeric_limits<Real>::quiet_NaN();
-  for (std::size_t i = 0; i < r.size(); ++i)
-    if (!std::isfinite(r[i])) return false;
-  return true;
-}
-
 }  // namespace
 
 // The transient inner step: one Gear-2/trapezoidal Newton solve. Marked
@@ -75,7 +62,8 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
                                  const RVec& x0, const RVec* xPrevStep,
                                  RVec& x1, numeric::RMat* sensitivity,
                                  std::size_t maxNewton, Real tol,
-                                 std::size_t* newtonIters) {
+                                 std::size_t* newtonIters,
+                                 diag::RunBudget* budget) {
   const std::size_t n = ws.dim();
   const Real t1 = t0 + h;
   const bool wantSens = sensitivity != nullptr;
@@ -110,54 +98,44 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
   RVec xIter = x0;  // rt: allow(rt-alloc) per-step iterate snapshot
   RVec r;           // grows once in assembleResidual, then reused
   RVec dx;          // grows once in ws.solve(r, dx), then reused
-  bool converged = false;
+  Real jacQ = 0, jacG = 0;
   // Set after a small-update iterate: the next residual evaluation (cheap —
   // no factorization) confirms the step instead of accepting it blind.
   bool confirmPending = false;
   Real confirmRnorm = 0;
-  for (std::size_t it = 0; it < maxNewton; ++it) {
-    if (newtonIters) ++*newtonIters;
-    ws.eval(x1, t1, true, it > 0 ? &xIter : nullptr);
-    Real jacQ = 0, jacG = 0;
-    assembleResidual(method, h, haveGearHist, ws.q(), ws.f(), ws.b(), q0, f0,
-                     b0, qPrev, r, jacQ, jacG);
-    if (!residualFinite(r)) return false;
-    const Real rnorm = numeric::normInf(r);
-    // Residual is in charge units; scale tolerance by h to make it a
-    // current tolerance.
-    if (rnorm < tol * std::max(h, 1e-30)) {
-      converged = true;
-      break;
-    }
-    // Confirming evaluation after a converged-by-update iterate: accept if
-    // the final update did not make the residual worse (a NaN or a jump out
-    // of the Newton basin fails this and keeps iterating).
-    if (confirmPending && rnorm <= 2.0 * confirmRnorm) {
-      converged = true;
-      break;
-    }
-    confirmPending = false;
-
-    try {
-      if (diag::FaultInjector::global().fire(
-              diag::FaultPoint::SingularJacobian))
-        failNumerical("integrateStep: injected singular Jacobian");
+  const diag::NewtonResult res = diag::runNewton(
+      {.maxIterations = maxNewton, .budget = budget, .pollBudget = false},
+      [&](std::size_t it, const diag::NewtonSeams& seams) {
+        ws.eval(x1, t1, true, it > 0 ? &xIter : nullptr);
+        assembleResidual(method, h, haveGearHist, ws.q(), ws.f(), ws.b(), q0,
+                         f0, b0, qPrev, r, jacQ, jacG);
+        const Real rnorm = seams.residual(numeric::normInf(r));
+        // Residual is in charge units; scale tolerance by h to make it a
+        // current tolerance. A confirming evaluation accepts if the final
+        // update did not make the residual worse.
+        const bool converged = rnorm < tol * std::max(h, 1e-30) ||
+                               (confirmPending && rnorm <= 2.0 * confirmRnorm);
+        confirmPending = false;
+        return diag::NewtonCheck{rnorm, converged};
+      },
       // First call factors symbolically; later iterations (and steps)
-      // replay the stored pivots on the new values, and the solve
-      // writes into loop-scoped scratch — no per-iteration allocation.
-      ws.factorJacobian(jacQ, jacG);
-      ws.solve(r, dx);
-      xIter = x1;
-      x1 -= dx;
-      if (numeric::norm2(dx) < tol * (1.0 + numeric::norm2(x1))) {
-        confirmPending = true;
-        confirmRnorm = rnorm;
-      }
-    } catch (const NumericalError&) {
-      return false;
-    }
-  }
-  if (!converged) return false;
+      // replay the stored pivots on the new values, and the solve writes
+      // into loop-scoped scratch — no per-iteration allocation.
+      [&](const diag::NewtonSeams& seams) {
+        seams.jacobian();
+        ws.factorJacobian(jacQ, jacG);
+        ws.solve(r, dx);
+      },
+      [&](Real rnorm) {
+        xIter = x1;
+        x1 -= dx;
+        if (numeric::norm2(dx) < tol * (1.0 + numeric::norm2(x1))) {
+          confirmPending = true;
+          confirmRnorm = rnorm;
+        }
+      });
+  if (newtonIters) *newtonIters += res.iterations;
+  if (res.status != diag::SolverStatus::Converged) return false;
 
   if (sensitivity) {
     // dx1/dx0 from the converged step:
@@ -315,13 +293,10 @@ TransientResult transientSweep(const MnaSystem& sys, const RVec& x0,
     // new Jacobian to factor.
     if (opts.tstop - t < h - 1e-12 * opts.tstop) h = opts.tstop - t;
     RVec x1;
-    const std::size_t newtonBefore = res.newtonIterations;
     bool ok = integrateStep(ws, opts.method, t, h, x,
                             havePrev ? &xPrev : nullptr, x1, nullptr,
                             opts.maxNewton, opts.newtonTol,
-                            &res.newtonIterations);
-    if (opts.budget)
-      opts.budget->chargeNewton(res.newtonIterations - newtonBefore);
+                            &res.newtonIterations, opts.budget);
     // A converged Newton solve can still hand back a non-finite state
     // (overflow inside a device model on the last update); treat it as a
     // failed step so the dt cut below retries from clean history. This
@@ -428,31 +403,33 @@ TransientResult noisyTransientSweep(const MnaSystem& sys, const RVec& x0,
     q0 = ws.q();
     x1 = x;
     xIter = x;
-    bool converged = false;
-    for (std::size_t it = 0; it < opts.maxNewton; ++it) {
-      ++res.newtonIterations;
-      if (opts.budget) opts.budget->chargeNewton();
-      ws.eval(x1, t + h, true, it > 0 ? &xIter : nullptr);
-      const auto& q1 = ws.q();
-      const auto& f1 = ws.f();
-      const auto& b1 = ws.b();
-      for (std::size_t i = 0; i < n; ++i)
-        r[i] = q1[i] - q0[i] + h * (f1[i] - b1[i] - inoise[i]);
-      if (numeric::normInf(r) < opts.newtonTol * h) {
-        converged = true;
-        break;
-      }
-      ws.factorJacobian(1.0, h);
-      ws.solve(r, dx);
-      xIter = x1;
-      x1 -= dx;
-      if (numeric::norm2(dx) < opts.newtonTol * (1.0 + numeric::norm2(x1))) {
-        converged = true;
-        break;
-      }
-    }
-    if (!converged) {
-      res.status = diag::SolverStatus::MaxIterations;
+    const diag::NewtonResult nr = diag::runNewton(
+        {.maxIterations = opts.maxNewton, .budget = opts.budget,
+         .pollBudget = false},
+        [&](std::size_t it, const diag::NewtonSeams&) {
+          ws.eval(x1, t + h, true, it > 0 ? &xIter : nullptr);
+          const auto& q1 = ws.q();
+          const auto& f1 = ws.f();
+          const auto& b1 = ws.b();
+          for (std::size_t i = 0; i < n; ++i)
+            r[i] = q1[i] - q0[i] + h * (f1[i] - b1[i] - inoise[i]);
+          const Real rnorm = numeric::normInf(r);
+          return diag::NewtonCheck{rnorm, rnorm < opts.newtonTol * h};
+        },
+        [&](const diag::NewtonSeams&) {
+          ws.factorJacobian(1.0, h);
+          ws.solve(r, dx);
+        },
+        [&](Real) -> diag::NewtonStop {
+          xIter = x1;
+          x1 -= dx;
+          if (numeric::norm2(dx) < opts.newtonTol * (1.0 + numeric::norm2(x1)))
+            return diag::SolverStatus::Converged;
+          return std::nullopt;
+        });
+    res.newtonIterations += nr.iterations;
+    if (nr.status != diag::SolverStatus::Converged) {
+      res.status = nr.status;
       return res;
     }
     x = x1;

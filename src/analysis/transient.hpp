@@ -65,8 +65,9 @@ struct TransientResult {
   std::vector<RVec> x;
   bool ok = false;
   /// Why the sweep ended: Converged (reached tstop), StepLimit (dt cut
-  /// below dtMin with the step still failing), BudgetExceeded, or
-  /// MaxIterations (noisy path's Newton loop exhausted).
+  /// below dtMin with the step still failing), BudgetExceeded, or, on the
+  /// noisy path, how its Newton loop failed (MaxIterations, Diverged on a
+  /// non-finite residual, Breakdown on a singular Jacobian).
   diag::SolverStatus status = diag::SolverStatus::NotRun;
   std::size_t steps = 0;
   std::size_t newtonIterations = 0;
@@ -86,13 +87,16 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
 /// the monodromy matrix in shooting and Floquet analyses. The workspace's
 /// sparsity pattern and LU pivot order persist across calls, so Newton
 /// iterations after the first pay only a numeric refactorization; the
-/// Newton iteration body is allocation-free (real-time audited).
+/// Newton iteration body is allocation-free (real-time audited). Newton
+/// iterations are counted in *newtonIters and charged to `budget`, which
+/// the caller polls at its step boundary.
 RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
                                  IntegrationMethod method, Real t0, Real h,
                                  const RVec& x0, const RVec* xPrevStep,
                                  RVec& x1, numeric::RMat* sensitivity,
                                  std::size_t maxNewton = 50, Real tol = 1e-9,
-                                 std::size_t* newtonIters = nullptr);
+                                 std::size_t* newtonIters = nullptr,
+                                 diag::RunBudget* budget = nullptr);
 
 /// Additive white-noise transient (Euler–Maruyama on top of BE): at each
 /// step every device noise generator injects an independent Gaussian

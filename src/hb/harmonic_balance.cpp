@@ -1,10 +1,10 @@
 #include "hb/harmonic_balance.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "circuit/mna_workspace.hpp"
 #include "diag/contracts.hpp"
+#include "diag/newton.hpp"
 #include "fft/plan.hpp"
 #include "hb/hb_jacobian.hpp"
 #include "numeric/lu.hpp"
@@ -373,91 +373,68 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
   const std::size_t ramp = std::max<std::size_t>(1, opts.continuationSteps);
   for (std::size_t stage = 1; stage <= ramp; ++stage) {
     const Real lambda = static_cast<Real>(stage) / static_cast<Real>(ramp);
-    bool stageConverged = false;
-    for (std::size_t it = 0; it < opts.maxNewton; ++it) {
-      ++sol.newtonIterations;
-      if (opts.budget) opts.budget->chargeNewton();
-      if (diag::budgetExceeded(opts.budget)) {
-        sol.status = diag::SolverStatus::BudgetExceeded;
-        sol.coeffs = coeffs;
-        return sol;
-      }
-      residual(coeffs, lambda, r, &gS, &cS, &gAvg, &cAvg);
-      if (diag::FaultInjector::global().fire(diag::FaultPoint::NanInResidual))
-        r[0] = std::numeric_limits<Real>::quiet_NaN();
-      packReal(bSpec, bPack);
-      const Real scale = 1e-12 + numeric::norm2(bPack);
-      const Real rnorm = numeric::norm2(r);
-      if (!diag::isFinite(rnorm)) {
-        sol.status = diag::SolverStatus::Diverged;
-        sol.coeffs = coeffs;
-        return sol;
-      }
-      if (rnorm < opts.tolerance * scale) {
-        stageConverged = true;
-        break;
-      }
-
-      const HBOperator jac(*this, ws.pattern(), gS, cS);
-      dx.resize(n_ * nc_);
-      try {
-        if (diag::FaultInjector::global().fire(
-                diag::FaultPoint::SingularJacobian))
-          failNumerical("HB::solve: injected singular Jacobian");
-        if (opts.useDirectSolver) {
-          // Probe the operator column by column — exact dense Jacobian.
-          const std::size_t nr = n_ * nc_;
-          numeric::RMat jd(nr, nr);
-          RVec e(nr), col(nr);
-          for (std::size_t cidx = 0; cidx < nr; ++cidx) {
-            e.setZero();
-            e[cidx] = 1.0;
-            jac.apply(e, col);
-            for (std::size_t rr = 0; rr < nr; ++rr) jd(rr, cidx) = col[rr];
+    const diag::NewtonResult out = diag::runNewton(
+        {.maxIterations = opts.maxNewton, .budget = opts.budget},
+        [&](std::size_t, const diag::NewtonSeams& seams) {
+          residual(coeffs, lambda, r, &gS, &cS, &gAvg, &cAvg);
+          const Real rnorm = seams.residual(numeric::norm2(r));
+          packReal(bSpec, bPack);
+          const Real scale = 1e-12 + numeric::norm2(bPack);
+          return diag::NewtonCheck{rnorm, rnorm < opts.tolerance * scale};
+        },
+        [&](const diag::NewtonSeams& seams) -> diag::NewtonStop {
+          const HBOperator jac(*this, ws.pattern(), gS, cS);
+          dx.resize(n_ * nc_);
+          seams.jacobian();
+          if (opts.useDirectSolver) {
+            // Probe the operator column by column — exact dense Jacobian.
+            const std::size_t nr = n_ * nc_;
+            numeric::RMat jd(nr, nr);
+            RVec e(nr), col(nr);
+            for (std::size_t cidx = 0; cidx < nr; ++cidx) {
+              e.setZero();
+              e[cidx] = 1.0;
+              jac.apply(e, col);
+              for (std::size_t rr = 0; rr < nr; ++rr) jd(rr, cidx) = col[rr];
+            }
+            dx = numeric::solveDense(std::move(jd), r);
+            return std::nullopt;
           }
-          dx = numeric::solveDense(std::move(jd), r);
-        } else {
           prec.update(gAvg, cAvg);
           dx.setZero();
           const auto stat =
               sparse::gmres(jac, r, dx, &prec, gmresOpts, &work_.gmres);
           sol.gmresIterations += stat.iterations;
-          if (stat.status == diag::SolverStatus::BudgetExceeded) {
-            sol.status = diag::SolverStatus::BudgetExceeded;
-            sol.coeffs = coeffs;
-            return sol;
+          if (stat.status == diag::SolverStatus::BudgetExceeded)
+            return diag::SolverStatus::BudgetExceeded;
+          // A stalled GMRES (MaxIterations or Stagnated, including an
+          // injected krylov-stall) falls through to the damped update with
+          // whatever direction it produced.
+          return std::nullopt;
+        },
+        // Damped update on the packed spectrum; the last rung takes its
+        // trial whatever its residual.
+        [&](Real rnorm) {
+          Real alpha = 1.0;
+          packReal(coeffs, xPack);
+          for (int damp = 0; damp < 6; ++damp) {
+            xNew = xPack;
+            numeric::axpy(-alpha, dx, xNew);
+            unpackReal(xNew, trial);
+            residual(trial, lambda, dxp, nullptr, nullptr, nullptr, nullptr);
+            if (numeric::norm2(dxp) <= rnorm || damp == 5) {
+              coeffs = trial;
+              break;
+            }
+            alpha *= 0.5;
           }
-          if (!stat.converged && stat.residualNorm > 0.5 * rnorm) {
-            // Preconditioned GMRES stalled (status MaxIterations or
-            // Stagnated, including an injected krylov-stall) — fall back
-            // to a damped update with whatever direction was produced.
-          }
-        }
-      } catch (const NumericalError&) {
-        // Singular Jacobian (possibly injected): classify and hand the
-        // failure to the ladder in solve() instead of unwinding further.
-        sol.status = diag::SolverStatus::Breakdown;
-        sol.coeffs = coeffs;
-        return sol;
-      }
-
-      // Damped update on the packed spectrum.
-      Real alpha = 1.0;
-      packReal(coeffs, xPack);
-      for (int damp = 0; damp < 6; ++damp) {
-        xNew = xPack;
-        numeric::axpy(-alpha, dx, xNew);
-        unpackReal(xNew, trial);
-        residual(trial, lambda, dxp, nullptr, nullptr, nullptr, nullptr);
-        if (numeric::norm2(dxp) <= rnorm || damp == 5) {
-          coeffs = trial;
-          break;
-        }
-        alpha *= 0.5;
-      }
-    }
-    if (!stageConverged && stage == ramp) {
-      sol.status = diag::SolverStatus::MaxIterations;
+        });
+    sol.newtonIterations += out.iterations;
+    // A stage out of iterations hands its iterate to the next, stronger
+    // drive; any other failure goes to the ladder in solve().
+    if (out.status != diag::SolverStatus::Converged &&
+        (out.status != diag::SolverStatus::MaxIterations || stage == ramp)) {
+      sol.status = out.status;
       sol.coeffs = coeffs;
       return sol;  // converged flag stays false
     }

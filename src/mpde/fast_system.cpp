@@ -2,15 +2,16 @@
 
 #include <cmath>
 
+#include "diag/newton.hpp"
 #include "numeric/lu.hpp"
-#include "perf/perf.hpp"
 
 namespace rfic::mpde {
 
 namespace {
 
 // One BE step of the fast system from (j, y0) to sample j+1; propagates the
-// dense sensitivity S ← (∂y1/∂y0)·S when provided.
+// dense sensitivity S ← (∂y1/∂y0)·S when provided. False when the step's
+// Newton solve fails, including on a singular BE Jacobian.
 bool beStep(const FastSystem& sys, std::size_t j, const RVec& y0, RVec& y1,
             RMat* sens, const FastPeriodicOptions& opts) {
   const std::size_t n = sys.dim();
@@ -19,41 +20,49 @@ bool beStep(const FastSystem& sys, std::size_t j, const RVec& y0, RVec& y1,
   sys.eval(y0, j, e0, sens != nullptr);
 
   y1 = y0;
-  bool converged = false;
-  for (std::size_t it = 0; it < opts.maxNewtonPerStep; ++it) {
-    sys.eval(y1, j + 1, e1, true);
-    RVec r(n);
-    for (std::size_t i = 0; i < n; ++i)
-      r[i] = e1.q[i] - e0.q[i] + h * (e1.f[i] - e1.b[i]);
-    if (numeric::normInf(r) < opts.stepTolerance * h) {
-      converged = true;
-      break;
-    }
+  RVec r(n), dy;
+  // BE Jacobian C + h·G at the current evaluation.
+  const auto jacobian = [&] {
     RMat jmat = e1.C;
     for (std::size_t a = 0; a < n; ++a)
       for (std::size_t b = 0; b < n; ++b) jmat(a, b) += h * e1.G(a, b);
-    const RVec dy = numeric::solveDense(std::move(jmat), r);
-    y1 -= dy;
-    if (numeric::norm2(dy) < opts.stepTolerance * (1.0 + numeric::norm2(y1))) {
-      converged = true;
-      break;
-    }
-  }
-  if (!converged) return false;
+    return jmat;
+  };
+  const diag::NewtonResult nr = diag::runNewton(
+      {.maxIterations = opts.maxNewtonPerStep, .pollBudget = false},
+      [&](std::size_t, const diag::NewtonSeams&) {
+        sys.eval(y1, j + 1, e1, true);
+        for (std::size_t i = 0; i < n; ++i)
+          r[i] = e1.q[i] - e0.q[i] + h * (e1.f[i] - e1.b[i]);
+        const Real rnorm = numeric::normInf(r);
+        return diag::NewtonCheck{rnorm, rnorm < opts.stepTolerance * h};
+      },
+      [&](const diag::NewtonSeams&) {
+        dy = numeric::solveDense(jacobian(), r);
+      },
+      [&](Real) -> diag::NewtonStop {
+        y1 -= dy;
+        const Real scale = 1.0 + numeric::norm2(y1);
+        if (numeric::norm2(dy) < opts.stepTolerance * scale)
+          return diag::SolverStatus::Converged;
+        return std::nullopt;
+      });
+  if (nr.status != diag::SolverStatus::Converged) return false;
 
   if (sens) {
     sys.eval(y1, j + 1, e1, true);
-    RMat jmat = e1.C;
-    for (std::size_t a = 0; a < n; ++a)
-      for (std::size_t b = 0; b < n; ++b) jmat(a, b) += h * e1.G(a, b);
-    numeric::LU<Real> lu(std::move(jmat));
     const RMat rhs = e0.C * (*sens);
     RMat out(n, sens->cols());
     RVec col(n);
-    for (std::size_t c = 0; c < rhs.cols(); ++c) {
-      for (std::size_t i = 0; i < n; ++i) col[i] = rhs(i, c);
-      const RVec sol = lu.solve(col);
-      for (std::size_t i = 0; i < n; ++i) out(i, c) = sol[i];
+    try {
+      numeric::LU<Real> lu(jacobian());
+      for (std::size_t c = 0; c < rhs.cols(); ++c) {
+        for (std::size_t i = 0; i < n; ++i) col[i] = rhs(i, c);
+        const RVec sol = lu.solve(col);
+        for (std::size_t i = 0; i < n; ++i) out(i, c) = sol[i];
+      }
+    } catch (const NumericalError&) {
+      return false;  // singular C + h·G that a converged loop never factored
     }
     *sens = std::move(out);
   }
@@ -73,62 +82,43 @@ FastPeriodicResult solveFastPeriodic(const FastSystem& sys, const RVec& guess,
   // error contaminating the monodromy is the usual failure mode).
   FastPeriodicResult res;
   FastPeriodicOptions attemptOpts = opts;
-  for (std::size_t attempt = 0;; ++attempt) {
-    res.converged = false;
-    res.status = diag::SolverStatus::MaxIterations;
-    RVec y0 = guess;
-    for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-      ++res.newtonIterations;
-      if (opts.budget) opts.budget->chargeNewton();
-      if (diag::budgetExceeded(opts.budget)) {
-        res.status = diag::SolverStatus::BudgetExceeded;
-        return res;
-      }
-      res.monodromy = RMat::identity(n);
-      res.waveform.assign(1, y0);
-      RVec y = y0, y1;
-      bool ok = true;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (!beStep(sys, j, y, y1, &res.monodromy, attemptOpts)) {
-          ok = false;
-          break;
-        }
-        y = y1;
-        res.waveform.push_back(y);
-      }
-      if (!ok) {
-        res.status = diag::SolverStatus::Breakdown;
-        break;
-      }
-
-      RVec g = res.waveform.back();
-      g -= y0;
-      if (numeric::norm2(g) < opts.tolerance * (1.0 + numeric::norm2(y0))) {
-        res.converged = true;
-        res.status = diag::SolverStatus::Converged;
-        return res;
-      }
-      RMat jac = res.monodromy;
-      for (std::size_t i = 0; i < n; ++i) jac(i, i) -= 1.0;
-      RVec dy;
-      try {
-        if (diag::FaultInjector::global().fire(
-                diag::FaultPoint::SingularJacobian))
-          failNumerical("solveFastPeriodic: injected singular Jacobian");
-        dy = numeric::solveDense(std::move(jac), g);
-      } catch (const NumericalError&) {
-        res.status = diag::SolverStatus::Breakdown;
-        break;
-      }
-      y0 -= dy;
-    }
-    if (res.status == diag::SolverStatus::BudgetExceeded ||
-        attempt >= opts.maxRetries)
-      return res;
-    attemptOpts.stepTolerance *= 0.01;
-    ++res.retries;
-    perf::global().addRetry();
-  }
+  RVec y0, g, dy;
+  res.status = diag::restartLadder(
+      opts.maxRetries, res.retries,
+      [&] {
+        y0 = guess;
+        const diag::NewtonResult nr = diag::runNewton(
+            {.maxIterations = opts.maxIterations, .budget = opts.budget},
+            [&](std::size_t, const diag::NewtonSeams&) {
+              res.monodromy = RMat::identity(n);
+              res.waveform.assign(1, y0);
+              RVec y = y0, y1;
+              for (std::size_t j = 0; j < m; ++j) {
+                if (!beStep(sys, j, y, y1, &res.monodromy, attemptOpts))
+                  return diag::NewtonCheck{
+                      .stop = diag::SolverStatus::Breakdown};
+                y = y1;
+                res.waveform.push_back(y);
+              }
+              g = res.waveform.back();
+              g -= y0;
+              const Real gnorm = numeric::norm2(g);
+              return diag::NewtonCheck{
+                  gnorm, gnorm < opts.tolerance * (1.0 + numeric::norm2(y0))};
+            },
+            [&](const diag::NewtonSeams& seams) {
+              seams.jacobian();
+              RMat jac = res.monodromy;
+              for (std::size_t i = 0; i < n; ++i) jac(i, i) -= 1.0;
+              dy = numeric::solveDense(std::move(jac), g);
+            },
+            [&](Real) { y0 -= dy; });
+        res.newtonIterations += nr.iterations;
+        return nr.status;
+      },
+      [&] { attemptOpts.stepTolerance *= 0.01; });
+  res.converged = res.status == diag::SolverStatus::Converged;
+  return res;
 }
 
 RMat spectralDifferentiation(std::size_t m, Real period) {

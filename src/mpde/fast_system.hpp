@@ -57,7 +57,7 @@ struct FastPeriodicOptions {
 struct FastPeriodicResult {
   bool converged = false;
   /// Converged, Breakdown (inner BE step or singular shooting Jacobian),
-  /// MaxIterations, or BudgetExceeded.
+  /// Diverged (non-finite defect), MaxIterations, or BudgetExceeded.
   diag::SolverStatus status = diag::SolverStatus::NotRun;
   std::vector<RVec> waveform;  ///< m2+1 states, waveform[0] == waveform[m2]
   std::size_t newtonIterations = 0;  ///< outer (shooting) iterations

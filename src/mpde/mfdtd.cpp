@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "circuit/mna_workspace.hpp"
 #include "diag/contracts.hpp"
+#include "diag/newton.hpp"
 #include "sparse/krylov.hpp"
 #include "sparse/symbolic_lu.hpp"
 
@@ -72,27 +72,11 @@ MFDTDResult mfdtdSolve(const MnaSystem& sys, Real slowFreq, Real fastFreq,
   std::vector<char> cActive;
   std::vector<std::uint32_t> cSlots;
 
-  // Retry ladder (iterative path): failed attempts restart from the DC
-  // point with the GMRES tolerance tightened 100× and the iteration cap
-  // doubled per rung. The LU path retries as a plain restart.
-  Real gmresTol = 1e-8;
-  std::size_t gmresMaxIter = 2000;
-  for (std::size_t attempt = 0;; ++attempt) {
-  res.converged = false;
-  res.status = diag::SolverStatus::MaxIterations;
-  for (std::size_t p = 0; p < np; ++p)
-    for (std::size_t u = 0; u < n; ++u) x[p * n + u] = dcOp[u];
-
-  for (std::size_t it = 0; it < opts.maxNewton; ++it) {
-    ++res.newtonIterations;
-    if (opts.budget) opts.budget->chargeNewton();
-    if (diag::budgetExceeded(opts.budget)) {
-      res.status = diag::SolverStatus::BudgetExceeded;
-      break;
-    }
-
-    // Evaluate every grid point; restart the sweep if a conditional stamp
-    // grows the shared pattern mid-flight.
+  // Evaluate every grid point (restarting the sweep if a conditional stamp
+  // grows the shared pattern mid-flight) and the residual into r, with BE
+  // differences and periodic wrap; returns the convergence test's scale.
+  numeric::RVec r(nu), dx(nu);
+  const auto evalResidual = [&] {
     for (bool done = false; !done;) {
       done = true;
       for (std::size_t i = 0; i < m1 && done; ++i) {
@@ -118,8 +102,6 @@ MFDTDResult mfdtdSolve(const MnaSystem& sys, Real slowFreq, Real fastFreq,
       }
     }
 
-    // Residual with BE differences and periodic wrap.
-    numeric::RVec r(nu);
     Real bScale = 0;
     for (std::size_t i = 0; i < m1; ++i) {
       const std::size_t im = (i + m1 - 1) % m1;
@@ -135,20 +117,12 @@ MFDTDResult mfdtdSolve(const MnaSystem& sys, Real slowFreq, Real fastFreq,
         }
       }
     }
-    if (diag::FaultInjector::global().fire(diag::FaultPoint::NanInResidual))
-      r[0] = std::numeric_limits<Real>::quiet_NaN();
-    const Real rnorm = numeric::norm2(r);  // sum of squares propagates NaN
-    if (!std::isfinite(rnorm)) {
-      res.status = diag::SolverStatus::Diverged;
-      break;
-    }
-    if (rnorm <
-        opts.tolerance * (1.0 + bScale) * std::sqrt(static_cast<Real>(nu))) {
-      res.converged = true;
-      res.status = diag::SolverStatus::Converged;
-      break;
-    }
+    return bScale;
+  };
 
+  // Refill the grid Jacobian's values, first rebuilding its structure when
+  // the workspace pattern or the active C slots changed.
+  const auto assembleJacobian = [&] {
     const auto& prp = ws.pattern().rowPtr();
     const auto& pci = ws.pattern().colIdx();
     const std::size_t pnnz = ws.pattern().nnz();
@@ -246,61 +220,69 @@ MFDTDResult mfdtdSolve(const MnaSystem& sys, Real slowFreq, Real fastFreq,
       }
     }
     res.jacobianNnz = gpat.nnz();
+  };
 
-    numeric::RVec dx(nu);
-    if (opts.useIterativeSolver) {
-      sparse::RCSR a = gpat;
-      a.values() = gvals;
-      sparse::CSROperator<Real> op(a);
-      sparse::JacobiPreconditioner<Real> prec(a);
-      sparse::IterativeOptions io;
-      io.tolerance = gmresTol;
-      io.maxIterations = gmresMaxIter;
-      io.restart = 100;
-      io.budget = opts.budget;
-      const auto st = sparse::gmres(op, r, dx, &prec, io);
-      if (st.status == diag::SolverStatus::BudgetExceeded) {
-        res.status = diag::SolverStatus::BudgetExceeded;
-        break;
-      }
-      if (!st.converged) {
-        // A stalled inner solve is a structured, retryable failure — not a
-        // process abort.
-        res.status = diag::SolverStatus::Stagnated;
-        break;
-      }
-    } else {
-      try {
-        if (diag::FaultInjector::global().fire(
-                diag::FaultPoint::SingularJacobian))
-          failNumerical("runMFDTD: injected singular Jacobian");
-        if (!glu.analyzed()) {
-          sparse::RCSR a = gpat;
-          a.values() = gvals;
-          glu.factor(a);
-        } else {
-          (void)glu.refactor(gvals);  // a repivot is as good as a factor
-        }
-        res.jacobianNnz = glu.factorNnz();
-        const perf::Timer solveTimer;
-        dx = glu.solve(r);
-        perf::global().addSolve(solveTimer.ns());
-      } catch (const NumericalError&) {
-        res.status = diag::SolverStatus::Breakdown;
-        break;
-      }
-    }
-    x -= dx;
-  }
-
-  if (res.converged || res.status == diag::SolverStatus::BudgetExceeded ||
-      attempt >= opts.maxRetries)
-    break;
-  gmresTol *= 0.01;
-  gmresMaxIter *= 2;
-  ++res.retries;
-  perf::global().addRetry();
-  }  // attempt ladder
+  // Retry ladder (iterative path): failed attempts restart from the DC
+  // point with the GMRES tolerance tightened 100× and the iteration cap
+  // doubled per rung. The LU path retries as a plain restart.
+  Real gmresTol = 1e-8;
+  std::size_t gmresMaxIter = 2000;
+  const auto attempt = [&] {
+    for (std::size_t p = 0; p < np; ++p)
+      for (std::size_t u = 0; u < n; ++u) x[p * n + u] = dcOp[u];
+    const diag::NewtonResult nr = diag::runNewton(
+        {.maxIterations = opts.maxNewton, .budget = opts.budget},
+        [&](std::size_t, const diag::NewtonSeams& seams) {
+          const Real bScale = evalResidual();
+          const Real rnorm = seams.residual(numeric::norm2(r));
+          return diag::NewtonCheck{
+              rnorm, rnorm < opts.tolerance * (1.0 + bScale) *
+                                 std::sqrt(static_cast<Real>(nu))};
+        },
+        [&](const diag::NewtonSeams& seams) -> diag::NewtonStop {
+          assembleJacobian();
+          if (opts.useIterativeSolver) {
+            sparse::RCSR a = gpat;
+            a.values() = gvals;
+            sparse::CSROperator<Real> op(a);
+            sparse::JacobiPreconditioner<Real> prec(a);
+            sparse::IterativeOptions io;
+            io.tolerance = gmresTol;
+            io.maxIterations = gmresMaxIter;
+            io.restart = 100;
+            io.budget = opts.budget;
+            dx.setZero();
+            const auto st = sparse::gmres(op, r, dx, &prec, io);
+            if (st.status == diag::SolverStatus::BudgetExceeded)
+              return diag::SolverStatus::BudgetExceeded;
+            // A stalled inner solve is a structured, retryable failure —
+            // not a process abort.
+            if (!st.converged) return diag::SolverStatus::Stagnated;
+            return std::nullopt;
+          }
+          seams.jacobian();
+          if (!glu.analyzed()) {
+            sparse::RCSR a = gpat;
+            a.values() = gvals;
+            glu.factor(a);
+          } else {
+            (void)glu.refactor(gvals);  // a repivot is as good as a factor
+          }
+          res.jacobianNnz = glu.factorNnz();
+          const perf::Timer solveTimer;
+          dx = glu.solve(r);
+          perf::global().addSolve(solveTimer.ns());
+          return std::nullopt;
+        },
+        [&](Real) { x -= dx; });
+    res.newtonIterations += nr.iterations;
+    return nr.status;
+  };
+  res.status = diag::restartLadder(opts.maxRetries, res.retries, attempt, [&] {
+    gmresTol *= 0.01;
+    gmresMaxIter *= 2;
+  });
+  res.converged = res.status == diag::SolverStatus::Converged;
 
   for (std::size_t i = 0; i < m1; ++i)
     for (std::size_t j = 0; j < m2; ++j)

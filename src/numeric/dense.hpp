@@ -104,10 +104,16 @@ inline Real norm2(const RVec& v) {
   for (std::size_t i = 0; i < v.size(); ++i) s += v[i] * v[i];
   return std::sqrt(s);
 }
+/// Largest |entry|; NaN when any entry is NaN (a plain std::max fold would
+/// drop it), so a poisoned vector never measures as small.
 template <class T>
 Real normInf(const Vec<T>& v) {
   Real m = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) m = std::max(m, std::abs(v[i]));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const Real a = std::abs(v[i]);
+    if (std::isnan(a)) return a;
+    m = std::max(m, a);
+  }
   return m;
 }
 

@@ -1,9 +1,9 @@
 # Selftest of the numerics-lint scalar-exp, sparse-hash,
-# counter-member and text-stream rules: runs the lint on the seeded fixture
-# tree and asserts each rule fires on its seeded violation while honoring
-# the justified suppression. (Entry-check / status findings about the
-# fixture's missing solver files are expected noise — the assertions below
-# pin only these four rules.)
+# counter-member, text-stream and newton-loop rules: runs the lint on the
+# seeded fixture tree and asserts each rule fires on its seeded violation
+# while honoring the justified suppression. (Entry-check / status findings
+# about the fixture's missing solver files are expected noise — the
+# assertions below pin only these five rules.)
 #
 # Invoked by ctest as:
 #   cmake -DPYTHON=... -DLINT=... -DFIXTURE=... -P check_numerics_lint.cmake
@@ -88,6 +88,26 @@ foreach(line 11 19)
   if(NOT pos EQUAL -1)
     message(FATAL_ERROR
             "numerics_lint selftest: seeded_stream.cpp:${line} must not be "
+            "flagged. Output:\n${lint_out}")
+  endif()
+endforeach()
+
+# A hand-rolled Newton loop's budget charge and both fault points must be
+# flagged by the newton-loop rule; the justified suppression and a name
+# that only starts with chargeNewton must not.
+foreach(line 10 12 13)
+  string(FIND "${lint_out}" "seeded_newton.cpp:${line}: [newton-loop]" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: expected newton-loop finding at "
+            "seeded_newton.cpp:${line}. Output:\n${lint_out}")
+  endif()
+endforeach()
+foreach(line 20 24)
+  string(FIND "${lint_out}" "seeded_newton.cpp:${line}:" pos)
+  if(NOT pos EQUAL -1)
+    message(FATAL_ERROR
+            "numerics_lint selftest: seeded_newton.cpp:${line} must not be "
             "flagged. Output:\n${lint_out}")
   endif()
 endforeach()

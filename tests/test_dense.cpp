@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "numeric/dense.hpp"
@@ -42,6 +43,26 @@ TEST(Vec, Arithmetic) {
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
   EXPECT_DOUBLE_EQ(norm2(RVec{3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(normInf(RVec{-7, 2}), 7.0);
+}
+
+TEST(Vec, NormInfPropagatesNaN) {
+  // A NaN anywhere makes the norm NaN: a std::max fold keeps the running
+  // maximum over a NaN, so a poisoned vector used to measure as small.
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const Real inf = std::numeric_limits<Real>::infinity();
+  for (const RVec& v : {RVec{nan, 1, 2}, RVec{1, nan, 2}, RVec{1, 2, nan},
+                        RVec{nan}, RVec{inf, nan}})
+    EXPECT_TRUE(std::isnan(normInf(v)));
+  EXPECT_TRUE(std::isnan(normInf(CVec{{1, 0}, {0, nan}})));
+  EXPECT_EQ(normInf(RVec{1, -inf, 2}), inf);
+  EXPECT_EQ(normInf(RVec{inf, 3}), inf);
+  EXPECT_EQ(normInf(RVec{-0.0, 0.0}), 0.0);
+  EXPECT_EQ(normInf(RVec{}), 0.0);
+  // Finite inputs: the same bits as the std::max fold.
+  const RVec v = randomVector(257, 11);
+  Real m = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) m = std::max(m, std::abs(v[i]));
+  EXPECT_EQ(normInf(v), m);
 }
 
 TEST(Vec, SizeMismatchThrows) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "analysis/dc.hpp"
@@ -155,6 +156,51 @@ TEST(FastPeriodic, LinearRCForcedResponse) {
     amp = std::max(amp, std::abs(y[static_cast<std::size_t>(out)]));
   const Real wrc = kTwoPi * 1e6 * 1e-6;
   EXPECT_NEAR(amp, 1.0 / std::sqrt(1.0 + wrc * wrc), 3e-3);
+}
+
+// One-unknown fast system q = c·y, f = fval, b = bval with ∂f/∂y = 0:
+// c = 0 makes every BE Jacobian C + h·G singular.
+class ScalarFast final : public FastSystem {
+ public:
+  ScalarFast(Real c, Real fval, Real bval) : c_(c), f_(fval), b_(bval) {}
+  std::size_t dim() const override { return 1; }
+  std::size_t samples() const override { return 8; }
+  Real period() const override { return 1e-6; }
+  void eval(const RVec& y, std::size_t, FastEval& e,
+            bool wantMatrices) const override {
+    e.q = RVec(1, c_ * y[0]);
+    e.f = RVec(1, f_);
+    e.b = RVec(1, b_);
+    if (wantMatrices) {
+      e.G = numeric::RMat(1, 1);
+      e.C = numeric::RMat(1, 1);
+      e.C(0, 0) = c_;
+    }
+  }
+
+ private:
+  Real c_, f_, b_;
+};
+
+TEST(FastPeriodic, SingularInnerJacobianIsBreakdown) {
+  // b = 1 needs a Newton update through the singular C + h·G; b = 0 starts
+  // converged and meets it in the sensitivity solve. Either way the
+  // documented status, not an escaping "LU: matrix is singular".
+  for (const Real b : {1.0, 0.0}) {
+    const auto res = solveFastPeriodic(ScalarFast(0.0, 0.0, b), RVec(1, 0.0));
+    EXPECT_FALSE(res.converged) << "b = " << b;
+    EXPECT_EQ(res.status, diag::SolverStatus::Breakdown) << "b = " << b;
+  }
+}
+
+TEST(FastPeriodic, NonFiniteSystemIsNotConverged) {
+  // A NaN device current poisons every BE residual; it must fail the inner
+  // steps instead of measuring as a zero residual.
+  const auto res = solveFastPeriodic(
+      ScalarFast(1.0, std::numeric_limits<Real>::quiet_NaN(), 0.0),
+      RVec(1, 0.0));
+  EXPECT_FALSE(res.converged);
+  EXPECT_NE(res.status, diag::SolverStatus::Converged);
 }
 
 TEST(MMFT, MatchesTwoToneHB) {

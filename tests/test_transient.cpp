@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -316,6 +317,29 @@ TEST(NoisyTransient, ZeroNoiseMatchesDeterministic) {
   ASSERT_TRUE(det.ok);
   ASSERT_TRUE(sto.ok);
   EXPECT_NEAR(sto.x.back()[0], det.x.back()[0], 1e-9);
+}
+
+TEST(NoisyTransient, NonFiniteStateFailsInsteadOfConverging) {
+  // A NaN state makes every residual NaN. The noisy loop must fail the step
+  // as runTransient does, not measure the residual as zero and march the
+  // NaN to tstop reporting convergence.
+  Circuit c;
+  const int a = c.node("a");
+  c.add<Resistor>("R1", a, -1, 1e3);
+  c.add<Capacitor>("C1", a, -1, 1e-9);
+  MnaSystem sys(c);
+  TransientOptions to;
+  to.dt = 1e-7;
+  to.tstop = 1e-6;
+  const RVec x0(1, std::numeric_limits<Real>::quiet_NaN());
+  const auto tr = runNoisyTransient(sys, x0, to, 7);
+  EXPECT_FALSE(tr.ok);
+  EXPECT_NE(tr.status, diag::SolverStatus::Converged);
+  // The first entry is the caller's x0; no step may store a state.
+  ASSERT_FALSE(tr.x.empty());
+  for (std::size_t k = 1; k < tr.x.size(); ++k)
+    EXPECT_TRUE(std::isfinite(tr.x[k][0])) << "state " << k;
+  EXPECT_EQ(tr.steps, 0u);
 }
 
 TEST(NoisyTransient, ResistorNoiseProducesExpectedVariance) {

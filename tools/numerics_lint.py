@@ -57,6 +57,13 @@ drifting into silent-wrong-answer territory:
                 text shares (preflight, card scan, topology key, parser):
                 a second line loop re-reads the text with its own rules
                 and drifts from the others.
+  newton-loop   No chargeNewton( / FaultPoint::NanInResidual /
+                FaultPoint::SingularJacobian under src/ outside the Newton
+                kernel (src/diag/newton.hpp) and src/diag/resilience.*.
+                Every Newton loop runs through diag::runNewton, which owns
+                the per-iteration budget charge and the fault seams; a
+                site that charges or fires them itself is a hand-rolled
+                loop drifting from the kernel.
 
 Escape hatch: append  // lint: allow-<rule>  to a flagged line when the
 pattern is intentional (used sparingly; each use is visible in review).
@@ -137,6 +144,12 @@ TEXT_STREAM_RE = re.compile(
     r"\bstd::(?:istringstream|stringstream)\b|\bstd::getline\s*\(")
 # Directories whose text handling goes through circuit/lexer.hpp.
 TEXT_DIRS = ("src/circuit/", "src/engine/")
+
+NEWTON_LOOP_RE = re.compile(
+    r"\bchargeNewton\s*\(|\bFaultPoint::(?:NanInResidual|SingularJacobian)\b")
+# The kernel and the budget / fault-point definitions it uses.
+NEWTON_KERNEL_FILES = ("src/diag/newton.hpp", "src/diag/resilience.hpp",
+                       "src/diag/resilience.cpp")
 
 COUNTERS_RE = re.compile(r"\bperf::Counters\b(\s*[*&])?")
 
@@ -230,6 +243,7 @@ class Linter:
                           and not rel.endswith("junction_kernels.hpp"))
         in_sparse = rel.startswith("src/sparse/")
         in_text = rel.startswith(TEXT_DIRS)
+        in_newton_scope = in_library and rel not in NEWTON_KERNEL_FILES
 
         self.lint_pool_dispatches(path, clean, lines)
         if in_library and not in_pool_impl:
@@ -297,6 +311,16 @@ class Linter:
                           "src/engine — split the text with "
                           "circuit/lexer.hpp (LineReader, CardReader, "
                           "nextWord, spiceTokens)")
+
+            # newton-loop: budget charges and Newton fault seams belong to
+            # the kernel.
+            if in_newton_scope and not allowed(line, "newton-loop") \
+                    and NEWTON_LOOP_RE.search(line):
+                self.flag(path, num, "newton-loop",
+                          "Newton budget charge or fault point outside "
+                          "diag/newton.hpp — run the loop through "
+                          "diag::runNewton (it charges each iteration and "
+                          "hands the call site its fault seams)")
 
             # detached-thread: raw std::thread in library code (src/perf is
             # the sanctioned owner); .detach() everywhere.
