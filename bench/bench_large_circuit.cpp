@@ -13,7 +13,11 @@
 // (ammeters), which forces off-diagonal pivots all through the order.
 //
 // Reported per case: analysis (ordering + factor) wall time, fill-in ratio
-// and factor nnz, refactor time and solve time. Quick mode
+// and factor nnz, refactor time and solve time. A 20-step transient on the
+// MNA mesh's circuit (the rficsim `mesh_cold` shape at the quick size)
+// reports the evaluation counts the transient's evaluate-once path gates:
+// one fresh evaluation per step, the history and first-iteration requests
+// answered from the last one. Quick mode
 // (RFIC_BENCH_QUICK=1, the CI perf-smoke setting) trims the node counts;
 // the full run goes to ~50k- and ~100k-node meshes.
 #include <array>
@@ -21,7 +25,10 @@
 #include <random>
 #include <vector>
 
+#include "analysis/transient.hpp"
 #include "bench_util.hpp"
+#include "circuit/devices.hpp"
+#include "circuit/sources.hpp"
 #include "perf/perf.hpp"
 #include "perf/thread_pool.hpp"
 #include "sparse/sparse_matrix.hpp"
@@ -123,6 +130,30 @@ sparse::RCSR ladder(std::size_t n, std::uint64_t seed) {
   return sparse::RCSR(t);
 }
 
+// A circuit of the MNA mesh's shape: a k×k RC grid, capacitors to ground,
+// driven at one corner by a 1 MHz sine source (perfbench's mesh netlist).
+void meshCircuit(circuit::Circuit& c, std::size_t k, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> u(0.75, 1.25);
+  std::vector<int> node(k * k);
+  for (std::size_t i = 0; i < k * k; ++i)
+    node[i] = c.node("n" + std::to_string(i));
+  c.add<circuit::VSource>("V1", node[0], -1, c.allocBranch("V1"),
+                          std::make_shared<circuit::SineWave>(1.0, 1e6));
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t a = i * k + j;
+      const std::string tag = std::to_string(a);
+      if (j + 1 < k)
+        c.add<circuit::Resistor>("Rh" + tag, node[a], node[a + 1],
+                                 100.0 * u(rng));
+      if (i + 1 < k)
+        c.add<circuit::Resistor>("Rv" + tag, node[a], node[a + k],
+                                 100.0 * u(rng));
+      c.add<circuit::Capacitor>("Cg" + tag, node[a], -1, 1e-12 * u(rng));
+    }
+}
+
 struct CaseResult {
   std::size_t n = 0;
   std::size_t factorNnz = 0;
@@ -220,7 +251,30 @@ int main() {
   const auto ammeter = runCase("ammeter/amd", mnaMesh(kMna, 7, 5),
                                sparse::Ordering::Amd, reps);
 
+  // 20 fixed steps of the mesh circuit's transient from rest, the
+  // `.tran 0.1u 2u` of perfbench's mesh_cold.
+  circuit::Circuit meshCkt;
+  meshCircuit(meshCkt, kMna, 6);
+  const circuit::MnaSystem meshSys(meshCkt);
+  analysis::TransientOptions to;
+  to.dt = 1e-7;
+  to.tstop = 2e-6;
+  to.storeWaveforms = false;
+  Stopwatch trSw;
+  const analysis::TransientResult tr = analysis::runTransient(
+      meshSys, numeric::RVec(meshSys.dim(), 0.0), to);
+  const Real trWall = trSw.seconds();
+  std::printf("%-14s %8zu  steps %zu, evals %llu, reused %llu, %.2f ms\n",
+              "tran-mesh", meshSys.dim(), tr.steps,
+              static_cast<unsigned long long>(tr.perf.evals),
+              static_cast<unsigned long long>(tr.perf.evalReuses),
+              trWall * 1e3);
+
   rule();
+  if (!tr.ok) {
+    std::fprintf(stderr, "the mesh transient failed\n");
+    return 1;
+  }
   for (const CaseResult* c : {&amd, &amdBig, &ladAmd, &mna, &ammeter})
     if (!c->timedReplays) {
       std::fprintf(stderr, "a timed refactor skipped or repivoted (n=%zu)\n",
@@ -250,5 +304,10 @@ int main() {
   json.metric("ammeter_mesh.amd.fill", ammeter.fill);
   json.count("ammeter_mesh.factorizations", ammeter.factorizations);
   json.metric("ammeter_mesh.amd.factor_s", ammeter.factorMs * 1e-3);
+  json.count("tran_mesh.steps", tr.steps);
+  json.count("tran_mesh.evals", tr.perf.evals);
+  json.count("tran_mesh.eval_reuses", tr.perf.evalReuses);
+  json.count("tran_mesh.workspace_growth", tr.perf.workspaceGrowth);
+  json.metric("tran_mesh.wall_s", trWall);
   return 0;
 }

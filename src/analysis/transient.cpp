@@ -4,6 +4,7 @@
 #include "diag/newton.hpp"
 #include "diag/resilience.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <random>
@@ -20,8 +21,6 @@ void assembleResidual(IntegrationMethod method, Real h, bool haveGearHist,
                       const RVec& q0, const RVec& f0, const RVec& b0,
                       const RVec& qPrev, RVec& r, Real& jacQ, Real& jacG) {
   const std::size_t n = q1.size();
-  r.resize(n);  // rt: allow(rt-alloc) grow-once caller scratch — a no-op on
-                // every iteration after the first
   switch (method) {
     case IntegrationMethod::backwardEuler:
       for (std::size_t i = 0; i < n; ++i)
@@ -52,52 +51,38 @@ void assembleResidual(IntegrationMethod method, Real h, bool haveGearHist,
   }
 }
 
-}  // namespace
-
-// The transient inner step: one Gear-2/trapezoidal Newton solve. Marked
-// real-time for the per-iteration body — the per-step history snapshots
-// before the loop are the audited exceptions below.
-RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
-                                 IntegrationMethod method, Real t0, Real h,
-                                 const RVec& x0, const RVec* xPrevStep,
-                                 RVec& x1, numeric::RMat* sensitivity,
-                                 std::size_t maxNewton, Real tol,
-                                 std::size_t* newtonIters,
-                                 diag::RunBudget* budget) {
+// The transient inner step: one Gear-2/trapezoidal Newton solve. Every
+// buffer it writes is the caller's (x1 and the StepScratch), so the whole
+// body is allocation-free. `historyEvaluated`: the workspace already holds
+// the evaluation at (x0, t0) without limiting, so the step reads its
+// history from it instead of evaluating again.
+RFIC_REALTIME bool newtonStep(circuit::MnaWorkspace& ws,
+                              IntegrationMethod method, Real t0, Real h,
+                              const RVec& x0, const RVec* xPrevStep, RVec& x1,
+                              StepScratch& sc, std::size_t maxNewton, Real tol,
+                              std::size_t* newtonIters,
+                              diag::RunBudget* budget, bool historyEvaluated) {
   const std::size_t n = ws.dim();
+  RFIC_REQUIRE(x0.size() == n && x1.size() == n && sc.q0.size() == n,
+               "integrateStep: x0, x1 and the scratch must hold dim() entries");
   const Real t1 = t0 + h;
-  const bool wantSens = sensitivity != nullptr;
 
   // History evaluation at (x0, t0); the workspace buffers are reused every
-  // evaluation, so history vectors (and, for the sensitivity path, the C0/
-  // G0 value arrays) are copied out.
-  ws.eval(x0, t0, wantSens);
-  // rt: allow(rt-alloc) per-step history snapshot (once per step, outside
-  // the Newton iteration; the workspace eval buffers are overwritten every
-  // iteration so the t0 values must be copied out)
-  RVec q0 = ws.q(), f0 = ws.f(), b0 = ws.b();
-  std::vector<Real> c0Vals, g0Vals;
-  std::size_t c0Version = 0;
-  if (wantSens) {
-    c0Vals = ws.cValues();  // rt: allow(rt-alloc) sensitivity-path snapshot,
-                            // once per step
-    g0Vals = ws.gValues();  // rt: allow(rt-alloc) sensitivity-path snapshot
-    c0Version = ws.patternVersion();
-  }
-  RVec qPrev;
+  // evaluation, so the history vectors are copied out.
+  if (!historyEvaluated) ws.eval(x0, t0, false);
+  std::copy(ws.q().begin(), ws.q().end(), sc.q0.begin());
+  std::copy(ws.f().begin(), ws.f().end(), sc.f0.begin());
+  std::copy(ws.b().begin(), ws.b().end(), sc.b0.begin());
   const bool haveGearHist =
       method == IntegrationMethod::gear2 && xPrevStep != nullptr;
   if (haveGearHist) {
-    RFIC_REQUIRE(sensitivity == nullptr,
-                 "integrateStep: Gear-2 does not propagate sensitivities");
     ws.eval(*xPrevStep, t0 - h, false);
-    qPrev = ws.q();
+    std::copy(ws.q().begin(), ws.q().end(), sc.qPrev.begin());
   }
 
-  x1 = x0;
-  RVec xIter = x0;  // rt: allow(rt-alloc) per-step iterate snapshot
-  RVec r;           // grows once in assembleResidual, then reused
-  RVec dx;          // grows once in ws.solve(r, dx), then reused
+  std::copy(x0.begin(), x0.end(), x1.begin());
+  std::copy(x0.begin(), x0.end(), sc.xIter.begin());
+  RVec& xIter = sc.xIter;
   Real jacQ = 0, jacG = 0;
   // Set after a small-update iterate: the next residual evaluation (cheap —
   // no factorization) confirms the step instead of accepting it blind.
@@ -107,9 +92,9 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
       {.maxIterations = maxNewton, .budget = budget, .pollBudget = false},
       [&](std::size_t it, const diag::NewtonSeams& seams) {
         ws.eval(x1, t1, true, it > 0 ? &xIter : nullptr);
-        assembleResidual(method, h, haveGearHist, ws.q(), ws.f(), ws.b(), q0,
-                         f0, b0, qPrev, r, jacQ, jacG);
-        const Real rnorm = seams.residual(numeric::normInf(r));
+        assembleResidual(method, h, haveGearHist, ws.q(), ws.f(), ws.b(),
+                         sc.q0, sc.f0, sc.b0, sc.qPrev, sc.r, jacQ, jacG);
+        const Real rnorm = seams.residual(numeric::normInf(sc.r));
         // Residual is in charge units; scale tolerance by h to make it a
         // current tolerance. A confirming evaluation accepts if the final
         // update did not make the residual worse.
@@ -120,28 +105,68 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
       },
       // First call factors symbolically; later iterations (and steps)
       // replay the stored pivots on the new values, and the solve writes
-      // into loop-scoped scratch — no per-iteration allocation.
+      // into the scratch — no per-iteration allocation.
       [&](const diag::NewtonSeams& seams) {
         seams.jacobian();
         ws.factorJacobian(jacQ, jacG);
-        ws.solve(r, dx);
+        ws.solve(sc.r, sc.dx);
       },
       [&](Real rnorm) {
         xIter = x1;
-        x1 -= dx;
-        if (numeric::norm2(dx) < tol * (1.0 + numeric::norm2(x1))) {
+        x1 -= sc.dx;
+        if (numeric::norm2(sc.dx) < tol * (1.0 + numeric::norm2(x1))) {
           confirmPending = true;
           confirmRnorm = rnorm;
         }
       });
   if (newtonIters) *newtonIters += res.iterations;
-  if (res.status != diag::SolverStatus::Converged) return false;
+  return res.status == diag::SolverStatus::Converged;
+}
+
+}  // namespace
+
+RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
+                                 IntegrationMethod method, Real t0, Real h,
+                                 const RVec& x0, const RVec* xPrevStep,
+                                 RVec& x1, StepScratch& sc,
+                                 std::size_t maxNewton, Real tol,
+                                 std::size_t* newtonIters,
+                                 diag::RunBudget* budget) {
+  return newtonStep(ws, method, t0, h, x0, xPrevStep, x1, sc, maxNewton, tol,
+                    newtonIters, budget, false);
+}
+
+bool integrateStep(circuit::MnaWorkspace& ws, IntegrationMethod method,
+                   Real t0, Real h, const RVec& x0, const RVec* xPrevStep,
+                   RVec& x1, numeric::RMat* sensitivity,
+                   std::size_t maxNewton, Real tol, std::size_t* newtonIters,
+                   diag::RunBudget* budget) {
+  const std::size_t n = ws.dim();
+  RFIC_REQUIRE(sensitivity == nullptr || method != IntegrationMethod::gear2 ||
+                   xPrevStep == nullptr,
+               "integrateStep: Gear-2 does not propagate sensitivities");
+  // The sensitivity path keeps C0/G0 at (x0, t0), and the step reads its
+  // history from the same evaluation.
+  std::vector<Real> c0Vals, g0Vals;
+  std::size_t c0Version = 0;
+  if (sensitivity) {
+    ws.eval(x0, t0, true);
+    c0Vals = ws.cValues();
+    g0Vals = ws.gValues();
+    c0Version = ws.patternVersion();
+  }
+  StepScratch sc(n);
+  x1.resize(n);
+  if (!newtonStep(ws, method, t0, h, x0, xPrevStep, x1, sc, maxNewton, tol,
+                  newtonIters, budget, sensitivity != nullptr))
+    return false;
 
   if (sensitivity) {
     // dx1/dx0 from the converged step:
     //   BE:   (C1 + h·G1)·dx1 = C0·dx0
     //   trap: (C1 + h/2·G1)·dx1 = (C0 − h/2·G0)·dx0
     const Real gw = (method == IntegrationMethod::trapezoidal) ? 0.5 * h : h;
+    const Real t1 = t0 + h;
     // The pattern may have grown during the Newton loop; the cached C0/G0
     // value arrays must match the pattern the final Jacobian uses.
     for (;;) {
@@ -157,10 +182,8 @@ RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
     ws.factorJacobian(1.0, gw);
 
     const auto& pat = ws.pattern();
-    // rt: allow(rt-alloc) sensitivity epilogue: runs once per accepted step
-    // after Newton converged, never inside the iteration
     numeric::RMat out(n, sensitivity->cols());
-    RVec col(n), y(n), yg(n), sol;  // rt: allow(rt-alloc) sensitivity epilogue
+    RVec col(n), y(n), yg(n), sol;
     for (std::size_t c = 0; c < sensitivity->cols(); ++c) {
       for (std::size_t i = 0; i < n; ++i) col[i] = (*sensitivity)(i, c);
       pat.multiplyWith(c0Vals, col, y);
@@ -274,6 +297,9 @@ TransientResult transientSweep(const MnaSystem& sys, const RVec& x0,
   res.time.push_back(t);
   res.x.push_back(x);
 
+  // Step buffers, sized once for the whole sweep.
+  StepScratch scratch(n);
+  RVec x1(n);
   perf::Timer sinceSave;
   while (t < opts.tstop - 1e-12 * opts.tstop) {
     if (diag::budgetExceeded(opts.budget)) {
@@ -292,9 +318,8 @@ TransientResult transientSweep(const MnaSystem& sys, const RVec& x0,
     // a fixed-step run's last step a few ulps short, and a new step is a
     // new Jacobian to factor.
     if (opts.tstop - t < h - 1e-12 * opts.tstop) h = opts.tstop - t;
-    RVec x1;
     bool ok = integrateStep(ws, opts.method, t, h, x,
-                            havePrev ? &xPrev : nullptr, x1, nullptr,
+                            havePrev ? &xPrev : nullptr, x1, scratch,
                             opts.maxNewton, opts.newtonTol,
                             &res.newtonIterations, opts.budget);
     // A converged Newton solve can still hand back a non-finite state
@@ -455,6 +480,9 @@ TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
                              const TransientOptions& opts) {
   RFIC_REQUIRE(opts.tstop > opts.tstart, "runTransient: tstop must exceed tstart");
   RFIC_REQUIRE(opts.dt > 0, "runTransient: dt must be positive");
+  // A NaN or Inf start can only collapse the step control into StepLimit.
+  for (const Real v : x0)
+    RFIC_REQUIRE(std::isfinite(v), "runTransient: x0 must be finite");
   return perf::measured([&] { return transientSweep(sys, x0, opts); });
 }
 

@@ -80,23 +80,47 @@ struct TransientResult {
 TransientResult runTransient(const MnaSystem& sys, const RVec& x0,
                              const TransientOptions& opts);
 
+/// Per-step buffers of integrateStep, owned by the caller so that a sweep's
+/// steps allocate nothing: every vector is sized to the circuit's
+/// dimension by the constructor.
+struct StepScratch {
+  explicit StepScratch(std::size_t n)
+      : q0(n), f0(n), b0(n), qPrev(n), xIter(n), r(n), dx(n) {}
+  RVec q0, f0, b0;  ///< history q, f, b at (x0, t0)
+  RVec qPrev;       ///< Gear-2 history q one step back
+  RVec xIter;       ///< previous Newton iterate (junction limiting)
+  RVec r, dx;       ///< residual and Newton update
+};
+
+/// One integration step from (t0, x0) to t0+h into x1, both of dim()
+/// entries, with caller-owned buffers: the allocation-free form the
+/// transient sweep runs. Gear-2 uses `xPrevStep` as its history (nullptr
+/// falls back to BE). Newton iterations are counted in *newtonIters and
+/// charged to `budget`.
+RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
+                                 IntegrationMethod method, Real t0, Real h,
+                                 const RVec& x0, const RVec* xPrevStep,
+                                 RVec& x1, StepScratch& scratch,
+                                 std::size_t maxNewton, Real tol,
+                                 std::size_t* newtonIters,
+                                 diag::RunBudget* budget);
+
 /// One integration step from (t0, x0) to t0+h. `xPrevStep` supplies the
 /// history state for Gear-2 (pass nullptr to fall back to BE on the first
 /// step). On return x1 holds the new state; when `sensitivity` is non-null
 /// it is updated in place: S ← (∂x1/∂x0)·S, the propagation used to build
 /// the monodromy matrix in shooting and Floquet analyses. The workspace's
 /// sparsity pattern and LU pivot order persist across calls, so Newton
-/// iterations after the first pay only a numeric refactorization; the
-/// Newton iteration body is allocation-free (real-time audited). Newton
-/// iterations are counted in *newtonIters and charged to `budget`, which
-/// the caller polls at its step boundary.
-RFIC_REALTIME bool integrateStep(circuit::MnaWorkspace& ws,
-                                 IntegrationMethod method, Real t0, Real h,
-                                 const RVec& x0, const RVec* xPrevStep,
-                                 RVec& x1, numeric::RMat* sensitivity,
-                                 std::size_t maxNewton = 50, Real tol = 1e-9,
-                                 std::size_t* newtonIters = nullptr,
-                                 diag::RunBudget* budget = nullptr);
+/// iterations after the first pay only a numeric refactorization. This form
+/// sizes x1 and its own step buffers, then runs the allocation-free step
+/// above. Newton iterations are counted in *newtonIters and charged to
+/// `budget`, which the caller polls at its step boundary.
+bool integrateStep(circuit::MnaWorkspace& ws, IntegrationMethod method,
+                   Real t0, Real h, const RVec& x0, const RVec* xPrevStep,
+                   RVec& x1, numeric::RMat* sensitivity,
+                   std::size_t maxNewton = 50, Real tol = 1e-9,
+                   std::size_t* newtonIters = nullptr,
+                   diag::RunBudget* budget = nullptr);
 
 /// Additive white-noise transient (Euler–Maruyama on top of BE): at each
 /// step every device noise generator injects an independent Gaussian

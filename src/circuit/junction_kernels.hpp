@@ -20,11 +20,21 @@
 // src/circuit — new device math belongs here, next to the limiting helpers.
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common.hpp"
 
 namespace rfic::circuit::kernels {
+
+/// True when a limiter handed back a voltage other than the one it was
+/// given, compared by bits: then the rest of the evaluation differs from
+/// the unlimited one. Equal bits mean it is the unlimited evaluation.
+inline bool moved(Real limited, Real raw) {
+  return std::bit_cast<std::uint64_t>(limited) !=
+         std::bit_cast<std::uint64_t>(raw);
+}
 
 /// Beyond this junction voltage the exponential is continued linearly to
 /// keep Newton iterates finite.
@@ -169,8 +179,12 @@ struct DiodeParams {
 };
 
 /// One diode's stamp values: branch current/conductance and charge/cap.
+/// `limited`: the limiter moved the junction voltage, so the values differ
+/// from the unlimited evaluation at the same state; when false they are
+/// bitwise the unlimited ones.
 struct DiodeOut {
   Real i, g, q, c;
+  bool limited;
 };
 
 /// Full diode evaluation at anode-cathode voltage vRaw with SPICE limiting
@@ -190,6 +204,7 @@ inline DiodeOut diodeEval(const DiodeParams& p, Real vRaw, Real vOld,
   o.g = je.gd + p.gmin;
   o.q = jc.q + p.tt * idio;
   o.c = jc.c + p.tt * je.gd;
+  o.limited = moved(v, vRaw);
   return o;
 }
 
@@ -208,11 +223,13 @@ struct BJTParams {
 /// arguments; the 3×3 G/C blocks are laid out row-major in the scalar
 /// emission order — G rows (collector, base, emitter), C rows (base,
 /// emitter, collector), columns (base, emitter, collector) in both.
+/// `limited` as in DiodeOut: either junction voltage was moved.
 struct BJTOut {
   Real fC, fB, fE;
   Real qB, qE, qC;
   Real g[9];
   Real c[9];
+  bool limited;
 };
 
 inline BJTOut bjtEval(const BJTParams& p, Real vbRaw, Real veRaw, Real vcRaw,
@@ -252,6 +269,7 @@ inline BJTOut bjtEval(const BJTParams& p, Real vbRaw, Real veRaw, Real vcRaw,
   const Real ieStd = -ict - fwd.i / p.bf - p.gmin * vbeRaw;
 
   BJTOut o;
+  o.limited = moved(vbe, vbeRaw) || moved(vbc, vbcRaw);
   o.fC = sign * icStd;
   o.fB = sign * ib;
   o.fE = sign * ieStd;
@@ -331,19 +349,23 @@ inline MOSFETOpPoint mosfetCurrent(Real vgs, Real vds, Real kp, Real vt0,
 
 /// One MOSFET's stamp values: drain current, overlap charges (valid when
 /// cgs/cgd > 0), and the 2×3 conductance block over rows (drain, source) ×
-/// columns (gate, drain, source).
+/// columns (gate, drain, source). `limited` as in DiodeOut: the limited
+/// (vgs, vds) pair differs from the raw one.
 struct MOSFETOut {
   Real i;
   Real qGS, qGD;  ///< cgs·vgsRaw, cgd·vgdRaw
   Real g[6];
+  bool limited;
 };
 
 inline MOSFETOut mosfetEval(const MOSFETParams& p, Real vdRaw, Real vgRaw,
                             Real vsRaw, Real vdOld, Real vgOld, Real vsOld,
                             bool limit, bool wantMatrices) {
   const Real sign = p.sign;
-  Real vgs = sign * (vgRaw - vsRaw);
-  Real vds = sign * (vdRaw - vsRaw);
+  const Real vgsRaw = sign * (vgRaw - vsRaw);
+  const Real vdsRaw = sign * (vdRaw - vsRaw);
+  Real vgs = vgsRaw;
+  Real vds = vdsRaw;
   if (limit) {
     // SPICE-style step damping on both controlling voltages: fetLimit keeps
     // the gate drive from overshooting the square law, vdsLimit keeps the
@@ -375,6 +397,10 @@ inline MOSFETOut mosfetEval(const MOSFETParams& p, Real vdRaw, Real vgRaw,
   const Real idFlow = swapped ? -op.id : op.id;  // current drain->source
 
   MOSFETOut o;
+  // The mirrored branch recombines vgs = vgd + vds, which can round to
+  // other bits than the raw vgs even when neither limiter moved anything,
+  // so the final pair is what is compared.
+  o.limited = moved(vgs, vgsRaw) || moved(vds, vdsRaw);
   o.i = sign * idFlow + sign * p.gmin * vds;
 
   // Fixed overlap capacitances (linear), on the *raw* node voltages.

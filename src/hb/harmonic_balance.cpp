@@ -412,22 +412,23 @@ HBSolution HarmonicBalance::solveAttempt(const RVec& dcOp,
           // whatever direction it produced.
           return std::nullopt;
         },
-        // Damped update on the packed spectrum; the last rung takes its
-        // trial whatever its residual.
-        [&](Real rnorm) {
-          Real alpha = 1.0;
+        // Damped update on the packed spectrum: up to five halvings; the
+        // last rung takes any finite trial, and a solve whose every trial
+        // is non-finite has left the models' domain.
+        [&](Real rnorm) -> diag::NewtonStop {
           packReal(coeffs, xPack);
-          for (int damp = 0; damp < 6; ++damp) {
-            xNew = xPack;
-            numeric::axpy(-alpha, dx, xNew);
-            unpackReal(xNew, trial);
-            residual(trial, lambda, dxp, nullptr, nullptr, nullptr, nullptr);
-            if (numeric::norm2(dxp) <= rnorm || damp == 5) {
-              coeffs = trial;
-              break;
-            }
-            alpha *= 0.5;
-          }
+          const std::optional<Real> alpha =
+              diag::dampedStep(5, rnorm, 1.0, [&](Real a) {
+                xNew = xPack;
+                numeric::axpy(-a, dx, xNew);
+                unpackReal(xNew, trial);
+                residual(trial, lambda, dxp, nullptr, nullptr, nullptr,
+                         nullptr);
+                return numeric::norm2(dxp);
+              });
+          if (!alpha) return diag::SolverStatus::Diverged;
+          coeffs = trial;
+          return std::nullopt;
         });
     sol.newtonIterations += out.iterations;
     // A stage out of iterations hands its iterate to the next, stronger

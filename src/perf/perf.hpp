@@ -50,6 +50,7 @@ namespace rfic::perf {
 #define RFIC_PERF_COUNTERS(X)                                                \
   X(evals, "evals", Sum, Count, "")                                          \
   X(evalBatched, "batched SoA", Sum, Count, "evals")                         \
+  X(evalReuses, "eval reuses", Sum, Count, "")                               \
   X(evalNs, "eval time", Sum, Ns, "")                                        \
   X(evalBatchNs, "batched SoA", Sum, Ns, "evalNs")                           \
   X(factorizations, "factorizations", Sum, Count, "")                        \
@@ -159,6 +160,13 @@ class Counters {
     addEvals(count, ns);
     add(Id::evalBatched, count);
     add(Id::evalBatchNs, ns);
+  }
+  /// An evaluation request served from the workspace's last evaluation
+  /// (MnaWorkspace::evalBivariate): not an eval; its time, the state
+  /// comparison and any source restamp, lands in evalNs.
+  void addEvalReuse(std::uint64_t ns) {
+    add(Id::evalReuses, 1);
+    add(Id::evalNs, ns);
   }
   void addFactorization(std::uint64_t ns) {
     add(Id::factorizations, 1);

@@ -74,6 +74,19 @@ class CSR {
     RFIC_REQUIRE(val_.size() == colIdx_.size(), "CSR: value count mismatch");
   }
 
+  /// A structure laid out by the caller (columns ascending and distinct
+  /// within each row), all values zero.
+  CSR(std::size_t rows, std::size_t cols, std::vector<std::size_t> rowPtr,
+      std::vector<std::size_t> colIdx)
+      : rows_(rows),
+        cols_(cols),
+        rowPtr_(std::move(rowPtr)),
+        colIdx_(std::move(colIdx)),
+        val_(colIdx_.size()) {
+    RFIC_REQUIRE(rowPtr_.size() == rows_ + 1 && rowPtr_.back() == nnz(),
+                 "CSR: row pointer mismatch");
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return val_.size(); }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "analysis/dc.hpp"
@@ -269,6 +270,52 @@ TEST(Spectrum, DbcReferencesStrongestLine) {
     }
   }
   EXPECT_TRUE(foundCarrier);
+}
+
+// One-port whose current is finite only inside |v| <= wall: a Newton trial
+// beyond the wall evaluates to NaN.
+class NanWall final : public Device {
+ public:
+  NanWall(std::string name, int node, Real wall)
+      : Device(std::move(name)), n_(node), wall_(wall) {}
+  void stamp(const RVec& x, const RVec*, Stamp& s) const override {
+    const Real v = nodeVoltage(x, n_);
+    const Real i =
+        std::abs(v) <= wall_ ? v : std::numeric_limits<Real>::quiet_NaN();
+    s.addF(n_, i);
+    if (s.wantMatrices()) s.addG(n_, n_, 1.0);
+  }
+
+ private:
+  int n_;
+  Real wall_;
+};
+
+TEST(HarmonicBalance, DampingStopsOnANonFiniteLastTrial) {
+  // A 2 A sine into the 1 mV wall: the full step lands near 2 V and even
+  // the fifth halving stays beyond the wall, so every damped trial is NaN.
+  // The update ends the solve Diverged after its first iteration instead
+  // of taking the NaN trial and paying one more iteration to find out.
+  Circuit c;
+  const int n = c.node("n");
+  c.add<NanWall>("W1", n, 1e-3);
+  c.add<ISource>("I1", -1, n, std::make_shared<SineWave>(2.0, 1e3));
+  MnaSystem sys(c);
+  HBOptions opts;
+  opts.maxRetries = 0;
+  HarmonicBalance hb(sys, {{1e3, 3}}, opts);
+#ifdef RFIC_DIAG
+  // The Diag build's finite contract on the HB time samples stops the
+  // first NaN trial before the line search sees its norm.
+  EXPECT_THROW((void)hb.solve(RVec(sys.dim(), 0.0)), NumericalError);
+#else
+  const HBSolution sol = hb.solve(RVec(sys.dim(), 0.0));
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.status, diag::SolverStatus::Diverged);
+  EXPECT_EQ(sol.newtonIterations, 1u);
+  for (std::size_t k = 0; k < sol.coeffs.cols(); ++k)
+    EXPECT_TRUE(std::isfinite(std::abs(sol.coeffs(0, k)))) << "harmonic " << k;
+#endif
 }
 
 TEST(Spectrum, ToDbHandlesZeros) {

@@ -208,6 +208,32 @@ TEST(Transient, InvalidOptionsThrow) {
                InvalidArgument);
 }
 
+TEST(Transient, NonFiniteStartIsRejectedByName) {
+  // A NaN or Inf start can only end in a step-control collapse (19 dt
+  // halvings and 40 evaluations before StepLimit on this RC); it is
+  // rejected at entry instead, naming x0, before any evaluation.
+  Circuit c;
+  const int a = c.node("a");
+  c.add<Resistor>("R1", a, -1, 1e3);
+  c.add<Capacitor>("C1", a, -1, 1e-9);
+  MnaSystem sys(c);
+  TransientOptions to;
+  to.dt = 1e-7;
+  to.tstop = 1e-6;
+  for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity()}) {
+    const perf::Snapshot before = perf::global().snapshot();
+    try {
+      (void)runTransient(sys, RVec(1, bad), to);
+      ADD_FAILURE() << "non-finite x0 accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("x0"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(perf::global().snapshot().evals, before.evals);
+  }
+}
+
 TEST(Transient, LinearMeshFactorsOnceAndWarmMatchesColdBitwise) {
   // A linear circuit at a fixed step has one Jacobian: the first step
   // factors it and every later one skips the refactor. A warm workspace

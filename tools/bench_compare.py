@@ -12,8 +12,8 @@ artifacts). Numeric keys are diffed; wall-clock keys (ending in `_s` or
 `_ns`) get a ratio column and are flagged when they regress by more than
 the threshold (default 25%).
 
-Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations,
-factorizations, refactorizations and refactor skips, Newton/GMRES
+Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations and
+evaluation reuses, factorizations, refactorizations and refactor skips, Newton/GMRES
 iterations, transforms, workspace growth events, fill — which depends
 only on the pattern and the pivots) are
 machine-independent, so they GATE: the exit code is 1 when one differs
@@ -32,9 +32,10 @@ import sys
 from pathlib import Path
 
 
-WORK_COUNT_SUFFIXES = (".evals", ".factorizations", ".refactorizations",
-                       ".refactor_skips", ".newton", ".gmres", ".fft_count",
-                       ".fill", ".factor_fill_nnz", ".workspace_growth")
+WORK_COUNT_SUFFIXES = (".evals", ".eval_reuses", ".factorizations",
+                       ".refactorizations", ".refactor_skips", ".newton",
+                       ".gmres", ".fft_count", ".fill", ".factor_fill_nnz",
+                       ".workspace_growth")
 SCHEDULING_DEPENDENT = {"BENCH_daemon_throughput.json"}
 
 
