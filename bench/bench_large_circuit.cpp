@@ -13,11 +13,13 @@
 // (ammeters), which forces off-diagonal pivots all through the order.
 //
 // Reported per case: analysis (ordering + factor) wall time, fill-in ratio
-// and factor nnz, refactor time and solve time. A 20-step transient on the
-// MNA mesh's circuit (the rficsim `mesh_cold` shape at the quick size)
-// reports the evaluation counts the transient's evaluate-once path gates:
-// one fresh evaluation per step, the history and first-iteration requests
-// answered from the last one. Quick mode
+// and factor nnz, refactor time and solve time; for the grid and the MNA
+// mesh also the steps and multiply-subtracts the analysis took through its
+// supernode path (gated counts: a pattern and pivot property). A 20-step
+// transient on the MNA mesh's circuit (the rficsim `mesh_cold` shape at the
+// quick size) reports the evaluation counts the transient's evaluate-once
+// path gates: one fresh evaluation per step, the history and
+// first-iteration requests answered from the last one. Quick mode
 // (RFIC_BENCH_QUICK=1, the CI perf-smoke setting) trims the node counts;
 // the full run goes to ~50k- and ~100k-node meshes.
 #include <array>
@@ -163,6 +165,9 @@ struct CaseResult {
   Real solveMs = 0;     ///< per solve
   bool timedReplays = false;  ///< every timed refactor ran a replay
   std::uint64_t factorizations = 0;  ///< analyses, the repivots included
+  /// The analysis's supernode path: steps and multiply-subtracts.
+  std::size_t supernodeSteps = 0;
+  std::size_t supernodeFlops = 0;
 };
 
 CaseResult runCase(const char* label, const sparse::RCSR& a,
@@ -183,6 +188,8 @@ CaseResult runCase(const char* label, const sparse::RCSR& a,
   res.factorMs = sw.seconds() * 1e3;
   res.factorNnz = lu.factorNnz();
   res.fill = lu.fillRatio();
+  res.supernodeSteps = lu.supernodeWork().steps;
+  res.supernodeFlops = lu.supernodeWork().flops;
 
   // Two perturbed value sets over the same pattern — the Newton-loop
   // steady state. They alternate, so no refactor meets the values it
@@ -288,6 +295,8 @@ int main() {
   json.metric("mesh.amd.factor_s", amd.factorMs * 1e-3);
   json.metric("mesh.amd.refactor_s", amd.refactorMs * 1e-3);
   json.metric("mesh.amd.solve_s", amd.solveMs * 1e-3);
+  json.count("mesh.supernode_steps", amd.supernodeSteps);
+  json.count("mesh.supernode_flops", amd.supernodeFlops);
   json.count("mesh_big.n", amdBig.n);
   json.metric("mesh_big.amd.fill", amdBig.fill);
   json.metric("mesh_big.amd.factor_s", amdBig.factorMs * 1e-3);
@@ -300,6 +309,8 @@ int main() {
   json.metric("mna_mesh.amd.fill", mna.fill);
   json.count("mna_mesh.factorizations", mna.factorizations);
   json.metric("mna_mesh.amd.factor_s", mna.factorMs * 1e-3);
+  json.count("mna_mesh.supernode_steps", mna.supernodeSteps);
+  json.count("mna_mesh.supernode_flops", mna.supernodeFlops);
   json.count("ammeter_mesh.n", ammeter.n);
   json.metric("ammeter_mesh.amd.fill", ammeter.fill);
   json.count("ammeter_mesh.factorizations", ammeter.factorizations);

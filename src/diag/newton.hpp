@@ -105,13 +105,19 @@ NewtonResult runNewton(const NewtonLoop& loop, Check&& check, Solve&& solve,
 /// Backtracking damping: tries α = 1, ½, ¼, … down to 2^-maxHalvings;
 /// `trialNorm(α)` forms the trial iterate and returns its residual norm.
 /// Takes the first finite trial within `growth`·rnorm, or at the last α any
-/// finite trial, never a non-finite one. Returns the α taken, or nullopt.
+/// finite trial, never a non-finite one. A trial whose evaluation throws
+/// NumericalError (a finite-value contract on the models' outputs) counts
+/// as non-finite. Returns the α taken, or nullopt.
 template <class TrialNorm>
 std::optional<Real> dampedStep(int maxHalvings, Real rnorm, Real growth,
                                TrialNorm&& trialNorm) {
   Real alpha = 1.0;
   for (int k = 0; k <= maxHalvings; ++k) {
-    const Real tn = trialNorm(alpha);
+    Real tn = std::numeric_limits<Real>::quiet_NaN();
+    try {
+      tn = trialNorm(alpha);
+    } catch (const NumericalError&) {
+    }
     if (std::isfinite(tn) && (tn <= growth * rnorm || k == maxHalvings))
       return alpha;
     alpha *= 0.5;

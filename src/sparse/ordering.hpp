@@ -71,9 +71,14 @@ class ScopedOrderingOverride {
 /// deterministic — quotient-graph with element absorption, the
 /// Amestoy–Davis–Duff two-pass approximate external degree, aggressive
 /// element absorption, and index-order tie-breaking. Duplicate column
-/// indices and unsorted rows are tolerated.
+/// indices and unsorted rows are tolerated. With `lowerNnz`, also reports
+/// the entries below the diagonal of the Cholesky factor of the
+/// symmetrized pattern in the returned order (Σ|L_p| over the pivots: each
+/// new element's list is the exact column of that factor), which SymbolicLU
+/// uses to size its factor arrays.
 std::vector<std::uint32_t> amdOrder(std::size_t n,
                                     const std::vector<std::size_t>& rowPtr,
-                                    const std::vector<std::uint32_t>& colIdx);
+                                    const std::vector<std::uint32_t>& colIdx,
+                                    std::size_t* lowerNnz = nullptr);
 
 }  // namespace rfic::sparse

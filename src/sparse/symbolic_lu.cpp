@@ -18,14 +18,15 @@ namespace {
 
 constexpr std::uint32_t kNone = 0xffffffffu;
 
-/// Factor size if every pivot lands on the diagonal: the Cholesky factor of
-/// the symmetrized pattern eliminated in `order`, counted with one
-/// row-subtree walk per row over the elimination tree as it grows
-/// (O(factor size)). Column r has c_r entries below the diagonal, so the
-/// factor holds n + 2·Σc_r entries. The analysis only uses it to reserve
-/// its factor arrays up front: in a cold process growth copies and
-/// first-touch page faults cost as much as the elimination itself.
-std::size_t diagonalPivotFactorNnz(
+/// Each off-diagonal half of the factor if every pivot lands on the
+/// diagonal: the entries below the diagonal of the Cholesky factor of the
+/// symmetrized pattern eliminated in `order`, counted with one row-subtree
+/// walk per row over the elimination tree as it grows (O(factor size)).
+/// amdOrder reports the same count for its own order. The analysis only
+/// uses it to reserve its factor arrays up front: in a cold process growth
+/// copies and first-touch page faults cost as much as the elimination
+/// itself.
+std::size_t diagonalPivotLowerNnz(
     std::size_t n, const std::vector<std::size_t>& rowPtr,
     const std::vector<std::uint32_t>& colIdx,
     const std::vector<std::uint32_t>& order) {
@@ -69,9 +70,9 @@ std::size_t diagonalPivotFactorNnz(
         if (parent[r] == kNone) parent[r] = kk;
       }
   }
-  std::size_t factorNnz = n;
-  for (std::size_t r = 0; r < n; ++r) factorNnz += 2 * std::size_t{below[r]};
-  return factorNnz;
+  std::size_t lowerNnz = 0;
+  for (std::size_t r = 0; r < n; ++r) lowerNnz += below[r];
+  return lowerNnz;
 }
 
 /// Index arrays carved from one allocation, for the same reason.
@@ -112,6 +113,10 @@ class WorkColumn<Real> {
     if (m != Real{}) xi -= m * u;
     v_[i] = xi;
   }
+  /// x_i -= m·u on an entry already in the column.
+  void subtract(std::size_t i, Real m, Real u) {
+    if (m != Real{}) v_[i] -= m * u;
+  }
 
  private:
   std::vector<Real> v_;
@@ -136,25 +141,53 @@ class WorkColumn<Complex> {
     Real xr = fill ? Real(0) : re_[i];
     Real xi = fill ? Real(0) : im_[i];
     if (m != Complex{}) {
-      Real pr = m.real() * u.real() - m.imag() * u.imag();
-      Real pi = m.real() * u.imag() + m.imag() * u.real();
-      if (std::isnan(pr) || std::isnan(pi)) {
-        const Complex d = m * u;
-        pr = d.real();
-        pi = d.imag();
-      }
+      Real pr, pi;
+      product(m, u, pr, pi);
       xr -= pr;
       xi -= pi;
     }
     re_[i] = xr;
     im_[i] = xi;
   }
+  void subtract(std::size_t i, Complex m, Complex u) {
+    if (m == Complex{}) return;
+    Real pr, pi;
+    product(m, u, pr, pi);
+    re_[i] -= pr;
+    im_[i] -= pi;
+  }
 
  private:
+  static void product(Complex m, Complex u, Real& pr, Real& pi) {
+    pr = m.real() * u.real() - m.imag() * u.imag();
+    pi = m.real() * u.imag() + m.imag() * u.real();
+    if (std::isnan(pr) || std::isnan(pi)) {
+      const Complex d = m * u;
+      pr = d.real();
+      pi = d.imag();
+    }
+  }
+
   std::vector<Real> parts_;
   Real* re_;
   Real* im_;
 };
+
+/// x_i -= l_i·u over the rows of one L column, none of them fill. Unrolled
+/// by four: the rows are distinct, so the order among them is immaterial.
+template <class T>
+void subtractColumn(WorkColumn<T>& x, std::span<const std::uint32_t> rows,
+                    const T* l, T u) {
+  const std::uint32_t* r = rows.data();
+  const std::uint32_t* const end = r + rows.size();
+  for (; end - r >= 4; r += 4, l += 4) {
+    x.subtract(r[0], l[0], u);
+    x.subtract(r[1], l[1], u);
+    x.subtract(r[2], l[2], u);
+    x.subtract(r[3], l[3], u);
+  }
+  for (; r != end; ++r, ++l) x.subtract(*r, *l, u);
+}
 
 /// The pivot search's one structural question, asked only where the
 /// diagonal fails: how many entries does unpivoted row r hold at step k in
@@ -411,11 +444,12 @@ void SymbolicLU<T>::factor(const CSR<T>& a, const Options& opts) {
   std::uint64_t orderingNs = 0;
   if (resolved_ == Ordering::Amd) {
     const perf::Timer orderTimer;
-    colOrder_ = amdOrder(n_, aRowPtr_, aColIdx_);
+    colOrder_ = amdOrder(n_, aRowPtr_, aColIdx_, &diagonalLowerNnz_);
     orderingNs = orderTimer.ns();
   } else {
     colOrder_.resize(n_);
     std::iota(colOrder_.begin(), colOrder_.end(), std::uint32_t{0});
+    diagonalLowerNnz_ = diagonalPivotLowerNnz(n_, aRowPtr_, aColIdx_, colOrder_);
   }
   analyzeFromValues(a.values().data());
   factoredVals_.assign(a.values().begin(), a.values().end());
@@ -449,7 +483,7 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   analyzed_ = false;
   const std::size_t n = n_;
 
-  IndexArena arena(3 * nnz_ + 8 * n + 2);
+  IndexArena arena(2 * nnz_ + 10 * n + 3);
   // A by column, rows ascending, with each entry's CSR position.
   const auto colPtr = arena.take(n + 1, 0);
   const auto colRow = arena.take(nnz_, 0), colPos = arena.take(nnz_, 0);
@@ -473,50 +507,60 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
   pivCol_.resize(n);
   pivVal_.resize(n);
   lPtr_.assign(n + 1, 0);
-  uPtr_.assign(n + 1, 0);
+  uPtr_.assign(n + 1, 0);  // U entries per step, then offsets
   lRow_.clear();
   lVal_.clear();
-  // Each off-diagonal half of the factor, if every pivot is diagonal.
-  const std::size_t half =
-      (diagonalPivotFactorNnz(n, aRowPtr_, aColIdx_, colOrder_) - n) / 2;
+  // Each off-diagonal half of the factor, if every pivot is diagonal, with
+  // room for the few entries an off-diagonal pivot adds (a voltage
+  // source's branch row): a vector that outgrows its reservation copies
+  // itself into twice the memory. Room never touched costs no page.
+  const std::size_t half = diagonalLowerNnz_ + diagonalLowerNnz_ / 8 + n;
   lRow_.reserve(half);
   lVal_.reserve(half);
 
   // U entries in the order they are found (column by column): the step
-  // that owns each, its column and value. An input entry is also filed
-  // under its CSR position; a fill is filed as a child of the U entry
-  // whose update created it (the children of one entry lie in distinct
-  // rows).
-  struct Found {
-    std::uint32_t step, child, sibling;
-  };
-  std::vector<Found> found;
+  // that owns each, its column, value and next sibling. Each entry heads a
+  // list in `head`: slot p < nnz_ lists the entry found at CSR position p,
+  // slot nnz_ + e the fill entries that entry e's update created (the
+  // children of one entry lie in distinct rows). The records are RowL
+  // words (the sibling in `l`): once the U rows are placed, their buffer
+  // becomes rowL_, so its pages are touched once.
+  std::vector<RowL> found;
   std::vector<T> uFound;
-  uCol_.clear();
+  std::vector<std::uint32_t> head(nnz_, kNone);
   found.reserve(half);
   uFound.reserve(half);
-  uCol_.reserve(half);
-  const auto foundAt = arena.take(nnz_, 0);  // CSR position -> U entry
-  const auto inputs = arena.take(n, 0);      // input entries per U row
+  head.reserve(nnz_ + half);
 
   WorkColumn<T> x(n);                         // the column being built
-  const auto inCol = arena.take(n, kNone);    // step whose column holds row
-  // Its pattern, in list order; one spare slot for the branch-free append.
-  const auto rows = arena.take(n + 1, 0);
+  // 2·(the step whose column holds the row), plus 1 once the row is
+  // pivoted: one load answers both questions.
+  const auto inCol = arena.take(n, kNone - 1);
+  // Its pattern, in list order, split into the unpivoted rows (the L part)
+  // and the pivoted ones (the U part); one spare slot each for the
+  // branch-free append.
+  const auto lRows = arena.take(n + 1, 0), uRows = arena.take(n + 1, 0);
   const auto stepOfRow = arena.take(n, kNone);  // kNone: unpivoted
   // Where a pivoted row's entry in the column came from: its CSR position,
   // or nnz_ + the U entry whose update created it.
   const auto origin = arena.take(n, 0);
+  // Supernodes: step j joins step j-1 when step j-1 updated column j and
+  // |L(j)| + 1 = |L(j-1)|. Step j-1 put every row of L(j-1) into column j,
+  // so the count proves L(j) ∪ {pivRow_[j]} = L(j-1): any column that
+  // takes step j-1 then holds every row step j touches.
+  const auto joinsPrev = arena.take(n, 0);
+  const auto lInRow = arena.take(n, 0);  // L entries per row so far
   // Steps to apply to the column: every step reached from step j is later
   // than j, so a bitset scanned upward applies them in ascending order.
   std::vector<std::uint64_t> toApply((n + 63) / 64, 0);
   ActiveRowCounter rowLength(aRowPtr_, aColIdx_, stepOfCol, stepOfRow, pivRow_,
                              lPtr_, lRow_);
+  snWork_ = {};
 
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t pc = colOrder_[k];
     const auto kk = static_cast<std::uint32_t>(k);
-    std::size_t len = 0;  // rows [0, len) hold the column's pattern
+    std::size_t nl = 0, nu = 0;  // lRows[0, nl) and uRows[0, nu)
     std::size_t lo = toApply.size(), hi = 0;  // word range with bits set
     const auto reach = [&](std::uint32_t s) {
       toApply[s / 64] |= std::uint64_t{1} << (s % 64);
@@ -526,63 +570,85 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     for (std::size_t q = colPtr[pc]; q < colPtr[pc + 1]; ++q) {
       const std::uint32_t r = colRow[q];
       x.set(r, vals[colPos[q]]);
-      inCol[r] = kk;
-      rows[len++] = r;
-      if (stepOfRow[r] != kNone) {
+      const std::uint32_t pivoted = inCol[r] & 1;
+      inCol[r] = 2 * kk | pivoted;
+      if (pivoted != 0) {
+        uRows[nu++] = r;
         origin[r] = colPos[q];
         reach(stepOfRow[r]);
+      } else {
+        lRows[nl++] = r;
       }
     }
+    bool tookPrevious = false;  // step k-1 updated this column
+    // Row pivRow_[j] has taken every update of the steps before j, so its
+    // entry is final: U(j, pc). It is filed under its origin.
+    const auto takeU = [&](std::uint32_t j) {
+      const std::uint32_t pr = pivRow_[j];
+      const T u = x.get(pr);
+      const auto e = static_cast<std::uint32_t>(found.size());
+      const std::uint32_t o = origin[pr];
+      found.push_back({static_cast<std::uint32_t>(pc), j, head[o]});
+      head[o] = e;
+      head.push_back(kNone);
+      uFound.push_back(u);
+      ++uPtr_[j + 1];
+      return u;
+    };
     for (std::size_t wd = lo; wd <= hi && wd < toApply.size(); ++wd)
       while (toApply[wd] != 0) {
-        const auto j = static_cast<std::uint32_t>(
+        auto j = static_cast<std::uint32_t>(
             wd * 64 + static_cast<std::size_t>(std::countr_zero(toApply[wd])));
         toApply[wd] &= toApply[wd] - 1;
-        // Row pivRow_[j] has taken every update of the steps before j, so
-        // its entry is final: U(j, pc).
-        const std::uint32_t pr = pivRow_[j];
-        const T u = x.get(pr);
         const auto e = static_cast<std::uint32_t>(found.size());
-        found.push_back({j, kNone, kNone});
-        uFound.push_back(u);
-        uCol_.push_back(static_cast<std::uint32_t>(pc));
-        if (const std::uint32_t o = origin[pr]; o < nnz_) {
-          foundAt[o] = e;
-          ++inputs[j];
-        } else {
-          found[e].sibling = found[o - nnz_].child;
-          found[o - nnz_].child = e;
-        }
+        const T u = takeU(j);
         // Entries the step creates (fill) join the pattern, branch-free:
-        // whether a row is new does not follow a pattern the branch
-        // predictor could learn.
-        const std::size_t before = len;
+        // whether a row is new, or pivoted, does not follow a pattern the
+        // branch predictor could learn.
+        const std::size_t before = nu;
         for (std::size_t li = lPtr_[j]; li < lPtr_[j + 1]; ++li) {
           const std::uint32_t i = lRow_[li];
-          const bool fill = inCol[i] != kk;
-          inCol[i] = kk;
-          rows[len] = i;
-          len += fill;
+          const std::uint32_t held = inCol[i];
+          const bool fill = held >> 1 != kk;
+          const std::uint32_t pivoted = held & 1;
+          inCol[i] = 2 * kk | pivoted;
+          lRows[nl] = i;
+          uRows[nu] = i;
+          nl += fill & (pivoted == 0);
+          nu += fill & (pivoted != 0);
           x.update(i, fill, lVal_[li], u);
         }
         // A fill row pivoted before k holds a U entry of this column,
         // created by this step's, and reaches its own step.
-        for (std::size_t q = before; q < len; ++q)
-          if (const std::uint32_t s = stepOfRow[rows[q]]; s != kNone) {
-            origin[rows[q]] = static_cast<std::uint32_t>(nnz_) + e;
-            reach(s);
-          }
+        for (std::size_t q = before; q < nu; ++q) {
+          origin[uRows[q]] = static_cast<std::uint32_t>(nnz_) + e;
+          reach(stepOfRow[uRows[q]]);
+        }
+        // The rest of j's supernode: the column now holds every row of
+        // L(j+1), pivRow_[j+1] included, so step j+1 is the next one and
+        // brings no fill, no new reach and no new origin.
+        while (j + 1 < k && joinsPrev[j + 1] != 0) {
+          ++j;
+          toApply[j / 64] &= ~(std::uint64_t{1} << (j % 64));
+          const T uj = takeU(j);
+          const std::size_t len = lPtr_[j + 1] - lPtr_[j];
+          subtractColumn(x, std::span(lRow_).subspan(lPtr_[j], len),
+                         lVal_.data() + lPtr_[j], uj);
+          ++snWork_.steps;
+          snWork_.flops += len;
+        }
+        tookPrevious |= j + 1 == k;
       }
-    const std::span<const std::uint32_t> pattern(rows.data(), len);
+    const std::span<const std::uint32_t> pattern(lRows.data(), nl);
 
     // --- Pivot selection over the unpivoted rows of the column.
     Real cmax = 0;
     for (const std::uint32_t r : pattern)
-      if (stepOfRow[r] == kNone) cmax = std::max(cmax, std::abs(x.get(r)));
+      cmax = std::max(cmax, std::abs(x.get(r)));
     std::size_t pr = n;
     if (cmax > 0) {
       const Real tol = opts_.pivotThreshold * cmax;
-      if (inCol[pc] == kk && stepOfRow[pc] == kNone) {
+      if (inCol[pc] == 2 * kk) {  // in the column, unpivoted
         const Real mag = std::abs(x.get(pc));
         if (mag > 0 && mag >= tol) pr = pc;
       }
@@ -590,7 +656,6 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
         std::size_t bestLen = std::numeric_limits<std::size_t>::max();
         Real bestMag = 0;
         for (const std::uint32_t r : pattern) {
-          if (stepOfRow[r] != kNone) continue;
           const Real mag = std::abs(x.get(r));
           if (mag < tol) continue;
           const std::size_t rowLen = rowLength.lengthOf(r, kk);
@@ -609,49 +674,52 @@ void SymbolicLU<T>::analyzeFromValues(const T* vals) {
     pivCol_[k] = static_cast<std::uint32_t>(pc);
     pivVal_[k] = p;
     stepOfRow[pr] = kk;
+    inCol[pr] |= 1;
     for (const std::uint32_t r : pattern)
-      if (stepOfRow[r] == kNone) {
+      if (r != pr) {
         lRow_.push_back(r);
         lVal_.push_back(x.get(r) / p);
+        ++lInRow[r];
       }
     lPtr_[k + 1] = lRow_.size();
+    joinsPrev[k] = tookPrevious && lPtr_[k + 1] - lPtr_[k] + 1 ==
+                                       lPtr_[k] - lPtr_[k - 1];
   }
 
   // U rows in stored order, with no sort: row j lists its input entries
   // in CSR order, then its fill by creating step and position in that
   // step's U row. So the rows are emitted in step order; once row j is in
-  // place, its entries hand their children, in row order, to the fill
-  // part of the later rows they belong to, which then fills up in exactly
-  // that order.
-  for (const Found& f : found) ++uPtr_[f.step + 1];
+  // place, its entries hand their children, in row order, to the fill part
+  // of the later rows they belong to, which then fills up in exactly that
+  // order. A slot holds its entry's index in `found` until its row is
+  // emitted, and then the entry's column.
   for (std::size_t k = 0; k < n; ++k) uPtr_[k + 1] += uPtr_[k];
   const auto fillAt = next;  // next fill slot of each U row
-  for (std::size_t k = 0; k < n; ++k)
-    fillAt[k] = static_cast<std::uint32_t>(uPtr_[k] + inputs[k]);
-  std::vector<std::uint32_t> cols(found.size()), entryAt(found.size());
+  uCol_.resize(found.size());
   uVal_.resize(found.size());
-  const auto place = [&](std::uint32_t e, std::size_t q) {
-    cols[q] = uCol_[e];
-    uVal_[q] = uFound[e];
-    entryAt[q] = e;
-  };
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t q = uPtr_[k];
     const std::uint32_t r = pivRow_[k];
     for (std::size_t p = aRowPtr_[r]; p < aRowPtr_[r + 1]; ++p)
-      if (stepOfCol[aColIdx_[p]] > k) place(foundAt[p], q++);
-    for (q = uPtr_[k]; q < uPtr_[k + 1]; ++q)
-      for (std::uint32_t f = found[entryAt[q]].child; f != kNone;
-           f = found[f].sibling)
-        place(f, fillAt[found[f].step]++);
+      if (stepOfCol[aColIdx_[p]] > k) uCol_[q++] = head[p];
+    fillAt[k] = static_cast<std::uint32_t>(q);
   }
-  uCol_.swap(cols);
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t q = uPtr_[k]; q < uPtr_[k + 1]; ++q) {
+      const std::uint32_t e = uCol_[q];
+      uCol_[q] = found[e].col;
+      uVal_[q] = uFound[e];
+      for (std::uint32_t f = head[nnz_ + e]; f != kNone; f = found[f].l)
+        uCol_[fillAt[found[f].step]++] = f;
+    }
 
   // Row-wise L index: the L entries of the row pivoted at step s, in
   // ascending step — the order in which the elimination updated that row.
-  rowLPtr_.assign(n + 1, 0);
-  for (const std::uint32_t r : lRow_) ++rowLPtr_[stepOfRow[r] + 1];
-  for (std::size_t s = 0; s < n; ++s) rowLPtr_[s + 1] += rowLPtr_[s];
+  rowLPtr_.resize(n + 1);
+  rowLPtr_[0] = 0;
+  for (std::size_t s = 0; s < n; ++s)
+    rowLPtr_[s + 1] = rowLPtr_[s] + lInRow[pivRow_[s]];
+  rowL_.swap(found);
   rowL_.resize(lRow_.size());
   for (std::size_t k = 0; k < n; ++k)
     next[k] = static_cast<std::uint32_t>(rowLPtr_[k]);

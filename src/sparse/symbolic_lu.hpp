@@ -15,11 +15,18 @@
 // steps whose pivot row lies in its pattern in ascending step (a bitset over
 // steps: every step reached from step j is later than j), picks the pivot
 // row from the finished column and records L(k); the U entries it meets are
-// put in their rows' stored order at the end. The factors, their stored
-// orders and every rounding are those of a right-looking elimination over
-// the active submatrix with the same pivots (the differential test in
-// tests/test_symbolic_lu_oracle.cpp keeps that elimination as its
-// reference). A factorization stores O(factor nnz + n).
+// put in their rows' stored order at the end. Steps come in supernodes:
+// step j joins step j-1 when step j-1 updated column j and
+// |L(j)| + 1 = |L(j-1)|, which proves L(j) ∪ {pivot row of j} = L(j-1). A
+// column that takes step j-1 then already holds every row of L(j), so it
+// takes step j next as a plain x_i -= l·u over L(j), with no fill, reach or
+// origin bookkeeping (supernodeWork() counts these steps). The stored L
+// keeps its order: joined columns seldom list their rows in the same
+// order, and solveTransposed() accumulates in stored order. The factors,
+// their stored orders and every rounding are those of a right-looking
+// elimination over the active submatrix with the same pivots (the
+// differential test in tests/test_symbolic_lu_oracle.cpp keeps that
+// elimination as its reference). A factorization stores O(factor nnz + n).
 //
 // refactor(values) then recomputes the factors on new numeric values — no
 // ordering, no search, no allocation — by a row-by-row ("up-looking", row
@@ -163,6 +170,14 @@ class SymbolicLU {
   const std::vector<std::uint32_t>& pivotRows() const { return pivRow_; }
   /// The ordering the last factor() resolved to (Natural or Amd).
   Ordering orderingUsed() const { return resolved_; }
+  /// What the last analysis applied through the supernode path: steps
+  /// taken by a column without fill bookkeeping, and their multiply-
+  /// subtracts (zero multipliers included). A pattern and pivot property.
+  struct SupernodeWork {
+    std::size_t steps = 0;
+    std::size_t flops = 0;
+  };
+  const SupernodeWork& supernodeWork() const { return snWork_; }
 
   Vec<T> solve(const Vec<T>& b) const;
   /// Solve Aᵀ·x = b (no conjugation) with the same factors: a Uᵀ pass, then
@@ -198,6 +213,10 @@ class SymbolicLU {
   // Survives the repivot fallback: re-analysis keeps the column sequence
   // and re-chooses rows from the new values.
   std::vector<std::uint32_t> colOrder_;
+  // Entries below the diagonal of the factor if every pivot is diagonal
+  // (the Cholesky factor of the symmetrized pattern in colOrder_): the
+  // analysis sizes its arrays from it.
+  std::size_t diagonalLowerNnz_ = 0;
 
   // Factorization in flat form. Step k owns L entries [lPtr_[k], lPtr_[k+1])
   // and U entries [uPtr_[k], uPtr_[k+1]); pivRow_/pivCol_ are original
@@ -223,6 +242,7 @@ class SymbolicLU {
   std::vector<T> acc_;  ///< replay row accumulator (n entries, all-zero
                         ///< between replays)
   std::size_t chargedBytes_ = 0;  ///< storedBytes() charged so far
+  SupernodeWork snWork_;
 
   // Input values the current factors were computed from (nnz_ entries,
   // sized by factor()); refactor() skips the replay on a bitwise match.

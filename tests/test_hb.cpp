@@ -304,18 +304,15 @@ TEST(HarmonicBalance, DampingStopsOnANonFiniteLastTrial) {
   HBOptions opts;
   opts.maxRetries = 0;
   HarmonicBalance hb(sys, {{1e3, 3}}, opts);
-#ifdef RFIC_DIAG
-  // The Diag build's finite contract on the HB time samples stops the
-  // first NaN trial before the line search sees its norm.
-  EXPECT_THROW((void)hb.solve(RVec(sys.dim(), 0.0)), NumericalError);
-#else
+  // The Diag build's finite contract on the HB time samples throws from
+  // each NaN trial instead; the line search counts that as a non-finite
+  // trial, so both builds end the same way.
   const HBSolution sol = hb.solve(RVec(sys.dim(), 0.0));
   EXPECT_FALSE(sol.converged);
   EXPECT_EQ(sol.status, diag::SolverStatus::Diverged);
   EXPECT_EQ(sol.newtonIterations, 1u);
   for (std::size_t k = 0; k < sol.coeffs.cols(); ++k)
     EXPECT_TRUE(std::isfinite(std::abs(sol.coeffs(0, k)))) << "harmonic " << k;
-#endif
 }
 
 TEST(Spectrum, ToDbHandlesZeros) {

@@ -10,6 +10,7 @@
 // branches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -64,7 +65,46 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 struct SearchTally {
   std::size_t rowSearches = 0;  ///< steps where the diagonal failed
   std::size_t rowCounts = 0;    ///< row lengths the search compared
+  /// Steps a column takes through the supernode path (step j joins j-1,
+  /// and the column took j-1 too), those in complex matrices, and the
+  /// columns whose run of a supernode starts after its first step.
+  std::size_t supernodeSteps = 0;
+  std::size_t complexSupernodeSteps = 0;
+  std::size_t midSupernodeStarts = 0;
 };
+
+/// The supernode path's work, counted from the factors alone: step j joins
+/// j-1 when U(j-1) holds column pivCol[j] and |L(j)| + 1 = |L(j-1)|, and
+/// column c takes j through the path when U(j) and U(j-1) both hold c.
+template <class T>
+typename SymbolicLU<T>::SupernodeWork supernodeWork(const Factors<T>& f,
+                                                    std::size_t& midStarts) {
+  const std::size_t n = f.pivCol.size();
+  std::vector<std::vector<std::uint32_t>> cols(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    cols[j].assign(f.uCol.begin() + static_cast<std::ptrdiff_t>(f.uPtr[j]),
+                   f.uCol.begin() + static_cast<std::ptrdiff_t>(f.uPtr[j + 1]));
+    std::sort(cols[j].begin(), cols[j].end());
+  }
+  const auto holds = [&](std::size_t j, std::uint32_t c) {
+    return std::binary_search(cols[j].begin(), cols[j].end(), c);
+  };
+  typename SymbolicLU<T>::SupernodeWork work;
+  for (std::size_t j = 1; j < n; ++j) {
+    const std::size_t lj = f.lPtr[j + 1] - f.lPtr[j];
+    if (!holds(j - 1, f.pivCol[j]) || lj + 1 != f.lPtr[j] - f.lPtr[j - 1])
+      continue;
+    for (const std::uint32_t c : cols[j]) {
+      if (holds(j - 1, c)) {
+        ++work.steps;
+        work.flops += lj;
+      } else {
+        ++midStarts;
+      }
+    }
+  }
+  return work;
+}
 
 /// The right-looking reference: flat per-row and per-column (index, slot)
 /// lists of the active submatrix over a slot workspace. Slots [0, nnz) are
@@ -275,6 +315,12 @@ bool expectSameAnalysis(const CSR<T>& a, Ordering ord, Real threshold,
     flops += (ref.lPtr[k + 1] - ref.lPtr[k]) * (ref.uPtr[k + 1] - ref.uPtr[k]);
   EXPECT_EQ(lu.programFlops(), flops);
   EXPECT_EQ(lu.factorNnz(), a.rows() + ref.lVal.size() + ref.uVal.size());
+  const auto work = supernodeWork(ref, tally.midSupernodeStarts);
+  EXPECT_EQ(lu.supernodeWork().steps, work.steps);
+  EXPECT_EQ(lu.supernodeWork().flops, work.flops);
+  tally.supernodeSteps += work.steps;
+  if constexpr (std::is_same_v<T, Complex>)
+    tally.complexSupernodeSteps += work.steps;
   return !::testing::Test::HasFailure();
 }
 
@@ -360,6 +406,10 @@ TEST(SymbolicLUOracle, RandomMatricesMatchRightLookingBitwise) {
   // The corpus must exercise the row search, not only diagonal pivots.
   EXPECT_GT(tally.rowSearches, 30000u);
   EXPECT_GT(tally.rowCounts, 60000u);
+  // And the supernode path, entered at and after a supernode's first step.
+  EXPECT_GT(tally.supernodeSteps, 100000u);
+  EXPECT_GT(tally.complexSupernodeSteps, 50000u);
+  EXPECT_GT(tally.midSupernodeStarts, 2000u);
 }
 
 /// RC mesh of k×k nodes driven by V1 at one corner. With `ammeters`,
@@ -428,6 +478,35 @@ TEST(SymbolicLUOracle, MnaJacobiansMatchRightLookingBitwise) {
   // Most of them on the ammeter mesh.
   EXPECT_GT(tally.rowSearches, 2500u);
   EXPECT_GT(tally.rowCounts, 5000u);
+  EXPECT_GT(tally.supernodeSteps, 60000u);
+  EXPECT_GT(tally.complexSupernodeSteps, 25000u);
+  EXPECT_GT(tally.midSupernodeStarts, 400u);
+}
+
+/// The Jacobians of perfbench's mesh_cold shape: the 24×24 and 60×60 RC
+/// meshes at the transient's 1/h = 1e7 under AMD, and their AC matrices.
+TEST(SymbolicLUOracle, MeshColdJacobiansMatchRightLookingBitwise) {
+  SearchTally tally;
+  for (const std::size_t k : {24u, 60u}) {
+    SCOPED_TRACE(k);
+    circuit::Circuit ckt;
+    circuit::parseNetlist(meshNetlist(k, false), ckt);
+    const circuit::MnaSystem sys(ckt);
+    circuit::MnaWorkspace ws(sys);
+    ws.eval(numeric::RVec(sys.dim(), 0.0), 0.0, true);
+    const auto& g = ws.gValues();
+    const auto& c = ws.cValues();
+    std::vector<Real> v(g.size());
+    std::vector<Complex> cv(g.size());
+    for (std::size_t p = 0; p < v.size(); ++p) {
+      v[p] = 1e7 * c[p] + g[p];
+      cv[p] = Complex(g[p], 1e8 * c[p]);
+    }
+    ASSERT_TRUE(expectSameAnalysis(RCSR(ws.pattern(), v), Ordering::Amd, 1e-3, tally));
+    ASSERT_TRUE(expectSameAnalysis(CCSR(ws.pattern(), cv), Ordering::Amd, 1e-3, tally));
+  }
+  EXPECT_GT(tally.supernodeSteps, 60000u);
+  EXPECT_GT(tally.complexSupernodeSteps, 30000u);
 }
 
 // Replay decisions on values that only the exact magnitudes settle. A

@@ -14,8 +14,9 @@ the threshold (default 25%).
 
 Work-count keys (suffixes in WORK_COUNT_SUFFIXES: evaluations and
 evaluation reuses, factorizations, refactorizations and refactor skips, Newton/GMRES
-iterations, transforms, workspace growth events, fill — which depends
-only on the pattern and the pivots) are
+iterations, transforms, workspace growth events, fill and the symbolic
+analysis's supernode steps and flops — which depend only on the pattern
+and the pivots) are
 machine-independent, so they GATE: the exit code is 1 when one differs
 from its baseline while both files ran in the same quick mode. Benches in
 SCHEDULING_DEPENDENT are exempt (their counts follow thread scheduling).
@@ -35,7 +36,8 @@ from pathlib import Path
 WORK_COUNT_SUFFIXES = (".evals", ".eval_reuses", ".factorizations",
                        ".refactorizations", ".refactor_skips", ".newton",
                        ".gmres", ".fft_count", ".fill", ".factor_fill_nnz",
-                       ".workspace_growth")
+                       ".workspace_growth", ".supernode_steps",
+                       ".supernode_flops")
 SCHEDULING_DEPENDENT = {"BENCH_daemon_throughput.json"}
 
 
